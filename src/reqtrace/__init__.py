@@ -49,6 +49,7 @@ from .fca import (
     AOCPoset,
     FormalConcept,
     FormalContext,
+    aoc_concepts,
     binarize,
     build_aoc_poset,
     derive_extent,
@@ -67,7 +68,6 @@ from .lsi import (
     build_tqm,
     build_vocabulary,
     cosine_similarity_matrix,
-    fold_in_query,
     truncated_svd,
 )
 from .porter import stem

@@ -142,8 +142,7 @@ def cmd_trace(config: PipelineConfig) -> int:
     csm = lsi.cosine_similarity_matrix(space, tqm)
 
     ctx = fca.binarize(csm, config.threshold)
-    concepts = fca.enumerate_concepts(ctx)
-    poset = fca.build_aoc_poset(concepts, ctx)
+    poset = fca.build_aoc_poset(fca.aoc_concepts(ctx), ctx)
     tls = links.assemble_links(poset, ctx)
 
     out = config.output_dir

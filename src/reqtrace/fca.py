@@ -6,10 +6,12 @@ only object-introducing and attribute-introducing concepts, labels each
 object and attribute at exactly one concept, and orders the kept concepts
 by extent inclusion with transitively reduced edges.
 
-Enumeration closes every object subset when that is affordable and
-otherwise switches to lectic (NextClosure-style) iteration over attribute
-sets; both produce the identical concept set, returned in a fixed order:
-decreasing extent size, ties broken by the extent's object names.
+The AOC-poset is built from the object and attribute concepts alone, the
+closures of single rows and columns, so the full lattice is never needed.
+`enumerate_concepts` lists every concept by lectic (NextClosure)
+iteration over attribute sets; it is the reference the AOC path is tested
+against.  Concept lists come in a fixed order: decreasing extent size, ties
+broken by the extent's object names.
 """
 
 from __future__ import annotations
@@ -30,13 +32,10 @@ __all__ = [
     "derive_intent",
     "derive_extent",
     "enumerate_concepts",
+    "aoc_concepts",
     "build_aoc_poset",
     "export_context_csv",
-    "load_context_csv",
 ]
-
-# Work budget below which closing all 2^|O| object subsets stays fast.
-_BRUTE_FORCE_OPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -161,13 +160,16 @@ def derive_extent(attributes_subset, ctx: FormalContext) -> set[str]:
     return set(_mask_names(masks.extent_of(attribute_mask), ctx.objects))
 
 
-def _closures_by_object_subsets(masks: _Masks) -> set[tuple[int, int]]:
-    pairs = set()
-    for subset in range(1 << masks.n_objects):
-        intent = masks.intent_of(subset)
-        extent = masks.extent_of(intent)
-        pairs.add((extent, intent))
-    return pairs
+def _sorted_concepts(pairs, ctx: FormalContext) -> list[FormalConcept]:
+    concepts = [
+        FormalConcept(
+            extent=_mask_names(extent, ctx.objects),
+            intent=_mask_names(intent, ctx.attributes),
+        )
+        for extent, intent in pairs
+    ]
+    concepts.sort(key=lambda c: (-len(c.extent), c.extent))
+    return concepts
 
 
 def _closures_by_next_closure(masks: _Masks) -> set[tuple[int, int]]:
@@ -198,99 +200,78 @@ def _closures_by_next_closure(masks: _Masks) -> set[tuple[int, int]]:
 
 def enumerate_concepts(ctx: FormalContext) -> list[FormalConcept]:
     """All closed (extent, intent) pairs in deterministic order."""
+    return _sorted_concepts(_closures_by_next_closure(_Masks(ctx)), ctx)
+
+
+def aoc_concepts(ctx: FormalContext) -> list[FormalConcept]:
+    """The object and attribute concepts, in `enumerate_concepts` order.
+
+    These are the closures of single rows and single columns, deduplicated
+    by extent: exactly the concepts an AOC-poset keeps.
+    """
     masks = _Masks(ctx)
-    work = (1 << masks.n_objects) * (masks.n_objects + masks.n_attributes + 1)
-    if work <= _BRUTE_FORCE_OPS:
-        pairs = _closures_by_object_subsets(masks)
-    else:
-        pairs = _closures_by_next_closure(masks)
-    concepts = [
-        FormalConcept(
-            extent=_mask_names(extent, ctx.objects),
-            intent=_mask_names(intent, ctx.attributes),
-        )
-        for extent, intent in pairs
-    ]
-    concepts.sort(key=lambda c: (-len(c.extent), c.extent))
-    return concepts
+    extents = {masks.extent_of(row) for row in masks.rows} | set(masks.cols)
+    return _sorted_concepts(((e, masks.intent_of(e)) for e in extents), ctx)
 
 
 def build_aoc_poset(concepts: list[FormalConcept], ctx: FormalContext) -> AOCPoset:
-    """Reduce a complete concept set to its AOC-poset with reduced labels.
+    """Reduce a concept list to its AOC-poset with reduced labels.
 
+    The list must come in `enumerate_concepts` order and contain every
+    object and attribute concept of `ctx`: `aoc_concepts(ctx)` or the
+    complete set both qualify.  Other concepts are dropped and the kept
+    ones keep their list order.
     Object o is introduced at the concept its row generates; attribute a at
     the concept its column generates.  An object with an empty row lands on
     the top concept, an attribute with an empty column on the bottom one.
     """
     masks = _Masks(ctx)
-    by_extent: dict[int, int] = {}
-    for position, concept in enumerate(concepts):
-        extent_mask = 0
-        for name in concept.extent:
-            extent_mask |= 1 << ctx.objects.index(name)
-        by_extent[extent_mask] = position
+    bit = {name: 1 << o for o, name in enumerate(ctx.objects)}
+    extents = [sum(bit[name] for name in c.extent) for c in concepts]
+    by_extent = {extent: position for position, extent in enumerate(extents)}
 
     def locate(extent_mask: int) -> int:
         try:
             return by_extent[extent_mask]
         except KeyError:
             raise ParameterError(
-                "concept list is not the complete concept set of the context"
+                "concept list lacks an object or attribute concept of the context"
             ) from None
 
-    gamma = [
-        locate(masks.extent_of(masks.intent_of(1 << o)))
-        for o in range(masks.n_objects)
-    ]
-    mu = [locate(masks.extent_of(1 << a)) for a in range(masks.n_attributes)]
+    introduced: dict[int, tuple[list[str], list[str]]] = {}
+    for o, name in enumerate(ctx.objects):
+        position = locate(masks.extent_of(masks.rows[o]))
+        introduced.setdefault(position, ([], []))[0].append(name)
+    for a, name in enumerate(ctx.attributes):
+        position = locate(masks.cols[a])
+        introduced.setdefault(position, ([], []))[1].append(name)
 
-    kept_positions = sorted(set(gamma) | set(mu))
-    position_to_kept = {p: i for i, p in enumerate(kept_positions)}
-    aoc_concepts = []
-    for position in kept_positions:
-        concept = concepts[position]
-        aoc_concepts.append(
-            AOCConcept(
-                extent=concept.extent,
-                intent=concept.intent,
-                introduced_objects=tuple(
-                    name
-                    for o, name in enumerate(ctx.objects)
-                    if gamma[o] == position
-                ),
-                introduced_attributes=tuple(
-                    name
-                    for a, name in enumerate(ctx.attributes)
-                    if mu[a] == position
-                ),
-            )
+    kept_positions = sorted(introduced)
+    aoc = tuple(
+        AOCConcept(
+            extent=concepts[p].extent,
+            intent=concepts[p].intent,
+            introduced_objects=tuple(introduced[p][0]),
+            introduced_attributes=tuple(introduced[p][1]),
         )
+        for p in kept_positions
+    )
 
-    extent_masks = []
-    for concept in aoc_concepts:
-        mask = 0
-        for name in concept.extent:
-            mask |= 1 << ctx.objects.index(name)
-        extent_masks.append(mask)
-
-    def strictly_below(i: int, j: int) -> bool:
-        return extent_masks[i] != extent_masks[j] and (
-            extent_masks[i] & extent_masks[j] == extent_masks[i]
-        )
-
+    # Kept extents are distinct and come in decreasing size, so walking back
+    # from i visits the larger extents in increasing size: a superset is a
+    # cover unless it contains a cover found before it.
+    kept_extents = [extents[p] for p in kept_positions]
     edges = []
-    n = len(aoc_concepts)
-    for i in range(n):
-        for j in range(n):
-            if not strictly_below(i, j):
-                continue
-            if any(
-                strictly_below(i, via) and strictly_below(via, j)
-                for via in range(n)
+    for i, extent in enumerate(kept_extents):
+        covers = []
+        for j in range(i - 1, -1, -1):
+            larger = kept_extents[j]
+            if extent & larger == extent and all(
+                kept_extents[c] & larger != kept_extents[c] for c in covers
             ):
-                continue
-            edges.append((i, j))
-    return AOCPoset(concepts=tuple(aoc_concepts), edges=tuple(edges))
+                covers.append(j)
+        edges.extend((i, j) for j in sorted(covers))
+    return AOCPoset(concepts=aoc, edges=tuple(edges))
 
 
 def export_context_csv(ctx: FormalContext) -> str:
@@ -302,21 +283,3 @@ def export_context_csv(ctx: FormalContext) -> str:
         writer.writerow([name, *(int(v) for v in row)])
     return buffer.getvalue()
 
-
-def load_context_csv(text: str) -> FormalContext:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise ParameterError("context CSV is empty")
-    attributes = tuple(rows[0][1:])
-    objects = []
-    incidence = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != len(attributes) + 1:
-            raise ParameterError(f"context CSV row {row[0]!r} has wrong width")
-        objects.append(row[0])
-        incidence.append(tuple(cell.strip() == "1" for cell in row[1:]))
-    return FormalContext(
-        objects=tuple(objects), attributes=attributes, incidence=tuple(incidence)
-    )

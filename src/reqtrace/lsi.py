@@ -33,7 +33,6 @@ __all__ = [
     "build_tdm",
     "build_tqm",
     "truncated_svd",
-    "fold_in_query",
     "cosine_similarity_matrix",
     "write_count_matrix_csv",
     "write_similarity_csv",
@@ -149,12 +148,6 @@ def truncated_svd(tdm: TermDocumentMatrix, k: int) -> LsiSpace:
         doc_coords=vt[:effective, :].T,
         doc_names=tdm.doc_names,
     )
-
-
-def fold_in_query(q: np.ndarray, space: LsiSpace) -> np.ndarray:
-    """Project a term-space count vector into topic space: q U_k S_k^-1."""
-    q = np.asarray(q, dtype=np.float64)
-    return (q @ space.left_vectors) / space.singular_values
 
 
 def cosine_similarity_matrix(space: LsiSpace, tqm: TermQueryMatrix) -> SimilarityMatrix:

@@ -11,13 +11,13 @@ from reqtrace.fca import (
     AOCPoset,
     FormalConcept,
     FormalContext,
+    aoc_concepts,
     binarize,
     build_aoc_poset,
     derive_extent,
     derive_intent,
     enumerate_concepts,
     export_context_csv,
-    load_context_csv,
 )
 from reqtrace.lsi import SimilarityMatrix
 
@@ -98,9 +98,11 @@ def as_pair_set(concepts: list[FormalConcept]) -> set:
     return {(frozenset(c.extent), frozenset(c.intent)) for c in concepts}
 
 
-def random_context(rng: random.Random, max_side: int = 8) -> FormalContext:
-    n_obj = rng.randint(1, max_side)
-    n_attr = rng.randint(1, max_side)
+def random_context(
+    rng: random.Random, max_side: int = 8, min_side: int = 1
+) -> FormalContext:
+    n_obj = rng.randint(min_side, max_side)
+    n_attr = rng.randint(min_side, max_side)
     density = rng.choice([0.2, 0.4, 0.6, 0.8])
     return FormalContext(
         objects=tuple(f"o{i}" for i in range(n_obj)),
@@ -200,8 +202,8 @@ class TestEnumerateConcepts:
             )
 
     def test_lectic_path_matches_oracle_on_wide_contexts(self):
-        # many objects force the NextClosure-style path; few attributes keep
-        # the attribute-subset oracle cheap
+        # many objects make a deep lattice; few attributes keep the
+        # attribute-subset oracle cheap
         rng = random.Random(7)
         ctx = FormalContext(
             objects=tuple(f"o{i}" for i in range(21)),
@@ -294,19 +296,38 @@ class TestAocPoset:
 
     @staticmethod
     def check_edges_are_covers(ctx: FormalContext, poset: AOCPoset) -> None:
+        """The edges are exactly the covering pairs, in (sub, super) order."""
         extents = [set(c.extent) for c in poset.concepts]
-        for sub, super_ in poset.edges:
-            assert extents[sub] < extents[super_]
-            for via in range(len(extents)):
-                if via in (sub, super_):
-                    continue
-                assert not (extents[sub] < extents[via] < extents[super_])
+        n = len(extents)
+        covers = [
+            (sub, super_)
+            for sub in range(n)
+            for super_ in range(n)
+            if extents[sub] < extents[super_]
+            and not any(
+                extents[sub] < extents[via] < extents[super_] for via in range(n)
+            )
+        ]
+        assert list(poset.edges) == covers
 
     def test_labels_partition_and_edges_on_random_contexts(self):
         rng = random.Random(99)
         for _ in range(40):
             ctx = random_context(rng, max_side=6)
             poset = build_aoc_poset(enumerate_concepts(ctx), ctx)
+            self.check_labels_partition(ctx, poset)
+            self.check_edges_are_covers(ctx, poset)
+
+    def test_aoc_concepts_give_the_full_lattice_poset(self):
+        rng = random.Random(2307)
+        for _ in range(250):
+            ctx = random_context(rng, max_side=8, min_side=0)
+            full = enumerate_concepts(ctx)
+            kept = aoc_concepts(ctx)
+            remaining = iter(full)
+            assert all(concept in remaining for concept in kept)  # subsequence
+            poset = build_aoc_poset(kept, ctx)
+            assert poset == build_aoc_poset(full, ctx)
             self.check_labels_partition(ctx, poset)
             self.check_edges_are_covers(ctx, poset)
 
@@ -317,10 +338,6 @@ class TestAocPoset:
 
 
 class TestContextCsv:
-    def test_round_trip(self):
-        text = export_context_csv(TRACE_CTX)
-        assert load_context_csv(text) == TRACE_CTX
-
     def test_header_and_cells(self):
         lines = export_context_csv(TRACE_CTX).splitlines()
         assert lines[0].startswith(",DrawingShapes,MyLine")

@@ -12,7 +12,6 @@ from reqtrace.lsi import (
     build_tqm,
     build_vocabulary,
     cosine_similarity_matrix,
-    fold_in_query,
     truncated_svd,
     write_count_matrix_csv,
     write_similarity_csv,
@@ -201,12 +200,8 @@ class TestFoldIn:
         rank = np.linalg.matrix_rank(cells)
         space = truncated_svd(synthetic(cells), rank)
         for j in range(5):
-            folded = fold_in_query(cells[:, j], space)
+            folded = cells[:, j] @ space.left_vectors / space.singular_values
             assert np.abs(folded - space.doc_coords[j]).max() < 1e-6
-
-    def test_zero_vector_folds_to_zero(self):
-        space = truncated_svd(synthetic(np.eye(3, dtype=int)), 2)
-        assert np.allclose(fold_in_query(np.zeros(3), space), 0.0)
 
 
 class TestSimilarityMatrix:
