@@ -68,6 +68,7 @@ from .lsi import (
     build_tqm,
     build_vocabulary,
     cosine_similarity_matrix,
+    count_cosine_matrix,
     truncated_svd,
 )
 from .porter import stem

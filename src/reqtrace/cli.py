@@ -132,14 +132,16 @@ def cmd_trace(config: PipelineConfig) -> int:
     tdm = lsi.build_tdm(doc_bags, vocab)
     tqm = lsi.build_tqm(query_bags, vocab)
 
-    full_rank = min(len(vocab), len(tdm.doc_names))
-    k = config.topics if config.topics is not None else full_rank
-    if k > full_rank:
-        raise ConfigurationError(
-            f"topics {k} exceeds min(terms, documents) = {full_rank}"
-        )
-    space = lsi.truncated_svd(tdm, k)
-    csm = lsi.cosine_similarity_matrix(space, tqm)
+    if config.topics is None:
+        csm = lsi.count_cosine_matrix(tdm, tqm)
+    else:
+        full_rank = min(len(vocab), len(tdm.doc_names))
+        if config.topics > full_rank:
+            raise ConfigurationError(
+                f"topics {config.topics} exceeds min(terms, documents) = {full_rank}"
+            )
+        space = lsi.truncated_svd(tdm, config.topics)
+        csm = lsi.cosine_similarity_matrix(space, tqm)
 
     ctx = fca.binarize(csm, config.threshold)
     poset = fca.build_aoc_poset(fca.aoc_concepts(ctx), ctx)
@@ -217,7 +219,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reqs", type=Path, required=True, help="directory of requirement .txt files"
     )
     trace.add_argument("--threshold", type=float, default=0.70)
-    trace.add_argument("--topics", type=int, default=None)
+    trace.add_argument(
+        "--topics",
+        type=int,
+        default=None,
+        help="LSI topics k (default: full rank, plain count cosine)",
+    )
     trace.add_argument("--stopwords", type=Path, default=None)
     trace.add_argument("--out", type=Path, required=True, help="output directory")
     trace.add_argument("--gold", type=Path, default=None)

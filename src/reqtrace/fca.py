@@ -20,8 +20,10 @@ import csv
 import io
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterError
-from .lsi import SimilarityMatrix
+from .lsi import SIMILARITY_DECIMALS, SimilarityMatrix, format_similarity
 
 __all__ = [
     "FormalContext",
@@ -125,12 +127,23 @@ def _mask_names(mask: int, names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def binarize(csm: SimilarityMatrix, threshold: float) -> FormalContext:
-    """Threshold a similarity matrix into an incidence relation (>= keeps)."""
+    """Threshold a similarity matrix into an incidence relation (>= keeps).
+
+    Each cosine is compared as csm.csv shows it, rounded to
+    `SIMILARITY_DECIMALS` places, so the context agrees with the printed
+    scores and cosines that differ only by rounding noise (the SVD and the
+    count-vector paths at full rank) give the same context.
+    """
     if not -1.0 <= threshold <= 1.0:
         raise ParameterError(f"threshold {threshold} outside [-1, 1]")
-    incidence = tuple(
-        tuple(bool(value >= threshold) for value in row) for row in csm.values
-    )
+    values = csm.values
+    keep = values >= threshold
+    # Rounding moves a value by at most half a unit in the last shown place,
+    # so only cells within one unit of the threshold can change side.
+    near = np.abs(values - threshold) < 10.0**-SIMILARITY_DECIMALS
+    for i, j in zip(*near.nonzero()):
+        keep[i, j] = float(format_similarity(values[i, j])) >= threshold
+    incidence = tuple(map(tuple, keep.tolist()))
     return FormalContext(
         objects=csm.query_names, attributes=csm.doc_names, incidence=incidence
     )

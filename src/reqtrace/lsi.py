@@ -7,9 +7,11 @@ length normalization.
 
 Similarity compares each query, in term space, against the rank-k
 reconstruction of each document column.  At k = rank(TDM) this is exactly
-the plain vector-space cosine of the raw count vectors; truncating k below
-the rank smooths the documents onto the dominant term associations.
-Cosines are invariant to the per-topic sign ambiguity of the SVD.
+the plain vector-space cosine of the raw count vectors, so full rank is
+computed without an SVD by `count_cosine_matrix`; truncating k below the
+rank (`truncated_svd` + `cosine_similarity_matrix`) smooths the documents
+onto the dominant term associations.  Cosines are invariant to the
+per-topic sign ambiguity of the SVD.
 """
 
 from __future__ import annotations
@@ -34,9 +36,14 @@ __all__ = [
     "build_tqm",
     "truncated_svd",
     "cosine_similarity_matrix",
+    "count_cosine_matrix",
+    "SIMILARITY_DECIMALS",
+    "format_similarity",
     "write_count_matrix_csv",
     "write_similarity_csv",
 ]
+
+SIMILARITY_DECIMALS = 9  # places of every cosine written to csm.csv
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,10 @@ def truncated_svd(tdm: TermDocumentMatrix, k: int) -> LsiSpace:
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     tolerance = max(t, d) * np.finfo(np.float64).eps * s[0]
     effective = min(k, int(np.sum(s > tolerance)))
+    # An all-zero column folds in to the origin, but LAPACK can leave
+    # rounding noise in its row of V; the empty document would then get
+    # cosines of pure noise, up to 1.
+    vt[:, ~matrix.any(axis=0)] = 0.0
     return LsiSpace(
         k=effective,
         left_vectors=u[:, :effective],
@@ -148,6 +159,21 @@ def truncated_svd(tdm: TermDocumentMatrix, k: int) -> LsiSpace:
         doc_coords=vt[:effective, :].T,
         doc_names=tdm.doc_names,
     )
+
+
+def _cosines(
+    numerators: np.ndarray, query_norms: np.ndarray, doc_norms: np.ndarray
+) -> np.ndarray:
+    """Divide q x d dot products by the norms; a zero norm gives 0."""
+    denominators = np.outer(query_norms, doc_norms)
+    values = np.divide(
+        numerators,
+        denominators,
+        out=np.zeros_like(numerators),
+        where=denominators > 0,
+    )
+    np.clip(values, -1.0, 1.0, out=values)
+    return values
 
 
 def cosine_similarity_matrix(space: LsiSpace, tqm: TermQueryMatrix) -> SimilarityMatrix:
@@ -159,20 +185,37 @@ def cosine_similarity_matrix(space: LsiSpace, tqm: TermQueryMatrix) -> Similarit
     queries = tqm.cells.astype(np.float64)  # t x q
     doc_scaled = space.doc_coords * space.singular_values  # d x k rows
     projected = space.left_vectors.T @ queries  # k x q
-    numerators = projected.T @ doc_scaled.T  # q x d
-    query_norms = np.linalg.norm(queries, axis=0)  # true term-space norms
-    doc_norms = np.linalg.norm(doc_scaled, axis=1)
-    denominators = np.outer(query_norms, doc_norms)
-    values = np.divide(
-        numerators,
-        denominators,
-        out=np.zeros_like(numerators),
-        where=denominators > 0,
+    values = _cosines(
+        projected.T @ doc_scaled.T,  # q x d
+        np.linalg.norm(queries, axis=0),  # true term-space norms
+        np.linalg.norm(doc_scaled, axis=1),
     )
-    np.clip(values, -1.0, 1.0, out=values)
     return SimilarityMatrix(
         query_names=tqm.query_names,
         doc_names=space.doc_names,
+        values=values,
+    )
+
+
+def count_cosine_matrix(
+    tdm: TermDocumentMatrix, tqm: TermQueryMatrix
+) -> SimilarityMatrix:
+    """Full-rank similarity: the plain cosine of the raw count vectors.
+
+    Equals `cosine_similarity_matrix(truncated_svd(tdm, rank), tqm)` up to
+    rounding, without factorizing the TDM.  Counts are nonnegative, so
+    every value lies in [0, 1]; a zero query or document column gives 0.
+    """
+    docs = tdm.cells.astype(np.float64)  # t x d
+    queries = tqm.cells.astype(np.float64)  # t x q
+    values = _cosines(
+        queries.T @ docs,
+        np.linalg.norm(queries, axis=0),
+        np.linalg.norm(docs, axis=0),
+    )
+    return SimilarityMatrix(
+        query_names=tqm.query_names,
+        doc_names=tdm.doc_names,
         values=values,
     )
 
@@ -194,11 +237,16 @@ def write_count_matrix_csv(
     return buffer.getvalue()
 
 
+def format_similarity(value: float) -> str:
+    """A cosine as csm.csv shows it, with `SIMILARITY_DECIMALS` places."""
+    return f"{value:.{SIMILARITY_DECIMALS}f}"
+
+
 def write_similarity_csv(csm: SimilarityMatrix) -> str:
     """Render the similarity matrix as CSV with 9-decimal values."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["query", *csm.doc_names])
     for i, name in enumerate(csm.query_names):
-        writer.writerow([name, *(f"{v:.9f}" for v in csm.values[i])])
+        writer.writerow([name, *map(format_similarity, csm.values[i])])
     return buffer.getvalue()

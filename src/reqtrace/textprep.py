@@ -1,9 +1,10 @@
 """Document normalization: noise removal, camel-case splitting, stemming.
 
 A raw document becomes a bag of lowercase stems via a fixed pipeline:
-strip noise, split on whitespace, split camel case, lowercase, drop stop
-words, stem, count.  Any stem that lands on a stop word is dropped as well,
-so no stop word can ever appear in a term bag.
+split the whole text into words in one pass (every character outside
+[A-Za-z] separates words, and so do camel-case boundaries), lowercase, drop
+stop words, stem, count.  Any stem that lands on a stop word is dropped as
+well, so no stop word can ever appear in a term bag.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ yours
 """.split())
 
 _NOISE = re.compile(r"[^A-Za-z]")
-_UPPER_RUN = re.compile(r"([A-Z]+)")
-_UPPER_LOWER = re.compile(r"([A-Z][a-z])")
+# An uppercase run that ends before a capitalized word, a word with at most
+# one leading capital, or a trailing uppercase run.
+_WORD = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+")
 
 
 @dataclass(frozen=True)
@@ -80,15 +82,15 @@ def strip_noise(text: str) -> str:
     return _NOISE.sub(" ", text)
 
 
-def split_camel_case(token: str) -> list[str]:
-    """Split an alphabetic token at case boundaries.
+def split_camel_case(text: str) -> list[str]:
+    """Split text into words at noise and case boundaries in one pass.
 
-    A lower-to-upper boundary always splits; an uppercase run followed by
-    lowercase splits before its final letter (XMLFile -> XML, File).
-    Single-case tokens pass through untouched.
+    Every character outside [A-Za-z] separates words.  A lower-to-upper
+    boundary always splits; an uppercase run followed by lowercase splits
+    before its final letter (XMLFile -> XML, File).  Single-case tokens
+    pass through untouched.
     """
-    spaced = _UPPER_LOWER.sub(r" \1", _UPPER_RUN.sub(r" \1", token))
-    return spaced.split()
+    return _WORD.findall(text)
 
 
 def preprocess(doc: RawDocument, stops: StopWordList | None = None) -> TermBag:
@@ -96,13 +98,12 @@ def preprocess(doc: RawDocument, stops: StopWordList | None = None) -> TermBag:
     if stops is None:
         stops = StopWordList()
     counts: dict[str, int] = {}
-    for token in strip_noise(doc.text).split():
-        for part in split_camel_case(token):
-            word = part.lower()
-            if word in stops:
-                continue
-            root = stem(word)
-            if root in stops:
-                continue
-            counts[root] = counts.get(root, 0) + 1
+    for part in split_camel_case(doc.text):
+        word = part.lower()
+        if word in stops:
+            continue
+        root = stem(word)
+        if root in stops:
+            continue
+        counts[root] = counts.get(root, 0) + 1
     return TermBag(name=doc.name, counts=counts)

@@ -92,6 +92,17 @@ def test_evaluate_reproduces_the_trace_report(ds_out, tmp_path, ds_gold):
         assert (tmp_path / name).read_bytes() == (ds_out / name).read_bytes()
 
 
+def test_full_rank_svd_and_count_cosine_agree(
+    ds_out, tmp_path, ds_source, ds_requirements
+):
+    # six classes bound the rank at 6; the default run skips the SVD
+    code = trace(tmp_path, ds_requirements, "--src", str(ds_source), "--topics", "6")
+    assert code == EXIT_OK
+    for name in ("links.json", "poset.dot", "tracelinks.dot"):
+        assert (tmp_path / name).read_bytes() == (ds_out / name).read_bytes()
+    assert "-0.000000000" not in (ds_out / "csm.csv").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "option",
     [

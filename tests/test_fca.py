@@ -19,7 +19,9 @@ from reqtrace.fca import (
     enumerate_concepts,
     export_context_csv,
 )
-from reqtrace.lsi import SimilarityMatrix
+from reqtrace.lsi import SimilarityMatrix, count_cosine_matrix
+
+from test_lsi import full_rank_svd_cosines, random_counts
 
 
 def context_from(objects, attributes, marks) -> FormalContext:
@@ -139,6 +141,41 @@ class TestBinarize:
     def test_threshold_out_of_range(self):
         with pytest.raises(ParameterError):
             binarize(self.csm(), 1.5)
+
+    def test_compares_the_value_csm_csv_shows(self):
+        # 0.7 - 3e-10 prints as 0.700000000; 0.7 - 6e-10 as 0.699999999.
+        csm = SimilarityMatrix(
+            query_names=("q",),
+            doc_names=("a", "b", "c", "d"),
+            values=np.array([[0.7 - 3e-10, 0.7 - 6e-10, 0.7, -1e-16]]),
+        )
+        assert binarize(csm, 0.70).incidence == ((True, False, True, False),)
+        assert binarize(csm, 0.0).incidence == ((True, True, True, True),)
+
+    def test_incidence_is_the_rounded_comparison_cell_by_cell(self):
+        rng = np.random.RandomState(21)
+        for trial in range(80):
+            pair = random_counts(rng, rng.randint(1, 12), rng.randint(1, 12), 3, trial)
+            if pair is None:
+                continue
+            for csm in (count_cosine_matrix(*pair), full_rank_svd_cosines(*pair)):
+                shown = [[float(f"{v:.9f}") for v in row] for row in csm.values]
+                # thresholds at printed values put cells right at the boundary
+                for threshold in (0.0, 0.15, 0.7, *rng.choice(np.ravel(shown), 2)):
+                    expected = tuple(
+                        tuple(v >= threshold for v in row) for row in shown
+                    )
+                    assert binarize(csm, threshold).incidence == expected
+
+    def test_count_cosine_and_full_rank_svd_give_one_context(self):
+        rng = np.random.RandomState(22)
+        for trial in range(80):
+            pair = random_counts(rng, rng.randint(1, 12), rng.randint(1, 12), 3, trial)
+            if pair is None:
+                continue
+            fast, reference = count_cosine_matrix(*pair), full_rank_svd_cosines(*pair)
+            for threshold in (0.0, 0.15, 0.7):
+                assert binarize(fast, threshold) == binarize(reference, threshold)
 
 
 class TestDerivations:

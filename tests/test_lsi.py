@@ -12,6 +12,7 @@ from reqtrace.lsi import (
     build_tqm,
     build_vocabulary,
     cosine_similarity_matrix,
+    count_cosine_matrix,
     truncated_svd,
     write_count_matrix_csv,
     write_similarity_csv,
@@ -56,6 +57,33 @@ def synthetic(cells: np.ndarray) -> TermDocumentMatrix:
     return TermDocumentMatrix(
         vocab=vocab, doc_names=tuple(f"d{j}" for j in range(d)), cells=cells
     )
+
+
+def random_counts(rng, t: int, d: int, q: int, trial: int):
+    """Sparse seeded TDM and TQM; `trial` picks which edge cases to plant.
+
+    Every third trial has an all-zero document column, every fifth a
+    rank-deficient TDM (one column the sum of two others), every fourth an
+    all-zero query.  Returns None when the TDM came out all zero.
+    """
+    cells = rng.randint(0, 9, size=(t, d)) * (rng.rand(t, d) < rng.uniform(0.2, 1))
+    if d >= 2 and trial % 3 == 0:
+        cells[:, rng.randint(d)] = 0
+    if d >= 3 and trial % 5 == 0:
+        cells[:, -1] = cells[:, 0] + cells[:, 1]
+    if not cells.any():
+        return None
+    queries = rng.randint(0, 5, size=(t, q)) * (rng.rand(t, q) < 0.5)
+    if trial % 4 == 0:
+        queries[:, 0] = 0
+    tdm = synthetic(cells)
+    names = tuple(f"q{i}" for i in range(q))
+    return tdm, TermQueryMatrix(vocab=tdm.vocab, query_names=names, cells=queries)
+
+
+def full_rank_svd_cosines(tdm: TermDocumentMatrix, tqm: TermQueryMatrix):
+    space = truncated_svd(tdm, int(np.linalg.matrix_rank(tdm.cells)))
+    return cosine_similarity_matrix(space, tqm)
 
 
 def raw_cosine(tdm_cells: np.ndarray, tqm_cells: np.ndarray) -> np.ndarray:
@@ -278,6 +306,25 @@ class TestSimilarityMatrix:
         by_doc = dict(zip(csm.doc_names, line_row))
         assert by_doc["MyLine"] >= 0.70
         assert by_doc["DrawingShapes"] < 0.70
+
+
+class TestCountCosine:
+    @pytest.mark.parametrize("t, d", [(12, 4), (4, 12), (7, 7), (1, 6), (6, 1)])
+    def test_equals_the_full_rank_svd_path(self, t, d):
+        rng = np.random.RandomState(100 * t + d)
+        for trial in range(60):
+            pair = random_counts(rng, t, d, rng.randint(1, 5), trial)
+            if pair is None:
+                continue
+            tdm, tqm = pair
+            fast = count_cosine_matrix(tdm, tqm)
+            reference = full_rank_svd_cosines(tdm, tqm)
+            assert fast.query_names == reference.query_names
+            assert fast.doc_names == reference.doc_names
+            assert np.abs(fast.values - reference.values).max() < 1e-12
+            assert (fast.values >= 0).all() and (fast.values <= 1).all()
+            assert (fast.values[:, ~tdm.cells.any(axis=0)] == 0).all()
+            assert (fast.values[~tqm.cells.any(axis=0)] == 0).all()
 
 
 class TestCsvDumps:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from reqtrace.corpus import RawDocument
+from reqtrace.porter import stem
 from reqtrace.textprep import (
     DEFAULT_STOP_WORDS,
     StopWordList,
@@ -19,6 +22,21 @@ from conftest import DS_LINE_DESCRIPTION
 
 def bag_of(text: str, stops: StopWordList | None = None) -> TermBag:
     return preprocess(RawDocument(name="t", text=text, kind="class"), stops)
+
+
+def split_token_by_token(text: str) -> list[str]:
+    """Reference split: strip noise, split on spaces, split each token at
+    uppercase runs and then before each capitalized word."""
+    words = []
+    for token in re.sub(r"[^A-Za-z]", " ", text).split():
+        spaced = re.sub(r"([A-Z]+)", r" \1", token)
+        words += re.sub(r"([A-Z][a-z])", r" \1", spaced).split()
+    return words
+
+
+# Any text (digits, "_", non-ASCII letters, whitespace), plus text dense in
+# case changes, which arbitrary text rarely contains.
+TEXT = st.text(max_size=80) | st.text(alphabet="aeBsXyZ_9 é\n", max_size=40)
 
 
 class TestStripNoise:
@@ -58,6 +76,15 @@ class TestSplitCamelCase:
     )
     def test_boundaries(self, token, expected):
         assert split_camel_case(token) == expected
+
+    def test_splits_noise_and_case_in_one_pass(self):
+        assert split_camel_case("fillRect(x1, XMLFile)") == [
+            "fill", "Rect", "x", "XML", "File",
+        ]
+
+    @given(TEXT)
+    def test_matches_the_token_by_token_split(self, text):
+        assert split_camel_case(text) == split_token_by_token(text)
 
 
 class TestStopWords:
@@ -106,6 +133,15 @@ class TestPreprocess:
         assert all(count >= 1 for count in bag.counts.values())
         assert all(term.isalpha() and term.islower() for term in bag.counts)
         assert not set(bag.counts) & DEFAULT_STOP_WORDS
+
+    @given(TEXT)
+    def test_bag_counts_the_token_by_token_split(self, text):
+        expected: dict[str, int] = {}
+        for part in split_token_by_token(text):
+            word = part.lower()
+            if word not in DEFAULT_STOP_WORDS and stem(word) not in DEFAULT_STOP_WORDS:
+                expected[stem(word)] = expected.get(stem(word), 0) + 1
+        assert bag_of(text).counts == expected
 
     @given(st.lists(st.sampled_from("drawLine Shape X1 the myColor zone g".split()), max_size=30))
     def test_order_independence(self, tokens):
