@@ -79,7 +79,6 @@ from .textprep import (
     load_stop_words,
     preprocess,
     split_camel_case,
-    strip_noise,
 )
 
 __version__ = "0.1.0"

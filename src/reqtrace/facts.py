@@ -9,6 +9,7 @@ back to an equal value.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape, quoteattr
@@ -155,14 +156,33 @@ def _validate_comment(comment: CommentFact) -> None:
 
 # --- XML writing ---------------------------------------------------------
 
+# The characters that `quoteattr` and `escape` rewrite.  Most names and
+# comments contain none, so they are quoted without calling saxutils.
+_ATTR_SPECIAL = re.compile(r'[&<>"\n\r\t]')
+_TEXT_SPECIAL = re.compile(r"[&<>]")
+
+
+def _quote(value: str) -> str:
+    """Equal to `saxutils.quoteattr(value)`."""
+    if _ATTR_SPECIAL.search(value):
+        return quoteattr(value)
+    return '"' + value + '"'
+
+
+def _escape(text: str) -> str:
+    """Equal to `saxutils.escape(text)`."""
+    if _TEXT_SPECIAL.search(text):
+        return escape(text)
+    return text
+
 
 def save_facts_xml(facts: CodeFacts) -> bytes:
     """Serialize to canonical XML: fixed element order, 2-space indent, UTF-8."""
     validate_facts(facts)
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
-    out.append(f"<codefacts provenance={quoteattr(facts.provenance)}>")
+    out.append(f"<codefacts provenance={_quote(facts.provenance)}>")
     for package in facts.packages:
-        out.append(f"  <package name={quoteattr(package.name)}>")
+        out.append(f"  <package name={_quote(package.name)}>")
         for cls in package.classes:
             out.extend(_class_lines(cls))
         out.append("  </package>")
@@ -173,14 +193,14 @@ def save_facts_xml(facts: CodeFacts) -> bytes:
 def _class_lines(cls: ClassFact) -> list[str]:
     superclass = ""
     if cls.superclass is not None:
-        superclass = f" superclass={quoteattr(cls.superclass)}"
-    lines = [f"    <class name={quoteattr(cls.name)}{superclass}>"]
+        superclass = f" superclass={_quote(cls.superclass)}"
+    lines = [f"    <class name={_quote(cls.name)}{superclass}>"]
     for comment in cls.comments:
         lines.append("      " + _comment_line(comment))
     for attribute in cls.attributes:
         lines.append(
-            f"      <attribute name={quoteattr(attribute.name)}"
-            f" type={quoteattr(attribute.declared_type)}/>"
+            f"      <attribute name={_quote(attribute.name)}"
+            f" type={_quote(attribute.declared_type)}/>"
         )
     for method in cls.methods:
         lines.extend(_method_lines(method))
@@ -191,18 +211,18 @@ def _class_lines(cls: ClassFact) -> list[str]:
 def _method_lines(method: MethodFact) -> list[str]:
     children = []
     for name, declared_type in method.parameters:
-        children.append(f"<param name={quoteattr(name)} type={quoteattr(declared_type)}/>")
+        children.append(f"<param name={_quote(name)} type={_quote(declared_type)}/>")
     for name, declared_type in method.local_variables:
-        children.append(f"<local name={quoteattr(name)} type={quoteattr(declared_type)}/>")
+        children.append(f"<local name={_quote(name)} type={_quote(declared_type)}/>")
     for name in method.attribute_accesses:
-        children.append(f"<access name={quoteattr(name)}/>")
+        children.append(f"<access name={_quote(name)}/>")
     for name in method.method_invocations:
-        children.append(f"<invoke name={quoteattr(name)}/>")
+        children.append(f"<invoke name={_quote(name)}/>")
     for comment in method.comments:
         children.append(_comment_line(comment))
     if not children:
-        return [f"      <method name={quoteattr(method.name)}/>"]
-    lines = [f"      <method name={quoteattr(method.name)}>"]
+        return [f"      <method name={_quote(method.name)}/>"]
+    lines = [f"      <method name={_quote(method.name)}>"]
     lines.extend("        " + child for child in children)
     lines.append("      </method>")
     return lines
@@ -210,8 +230,8 @@ def _method_lines(method: MethodFact) -> list[str]:
 
 def _comment_line(comment: CommentFact) -> str:
     return (
-        f"<comment kind={quoteattr(comment.kind)}>"
-        f"{escape(comment.text)}</comment>"
+        f"<comment kind={_quote(comment.kind)}>"
+        f"{_escape(comment.text)}</comment>"
     )
 
 

@@ -14,12 +14,23 @@ Detection rules inside a method body are intentionally token-level: any
 identifier counts as an attribute access when it names a field declared in
 the same class or is written `this.name`.  Recall matters more than
 precision here; the facts feed a text corpus, not a call graph.
+
+Lexing is one compiled regular expression: `findall` returns every token
+string in C, skipping whitespace, and one Python pass sorts the strings by
+their first character into identifiers, numbers, string and char literals,
+comments and punctuation, counting lines and reporting unterminated
+comments and literals.  Identifiers start where `str.isalpha` holds and
+numbers where `str.isdigit` does; a run that starts outside ASCII is split
+by those predicates, because the regex word and digit classes draw them
+differently.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .facts import (
     AttributeFact,
@@ -58,91 +69,118 @@ class ParseDiagnostic:
     message: str
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "punct" | "literal" | "comment"
     text: str
     line: int
 
 
+# One token string per match, in C.  Whitespace matches no alternative, so
+# findall skips it; regex \s is exactly str.isspace and \w is exactly
+# str.isalnum plus "_".  A newline is its own token so lines can be
+# counted.  Comments and string or char literals may run unterminated to
+# the end of the text.  A run that starts with a non-ASCII character is
+# matched as broadly as any token it can begin, then split in `_lex`.
+_TOKEN = re.compile(
+    "|".join(
+        (
+            r"\n",
+            r"[A-Za-z_$][\w$]*",  # identifier
+            r"//[^\n]*",
+            r"/\*.*?(?:\*/|\Z)",
+            r"[0-9][\w.]*",  # number
+            r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)',
+            r"'[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)",
+            r"[^\x00-\x7f\s][\w$.]*",
+            r"[^\s]",  # one punctuation character
+        )
+    ),
+    re.DOTALL,
+)
+
+# Kind of a token by its first character, for the ASCII characters whose
+# token needs no further look: "/" may open a comment, quotes a literal.
+_ASCII_KIND = {
+    ch: "ident" if ch.isalpha() or ch in "_$" else "literal" if ch.isdigit() else "punct"
+    for ch in map(chr, range(128))
+    if not ch.isspace() and ch not in "/\"'"
+}
+
+
 def _clean_comment(text: str) -> str:
     """Collapse control characters to spaces; comment text feeds XML and docs."""
+    if text.isprintable():
+        return text.strip()
     return "".join(ch if ch.isprintable() or ch == " " else " " for ch in text).strip()
+
+
+def _literal_terminated(token: str) -> bool:
+    """A quoted token ends with its own quote, not with an escaped one."""
+    if len(token) < 2 or token[-1] != token[0]:
+        return False
+    body = token[:-1]
+    return (len(body) - len(body.rstrip("\\"))) % 2 == 0
 
 
 def _lex(text: str, file: str, diagnostics: list[ParseDiagnostic]) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
+    append = tokens.append
+    kinds = _ASCII_KIND
     line = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    for tok in _TOKEN.findall(text):
+        first = tok[0]
+        kind = kinds.get(first)
+        if kind is not None:
+            append(_Token(kind, tok, line))
+        elif first == "\n":
             line += 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "/" and text.startswith("//", i):
-            end = text.find("\n", i)
-            end = n if end == -1 else end
-            tokens.append(_Token("comment", _clean_comment(text[i + 2 : end]), line))
-            i = end
-            continue
-        if ch == "/" and text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end == -1:
-                diagnostics.append(
-                    ParseDiagnostic("error", file, line, "unterminated block comment")
-                )
-                end = n
-                body = text[i + 2 : end]
+        elif first == "/":
+            if tok == "/":
+                append(_Token("punct", tok, line))
+            elif tok[1] == "/":
+                append(_Token("comment", _clean_comment(tok[2:]), line))
             else:
-                body = text[i + 2 : end]
-                end += 2
-            cleaned = " ".join(
-                _clean_comment(part.lstrip(" \t").lstrip("*")) for part in body.splitlines()
-            ).strip()
-            tokens.append(_Token("comment", cleaned, line))
-            line += body.count("\n")
-            i = end
-            continue
-        if ch in "\"'":
-            quote = ch
-            start_line = line
-            j = i + 1
-            while j < n and text[j] != quote:
-                if text[j] == "\\":
-                    j += 1
-                elif text[j] == "\n":
-                    line += 1
-                j += 1
-            if j >= n:
+                if len(tok) >= 4 and tok.endswith("*/"):
+                    body = tok[2:-2]
+                else:
+                    diagnostics.append(
+                        ParseDiagnostic("error", file, line, "unterminated block comment")
+                    )
+                    body = tok[2:]
+                cleaned = " ".join(
+                    _clean_comment(part.lstrip(" \t").lstrip("*"))
+                    for part in body.splitlines()
+                ).strip()
+                append(_Token("comment", cleaned, line))
+                line += body.count("\n")
+        elif first == '"' or first == "'":
+            if not _literal_terminated(tok):
                 diagnostics.append(
                     ParseDiagnostic(
-                        "error", file, start_line, "unterminated string or char literal"
+                        "error", file, line, "unterminated string or char literal"
                     )
                 )
-            tokens.append(_Token("literal", text[i : j + 1], start_line))
-            i = j + 1
-            continue
-        if ch.isalpha() or ch in "_$":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_$"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                j += 1
-            tokens.append(_Token("literal", text[i:j], line))
-            i = j
-            continue
-        tokens.append(_Token("punct", ch, line))
-        i += 1
+            append(_Token("literal", tok, line))
+            line += tok.count("\n")
+        else:
+            # A run that starts outside ASCII.  Identifiers start where
+            # str.isalpha holds and numbers where str.isdigit does, which
+            # regex \w and \d draw differently ("²" is a digit but not \d,
+            # "½" is \w but neither).  After its first character the run
+            # holds only [\w$.], so each piece ends at the first character
+            # its kind cannot continue with, and the next piece starts there.
+            while tok:
+                first = tok[0]
+                if first.isalpha() or first in "_$":
+                    kind, end = "ident", tok.find(".")
+                elif first.isdigit():
+                    kind, end = "literal", tok.find("$")
+                else:
+                    kind, end = "punct", 1
+                if end < 0:
+                    end = len(tok)
+                append(_Token(kind, tok[:end], line))
+                tok = tok[end:]
     return tokens
 
 
@@ -151,14 +189,15 @@ class _Cursor:
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
+        self.n = len(tokens)
         self.i = 0
 
     def eof(self) -> bool:
-        return self.i >= len(self.tokens)
+        return self.i >= self.n
 
     def peek(self, offset: int = 0) -> _Token | None:
         j = self.i + offset
-        return self.tokens[j] if j < len(self.tokens) else None
+        return self.tokens[j] if j < self.n else None
 
     def take(self) -> _Token:
         token = self.tokens[self.i]
@@ -166,27 +205,40 @@ class _Cursor:
         return token
 
     def at_punct(self, ch: str) -> bool:
-        token = self.peek()
-        return token is not None and token.kind == "punct" and token.text == ch
+        i = self.i
+        if i >= self.n:
+            return False
+        token = self.tokens[i]
+        return token.kind == "punct" and token.text == ch
 
     def skip_balanced(self, opener: str, closer: str) -> None:
         """Consume from the opener through its matching closer."""
+        tokens = self.tokens
+        n = self.n
+        i = self.i
         depth = 0
-        while not self.eof():
-            token = self.take()
+        while i < n:
+            token = tokens[i]
+            i += 1
             if token.kind == "punct":
                 if token.text == opener:
                     depth += 1
                 elif token.text == closer:
                     depth -= 1
                     if depth == 0:
-                        return
+                        break
+        self.i = i
 
     def skip_past_semicolon(self) -> None:
-        while not self.eof():
-            token = self.take()
+        tokens = self.tokens
+        n = self.n
+        i = self.i
+        while i < n:
+            token = tokens[i]
+            i += 1
             if token.kind == "punct" and token.text == ";":
-                return
+                break
+        self.i = i
 
 
 def _dotted_name(cursor: _Cursor) -> str:
@@ -836,8 +888,8 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
     if not root.is_dir():
         raise OSError(f"source root is not a directory: {root}")
     diagnostics: list[ParseDiagnostic] = []
-    package_order: list[str] = []
-    package_classes: dict[str, list[ClassFact]] = {}
+    package_classes: dict[str, list[ClassFact]] = {}  # in first-seen order
+    package_class_names: dict[str, set[str]] = {}
     for path in sorted(root.rglob("*.java")):
         try:
             text = path.read_text(encoding="utf-8")
@@ -848,10 +900,8 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
             continue
         fragment, file_diagnostics = parse_compilation_unit(text, str(path))
         diagnostics.extend(file_diagnostics)
-        if fragment.name not in package_classes:
-            package_order.append(fragment.name)
-            package_classes[fragment.name] = []
-        existing = {cls.name for cls in package_classes[fragment.name]}
+        kept = package_classes.setdefault(fragment.name, [])
+        existing = package_class_names.setdefault(fragment.name, set())
         for cls in fragment.classes:
             if cls.name in existing:
                 diagnostics.append(
@@ -865,10 +915,10 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
                 )
                 continue
             existing.add(cls.name)
-            package_classes[fragment.name].append(cls)
+            kept.append(cls)
     packages = tuple(
-        PackageFact(name=name, classes=tuple(package_classes[name]))
-        for name in package_order
+        PackageFact(name=name, classes=tuple(classes))
+        for name, classes in package_classes.items()
     )
     facts = CodeFacts(packages=packages, provenance=str(root))
     return facts, diagnostics

@@ -146,7 +146,7 @@ def truncated_svd(tdm: TermDocumentMatrix, k: int) -> LsiSpace:
         raise DegenerateMatrixError("term-document matrix is all zeros")
     matrix = tdm.cells.astype(np.float64)
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    tolerance = max(t, d) * np.finfo(np.float64).eps * s[0]
+    tolerance = _rank_tolerance(t, d, s[0])
     effective = min(k, int(np.sum(s > tolerance)))
     # An all-zero column folds in to the origin, but LAPACK can leave
     # rounding noise in its row of V; the empty document would then get
@@ -159,6 +159,11 @@ def truncated_svd(tdm: TermDocumentMatrix, k: int) -> LsiSpace:
         doc_coords=vt[:effective, :].T,
         doc_names=tdm.doc_names,
     )
+
+
+def _rank_tolerance(t: int, d: int, largest: float) -> float:
+    """Magnitude below which an SVD of a t x d matrix cannot tell a value from 0."""
+    return max(t, d) * np.finfo(np.float64).eps * largest
 
 
 def _cosines(
@@ -180,15 +185,23 @@ def cosine_similarity_matrix(space: LsiSpace, tqm: TermQueryMatrix) -> Similarit
     """Cosine of every query against every rank-k reconstructed document.
 
     Rows are queries, columns are documents.  A zero query vector or a
-    document whose reconstruction is zero yields similarity 0.
+    document whose reconstruction is zero yields similarity 0.  A
+    document whose terms lie outside the k kept topics reconstructs to 0
+    up to rounding; its norm is within the SVD's rank tolerance and is
+    taken as 0, since a cosine of that rounding noise can reach 1.
     """
     queries = tqm.cells.astype(np.float64)  # t x q
     doc_scaled = space.doc_coords * space.singular_values  # d x k rows
     projected = space.left_vectors.T @ queries  # k x q
+    doc_norms = np.linalg.norm(doc_scaled, axis=1)
+    tolerance = _rank_tolerance(
+        len(space.left_vectors), len(space.doc_coords), space.singular_values[0]
+    )
+    doc_norms[doc_norms <= tolerance] = 0.0
     values = _cosines(
         projected.T @ doc_scaled.T,  # q x d
         np.linalg.norm(queries, axis=0),  # true term-space norms
-        np.linalg.norm(doc_scaled, axis=1),
+        doc_norms,
     )
     return SimilarityMatrix(
         query_names=tqm.query_names,

@@ -21,7 +21,6 @@ __all__ = [
     "StopWordList",
     "DEFAULT_STOP_WORDS",
     "load_stop_words",
-    "strip_noise",
     "split_camel_case",
     "preprocess",
 ]
@@ -40,7 +39,6 @@ were what when where which while who whom why will with would you your
 yours
 """.split())
 
-_NOISE = re.compile(r"[^A-Za-z]")
 # An uppercase run that ends before a capitalized word, a word with at most
 # one leading capital, or a trailing uppercase run.
 _WORD = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+")
@@ -75,11 +73,6 @@ def load_stop_words(path: str | Path) -> StopWordList:
         if line:
             words.add(line.lower())
     return StopWordList(frozenset(words))
-
-
-def strip_noise(text: str) -> str:
-    """Replace every character outside [A-Za-z] (digits included) by a space."""
-    return _NOISE.sub(" ", text)
 
 
 def split_camel_case(text: str) -> list[str]:

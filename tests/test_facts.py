@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from xml.sax.saxutils import escape, quoteattr
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,8 @@ from reqtrace.facts import (
     CommentFact,
     MethodFact,
     PackageFact,
+    _escape,
+    _quote,
     compute_metrics,
     load_facts_xml,
     save_facts_xml,
@@ -155,6 +159,12 @@ class TestRoundTrip:
             provenance='quo"ted\nlines & <tags>',
         )
         assert load_facts_xml(save_facts_xml(facts)) == facts
+
+    @settings(max_examples=300)
+    @given(st.text() | st.text(alphabet=st.sampled_from("ab '&<>\"\n\r\t\x0b")))
+    def test_quoting_equals_saxutils(self, value):
+        assert _quote(value) == quoteattr(value)
+        assert _escape(value) == escape(value)
 
 
 class TestErrors:

@@ -1,11 +1,132 @@
 from __future__ import annotations
 
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from reqtrace.facts import compute_metrics, validate_facts
-from reqtrace.javaparser import parse_compilation_unit, parse_source_tree
+from reqtrace.facts import compute_metrics, load_facts_xml, save_facts_xml, validate_facts
+from reqtrace.javaparser import (
+    ParseDiagnostic,
+    _lex,
+    _Token,
+    parse_compilation_unit,
+    parse_source_tree,
+)
+
+DS_SOURCES = sorted(
+    path.read_text(encoding="utf-8")
+    for path in (Path(__file__).parent / "fixtures" / "ds" / "src").rglob("*.java")
+)
+
+# Characters that change how Java text lexes: quotes, escapes, comment
+# openers, line breaks and other str.isspace characters, letters and digits
+# inside and outside ASCII, "²" (a digit that is not regex \d), "½" (regex
+# \w but neither a letter nor a digit) and control characters.
+JAVA_DENSE_ALPHABET = [
+    *"aZ_$09.\"'\\/*{}();=<>@,",
+    *"\n\r\x0b\x0c\x1c\x85\u2028 \t",
+    *"é一٣²½€\u0301",
+    *"\x00\x07\x7f\x9f",
+]
+java_dense_chars = st.sampled_from(JAVA_DENSE_ALPHABET)
+
+
+def clean_comment_char_by_char(text: str) -> str:
+    return "".join(ch if ch.isprintable() or ch == " " else " " for ch in text).strip()
+
+
+def lex_char_by_char(
+    text: str, file: str, diagnostics: list[ParseDiagnostic]
+) -> list[_Token]:
+    """Reference lexer: one character at a time, with str predicates."""
+    tokens: list[_Token] = []
+    i = 0
+    line = 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "/" and text.startswith("//", i):
+            end = text.find("\n", i)
+            end = n if end == -1 else end
+            tokens.append(_Token("comment", clean_comment_char_by_char(text[i + 2 : end]), line))
+            i = end
+            continue
+        if ch == "/" and text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            if end == -1:
+                diagnostics.append(
+                    ParseDiagnostic("error", file, line, "unterminated block comment")
+                )
+                end = n
+                body = text[i + 2 : end]
+            else:
+                body = text[i + 2 : end]
+                end += 2
+            cleaned = " ".join(
+                clean_comment_char_by_char(part.lstrip(" \t").lstrip("*"))
+                for part in body.splitlines()
+            ).strip()
+            tokens.append(_Token("comment", cleaned, line))
+            line += body.count("\n")
+            i = end
+            continue
+        if ch in "\"'":
+            quote = ch
+            start_line = line
+            j = i + 1
+            while j < n and text[j] != quote:
+                if text[j] == "\\":
+                    j += 1
+                if j < n and text[j] == "\n":
+                    line += 1
+                j += 1
+            if j >= n:
+                diagnostics.append(
+                    ParseDiagnostic(
+                        "error", file, start_line, "unterminated string or char literal"
+                    )
+                )
+            tokens.append(_Token("literal", text[i : j + 1], start_line))
+            i = j + 1
+            continue
+        if ch.isalpha() or ch in "_$":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_$"):
+                j += 1
+            tokens.append(_Token("ident", text[i:j], line))
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "._"):
+                j += 1
+            tokens.append(_Token("literal", text[i:j], line))
+            i = j
+            continue
+        tokens.append(_Token("punct", ch, line))
+        i += 1
+    return tokens
+
+
+@st.composite
+def mutated_ds_sources(draw):
+    """A DS source file with a few short spans replaced by Java-dense text."""
+    text = draw(st.sampled_from(DS_SOURCES))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 40)))
+        text = text[:start] + draw(st.text(java_dense_chars, max_size=12)) + text[end:]
+    return text
 
 SMALL_CLASS = """
 package tiny;
@@ -233,6 +354,42 @@ class TestCompilationUnit:
     def test_determinism(self):
         results = [parse_compilation_unit(SMALL_CLASS, "x.java") for _ in range(2)]
         assert results[0] == results[1]
+
+    def test_escaped_newline_in_literal_counts_as_a_line(self):
+        source = 'class A {\n  String s = "ab\\\ncd";\n  int x;\n  @Deprecated int y;\n}'
+        _, diagnostics = parse_compilation_unit(source, "A.java")
+        assert [(d.line, d.message) for d in diagnostics] == [
+            (5, "annotation @Deprecated ignored")
+        ]
+
+
+class TestLexer:
+    @settings(max_examples=400, deadline=None)
+    @given(st.text() | st.text(java_dense_chars, max_size=80))
+    @example('s = "a\\\nb";\n\'\\\n\' x')
+    @example("²x.y$z ½ab é.c 一$d ٣$.5 €q \u0301 a½.b")
+    @example('"abc\\')
+    @example('"a\\"')
+    @example('"a\\\\"')
+    @example("/*/ x")
+    @example("/* a\n * b\x85c\r\n */ d // e\x00f\rg")
+    def test_equals_char_by_char_lexer(self, text):
+        expected_diagnostics: list[ParseDiagnostic] = []
+        expected = lex_char_by_char(text, "F.java", expected_diagnostics)
+        diagnostics: list[ParseDiagnostic] = []
+        assert _lex(text, "F.java", diagnostics) == expected
+        assert diagnostics == expected_diagnostics
+
+
+class TestMutatedSources:
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_ds_sources())
+    def test_parse_never_raises_and_facts_round_trip(self, text):
+        parse_compilation_unit(text, "Fuzz.java")
+        with tempfile.TemporaryDirectory() as root:
+            Path(root, "Fuzz.java").write_text(text, encoding="utf-8")
+            facts, _ = parse_source_tree(root)
+        assert load_facts_xml(save_facts_xml(facts)) == facts
 
 
 class TestSourceTree:

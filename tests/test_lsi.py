@@ -298,6 +298,31 @@ class TestSimilarityMatrix:
         tqm = TermQueryMatrix(tdm.vocab, ("empty",), np.zeros((3, 1), dtype=int))
         assert (cosine_similarity_matrix(space, tqm).values == 0).all()
 
+    def test_documents_outside_the_kept_topics_score_zero(self):
+        rng = np.random.RandomState(19)
+        checked = 0
+        for _ in range(300):
+            kept = rng.randint(3, 30, size=(rng.randint(2, 7), rng.randint(2, 7)))
+            dropped = rng.randint(0, 3, size=(rng.randint(1, 5), rng.randint(1, 5)))
+            if not dropped.any():
+                continue
+            k = int(np.linalg.matrix_rank(kept))
+            if np.linalg.norm(dropped, 2) >= np.linalg.svd(kept, compute_uv=False)[k - 1]:
+                continue  # the dropped block would hold a kept topic
+            cells = np.zeros(np.add(kept.shape, dropped.shape), dtype=int)
+            cells[: kept.shape[0], : kept.shape[1]] = kept
+            cells[kept.shape[0] :, kept.shape[1] :] = dropped
+            # Interleave the blocks, so that the SVD mixes them in rounding.
+            rows = rng.permutation(cells.shape[0])
+            columns = rng.permutation(cells.shape[1])
+            tdm = synthetic(cells[rows][:, columns])
+            queries = rng.randint(0, 4, size=(cells.shape[0], 3))
+            tqm = TermQueryMatrix(tdm.vocab, ("a", "b", "c"), queries)
+            values = cosine_similarity_matrix(truncated_svd(tdm, k), tqm).values
+            assert (values[:, columns >= kept.shape[1]] == 0).all()
+            checked += 1
+        assert checked > 200
+
     def test_ds_style_binarization_shape(self):
         _, tdm, tqm = matrices_for(DS_STYLE_DOCS, DS_STYLE_QUERIES)
         space = truncated_svd(tdm, min(tdm.cells.shape))

@@ -14,7 +14,6 @@ from reqtrace.textprep import (
     load_stop_words,
     preprocess,
     split_camel_case,
-    strip_noise,
 )
 
 from conftest import DS_LINE_DESCRIPTION
@@ -37,27 +36,6 @@ def split_token_by_token(text: str) -> list[str]:
 # Any text (digits, "_", non-ASCII letters, whitespace), plus text dense in
 # case changes, which arbitrary text rarely contains.
 TEXT = st.text(max_size=80) | st.text(alphabet="aeBsXyZ_9 é\n", max_size=40)
-
-
-class TestStripNoise:
-    def test_character_class_rule(self):
-        # every non-letter maps to exactly one space
-        assert strip_noise("fillRect(x, y)!") == "fillRect x  y  "
-
-    def test_dotted_identifier(self):
-        assert strip_noise("Shapes.coreElements") == "Shapes coreElements"
-
-    def test_digit_removal(self):
-        assert strip_noise("X1") == "X "
-
-    def test_pure_letters_untouched(self):
-        assert strip_noise("drawLine") == "drawLine"
-
-    @given(st.text(max_size=80))
-    def test_only_letters_and_spaces_survive(self, text):
-        cleaned = strip_noise(text)
-        assert len(cleaned) == len(text)
-        assert all(ch.isascii() and (ch.isalpha() or ch == " ") for ch in cleaned)
 
 
 class TestSplitCamelCase:
