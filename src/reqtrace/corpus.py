@@ -2,13 +2,16 @@
 
 A class document concatenates, in a fixed order, the package name, class
 name, superclass name, member names, relation names (accesses and
-invocations), and every comment text.  A requirement document is one
-UTF-8 ``.txt`` file; its name comes from the file name (underscores read
-as spaces) and is prepended to the text so name tokens carry weight.
+invocations), and every comment text; it is named after its class, as
+``package.Class`` only where packages share the simple name.  A
+requirement document is one UTF-8 ``.txt`` file; its name comes from the
+file name (underscores read as spaces) and is prepended to the text so
+name tokens carry weight.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,20 +73,31 @@ def class_document_text(package_name: str, cls: ClassFact) -> str:
 
 
 def build_class_documents(facts: CodeFacts) -> DocumentCorpus:
-    """One document per class, named after the class, in source order."""
+    """One document per class, in source order.
+
+    A document is named after its class.  A simple name that more than one
+    package declares is qualified as ``package.Class`` in every such package
+    (a class of the default package keeps its simple name); every other
+    class keeps its simple name.  Gold files name classes the same way.
+    """
+    declared = Counter(
+        cls.name for package in facts.packages for cls in package.classes
+    )
     documents = []
     seen: set[str] = set()
     for package in facts.packages:
         for cls in package.classes:
-            if cls.name in seen:
+            name = cls.name
+            if declared[name] > 1 and package.name:
+                name = f"{package.name}.{name}"
+            if name in seen:
                 raise ConfigurationError(
-                    f"class name {cls.name!r} appears in more than one package;"
-                    " document names would collide"
+                    f"class name {name!r} appears twice; document names would collide"
                 )
-            seen.add(cls.name)
+            seen.add(name)
             documents.append(
                 RawDocument(
-                    name=cls.name,
+                    name=name,
                     text=class_document_text(package.name, cls),
                     kind="class",
                 )

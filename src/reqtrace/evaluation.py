@@ -84,7 +84,11 @@ def evaluate(tls: TraceLinkSet, gold: GoldLinks) -> EvaluationReport:
 
 
 def load_gold_links(path: str | Path) -> GoldLinks:
-    """Read a gold file: JSON object mapping requirement -> list of classes."""
+    """Read a gold file: JSON object mapping requirement -> list of classes.
+
+    Classes are named as the class documents are: by simple name, or as
+    ``package.Class`` where more than one package declares that name.
+    """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise GoldCoverageError("gold file must be a JSON object")

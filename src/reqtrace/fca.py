@@ -123,7 +123,13 @@ class _Masks:
 
 
 def _mask_names(mask: int, names: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(name for i, name in enumerate(names) if mask >> i & 1)
+    """The names of the set bits, in index order; visits only those bits."""
+    picked = []
+    while mask:
+        low = mask & -mask
+        picked.append(names[low.bit_length() - 1])
+        mask ^= low
+    return tuple(picked)
 
 
 def binarize(csm: SimilarityMatrix, threshold: float) -> FormalContext:

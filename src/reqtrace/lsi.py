@@ -12,6 +12,12 @@ computed without an SVD by `count_cosine_matrix`; truncating k below the
 rank (`truncated_svd` + `cosine_similarity_matrix`) smooths the documents
 onto the dominant term associations.  Cosines are invariant to the
 per-topic sign ambiguity of the SVD.
+
+`truncated_svd` takes the SVD from an eigendecomposition of the smaller
+Gram matrix, AᵀA or AAᵀ, not from a thin SVD of the t x d TDM.  The
+price is resolution: a singular value s is seen through s², so values
+below about sqrt(max(t, d) * eps) times the largest are rounding, both
+in the rank cut and in the norm of a reconstructed document.
 """
 
 from __future__ import annotations
@@ -133,11 +139,16 @@ def build_tqm(queries: list[TermBag], vocab: Vocabulary) -> TermQueryMatrix:
 
 
 def truncated_svd(tdm: TermDocumentMatrix, k: int) -> LsiSpace:
-    """Best rank-k factorization of the TDM.
+    """Best rank-k factorization of the TDM, from its smaller Gram matrix.
 
-    Topic directions with numerically zero weight are discarded, so the
-    effective k never exceeds the matrix rank and every retained singular
-    value is strictly positive.
+    The eigendecomposition of AᵀA (d x d, when d <= t) or AAᵀ (t x t)
+    gives the right or left singular vectors and the squared singular
+    values; one product gives the other side, U = A V / s or V = Aᵀ U / s.
+    Eigenvalues resolve singular values only down to about √eps times the
+    largest, so a topic whose eigenvalue is within the Gram matrix's own
+    rounding, λ <= max(t, d) * eps * λ₁, is discarded: the effective k
+    never exceeds the numerical rank and every kept singular value is
+    strictly positive.
     """
     t, d = tdm.cells.shape
     if not 1 <= k <= min(t, d):
@@ -145,25 +156,34 @@ def truncated_svd(tdm: TermDocumentMatrix, k: int) -> LsiSpace:
     if not tdm.cells.any():
         raise DegenerateMatrixError("term-document matrix is all zeros")
     matrix = tdm.cells.astype(np.float64)
-    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    tolerance = _rank_tolerance(t, d, s[0])
-    effective = min(k, int(np.sum(s > tolerance)))
-    # An all-zero column folds in to the origin, but LAPACK can leave
-    # rounding noise in its row of V; the empty document would then get
-    # cosines of pure noise, up to 1.
-    vt[:, ~matrix.any(axis=0)] = 0.0
+    side = matrix if d <= t else matrix.T  # sideᵀ side is the smaller Gram
+    eigenvalues, eigenvectors = np.linalg.eigh(side.T @ side)
+    singular = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
+    effective = min(k, int(np.sum(singular > _rank_tolerance(t, d, singular[0]))))
+    s = singular[:effective]
+    vectors = eigenvectors[:, ::-1][:, :effective]
+    other = side @ vectors / s
+    u, v = (other, vectors) if d <= t else (vectors, other)
+    # An all-zero column folds in to the origin, but the eigensolver can
+    # leave rounding noise in its row of V; the empty document would then
+    # get cosines of pure noise, up to 1.
+    v[~matrix.any(axis=0)] = 0.0
     return LsiSpace(
         k=effective,
-        left_vectors=u[:, :effective],
-        singular_values=s[:effective],
-        doc_coords=vt[:effective, :].T,
+        left_vectors=u,
+        singular_values=s,
+        doc_coords=v,
         doc_names=tdm.doc_names,
     )
 
 
 def _rank_tolerance(t: int, d: int, largest: float) -> float:
-    """Magnitude below which an SVD of a t x d matrix cannot tell a value from 0."""
-    return max(t, d) * np.finfo(np.float64).eps * largest
+    """Singular value below which the Gram route cannot tell it from 0.
+
+    The square root of `truncated_svd`'s eigenvalue cut for a t x d matrix
+    whose largest singular value is `largest`.
+    """
+    return np.sqrt(max(t, d) * np.finfo(np.float64).eps) * largest
 
 
 def _cosines(
@@ -187,8 +207,8 @@ def cosine_similarity_matrix(space: LsiSpace, tqm: TermQueryMatrix) -> Similarit
     Rows are queries, columns are documents.  A zero query vector or a
     document whose reconstruction is zero yields similarity 0.  A
     document whose terms lie outside the k kept topics reconstructs to 0
-    up to rounding; its norm is within the SVD's rank tolerance and is
-    taken as 0, since a cosine of that rounding noise can reach 1.
+    up to rounding; its norm is within `truncated_svd`'s rank tolerance
+    and is taken as 0, since a cosine of that rounding noise can reach 1.
     """
     queries = tqm.cells.astype(np.float64)  # t x q
     doc_scaled = space.doc_coords * space.singular_values  # d x k rows

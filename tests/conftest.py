@@ -3,6 +3,12 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Property tests must not fail because the host is slow: no per-example
+# deadline.  Tests keep their own `max_examples`.
+settings.register_profile("default", deadline=None)
+settings.load_profile("default")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

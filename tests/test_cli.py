@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from reqtrace import fca
 from reqtrace.cli import EXIT_CONFIG, EXIT_EMPTY_CORPUS, EXIT_OK, main
+from reqtrace.lsi import SimilarityMatrix, TermQueryMatrix
+
+from test_lsi import svd_cosines, synthetic
 
 DS_POSET_DOT = r"""digraph aoc_poset {
   rankdir=BT;
@@ -103,6 +109,31 @@ def test_full_rank_svd_and_count_cosine_agree(
     assert "-0.000000000" not in (ds_out / "csm.csv").read_text(encoding="utf-8")
 
 
+def read_matrix_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    """Header names after the first cell, and the numeric body."""
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    return rows[0][1:], np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+
+
+@pytest.mark.parametrize("topics", [2, 4, 6])
+def test_topics_similarity_matches_the_svd_oracle(
+    tmp_path, ds_source, ds_requirements, topics
+):
+    args = ["--src", str(ds_source), "--topics", str(topics), "--dump-intermediates"]
+    assert trace(tmp_path, ds_requirements, *args) == EXIT_OK
+    doc_names, docs = read_matrix_csv(tmp_path / "tdm.csv")
+    query_names, queries = read_matrix_csv(tmp_path / "tqm.csv")
+    tdm = synthetic(docs.astype(int))
+    tqm = TermQueryMatrix(tdm.vocab, tuple(query_names), queries.astype(int))
+    _, expected = svd_cosines(tdm, tqm, topics)
+    shown_docs, shown = read_matrix_csv(tmp_path / "csm.csv")
+    assert shown_docs == doc_names
+    assert np.abs(shown - expected).max() <= 0.5e-9 + 1e-12
+    oracle = SimilarityMatrix(tuple(query_names), tuple(doc_names), expected)
+    context = fca.export_context_csv(fca.binarize(oracle, 0.70))
+    assert (tmp_path / "context.csv").read_text(encoding="utf-8") == context
+
+
 @pytest.mark.parametrize(
     "option",
     [
@@ -115,6 +146,39 @@ def test_bad_configuration_exits_2(tmp_path, ds_source, ds_requirements, option)
     code = trace(tmp_path, ds_requirements, "--src", str(ds_source), *option)
     assert code == EXIT_CONFIG
     assert not (tmp_path / "links.json").exists()
+
+
+def test_class_name_shared_by_two_packages_is_qualified(tmp_path):
+    sources = {
+        "a/Circle.java": "package a;\n/** Round circle drawn by radius. */\n"
+        "public class Circle { int radius; void drawCircle() {} }\n",
+        "a/Shape.java": "package a;\n/** Filled polygon shape. */\n"
+        "public class Shape { void fillPolygon() {} }\n",
+        "b/Shape.java": "package b;\n/** Shape outline border. */\n"
+        "public class Shape { void strokeBorder() {} }\n",
+    }
+    for relative, text in sources.items():
+        path = tmp_path / "src" / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    reqs = tmp_path / "reqs"
+    reqs.mkdir()
+    (reqs / "Fill_polygon.txt").write_text("Fill a polygon.", encoding="utf-8")
+    (reqs / "Stroke_border.txt").write_text("Stroke the border.", encoding="utf-8")
+    gold = tmp_path / "gold.json"
+    gold.write_text(
+        json.dumps({"Fill polygon": ["a.Shape"], "Stroke border": ["b.Shape"]}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    args = ["--src", str(tmp_path / "src"), "--gold", str(gold), "--threshold", "0.5"]
+    assert trace(out, reqs, *args, "--dump-intermediates") == EXIT_OK
+    header = (out / "csm.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == "query,Circle,a.Shape,b.Shape"
+    links = json.loads((out / "links.json").read_text(encoding="utf-8"))["links"]
+    assert links == {"Fill polygon": ["a.Shape"], "Stroke border": ["b.Shape"]}
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["micro_precision"] == report["micro_recall"] == 1.0
 
 
 def test_source_tree_without_classes_exits_3(tmp_path, ds_requirements):

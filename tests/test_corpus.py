@@ -84,11 +84,27 @@ class TestClassDocuments:
         assert corpus.names() == ["One", "Two"]
         assert all(d.kind == "class" for d in corpus.documents)
 
+    def test_names_repeated_across_packages_are_qualified(self):
+        facts = CodeFacts(
+            packages=(
+                PackageFact(
+                    name="a", classes=(ClassFact(name="Same"), ClassFact(name="One"))
+                ),
+                PackageFact(name="", classes=(ClassFact(name="Same"),)),
+                PackageFact(name="b.c", classes=(ClassFact(name="Same"),)),
+            )
+        )
+        corpus = build_class_documents(facts)
+        assert corpus.names() == ["a.Same", "One", "Same", "b.c.Same"]
+        assert corpus.documents[0].text.startswith("a\nSame")
+
     def test_name_collision_rejected(self):
+        # qualifying cannot separate two classes of one package name
         facts = CodeFacts(
             packages=(
                 PackageFact(name="a", classes=(ClassFact(name="Same"),)),
                 PackageFact(name="b", classes=(ClassFact(name="Same"),)),
+                PackageFact(name="a", classes=(ClassFact(name="Same"),)),
             )
         )
         with pytest.raises(ConfigurationError):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from reqtrace.errors import DegenerateMatrixError, EmptyCorpusError, ParameterError
+from reqtrace.fca import binarize
 from reqtrace.lsi import (
+    SimilarityMatrix,
     TermDocumentMatrix,
     TermQueryMatrix,
     Vocabulary,
@@ -81,9 +83,32 @@ def random_counts(rng, t: int, d: int, q: int, trial: int):
     return tdm, TermQueryMatrix(vocab=tdm.vocab, query_names=names, cells=queries)
 
 
+def svd_cosines(tdm: TermDocumentMatrix, tqm: TermQueryMatrix, k: int):
+    """Rank-k LSI cosines straight from `np.linalg.svd`: the test oracle.
+
+    Each query is compared with the rank-k reconstruction U_k S_k V_kᵀ of
+    every document column.  A zero query, or a reconstruction whose norm is
+    within the Gram route's rounding, sqrt(max(t, d) * eps) * s₁, gives 0.
+    Returns all singular values and the q x d cosines.
+    """
+    docs = tdm.cells.astype(float)
+    queries = tqm.cells.astype(float)
+    u, s, vt = np.linalg.svd(docs, full_matrices=False)
+    reconstruction = (u[:, :k] * s[:k]) @ vt[:k]
+    doc_norms = np.linalg.norm(reconstruction, axis=0)
+    doc_norms[doc_norms <= np.sqrt(max(docs.shape) * np.finfo(float).eps) * s[0]] = 0
+    numerators = queries.T @ reconstruction
+    denominators = np.outer(np.linalg.norm(queries, axis=0), doc_norms)
+    cosines = np.divide(
+        numerators, denominators, out=np.zeros_like(numerators), where=denominators > 0
+    )
+    return s, np.clip(cosines, -1.0, 1.0)
+
+
 def full_rank_svd_cosines(tdm: TermDocumentMatrix, tqm: TermQueryMatrix):
-    space = truncated_svd(tdm, int(np.linalg.matrix_rank(tdm.cells)))
-    return cosine_similarity_matrix(space, tqm)
+    """The oracle's cosines at k = rank, as a similarity matrix."""
+    _, values = svd_cosines(tdm, tqm, int(np.linalg.matrix_rank(tdm.cells)))
+    return SimilarityMatrix(tqm.query_names, tdm.doc_names, values)
 
 
 def raw_cosine(tdm_cells: np.ndarray, tqm_cells: np.ndarray) -> np.ndarray:
@@ -220,6 +245,35 @@ class TestTruncatedSvd:
         with pytest.raises(DegenerateMatrixError):
             truncated_svd(synthetic(np.zeros((3, 3), dtype=int)), 1)
 
+    @pytest.mark.parametrize(
+        "t, d", [(12, 4), (4, 12), (7, 7), (30, 9), (9, 30), (1, 6), (6, 1)]
+    )
+    def test_equals_the_svd_oracle_at_every_k(self, t, d):
+        rng = np.random.RandomState(200 * t + d)
+        compared = skipped = 0
+        for trial in range(60):
+            pair = random_counts(rng, t, d, rng.randint(1, 5), trial)
+            if pair is None:
+                continue
+            tdm, tqm = pair
+            rank = np.linalg.matrix_rank(tdm.cells)
+            for asked in range(1, min(t, d) + 1):
+                space = truncated_svd(tdm, asked)
+                k = min(asked, rank)  # topics of zero weight are dropped
+                s, expected = svd_cosines(tdm, tqm, k)
+                assert space.k == k
+                assert np.abs(space.singular_values - s[:k]).max() <= 1e-9 * s[0]
+                if k < len(s) and s[k - 1] - s[k] <= 1e-6 * s[0]:
+                    skipped += 1  # s_k = s_k+1: the rank-k space is not unique
+                    continue
+                csm = cosine_similarity_matrix(space, tqm)
+                assert np.abs(csm.values - expected).max() <= 1e-12
+                oracle = SimilarityMatrix(tqm.query_names, tdm.doc_names, expected)
+                for threshold in (0.15, 0.3, 0.7):
+                    assert binarize(csm, threshold) == binarize(oracle, threshold)
+                compared += 1
+        assert compared > 20 * skipped
+
 
 class TestFoldIn:
     def test_document_column_folds_to_its_coordinates(self):
@@ -301,7 +355,7 @@ class TestSimilarityMatrix:
     def test_documents_outside_the_kept_topics_score_zero(self):
         rng = np.random.RandomState(19)
         checked = 0
-        for _ in range(300):
+        for _ in range(2500):
             kept = rng.randint(3, 30, size=(rng.randint(2, 7), rng.randint(2, 7)))
             dropped = rng.randint(0, 3, size=(rng.randint(1, 5), rng.randint(1, 5)))
             if not dropped.any():
@@ -321,7 +375,27 @@ class TestSimilarityMatrix:
             values = cosine_similarity_matrix(truncated_svd(tdm, k), tqm).values
             assert (values[:, columns >= kept.shape[1]] == 0).all()
             checked += 1
-        assert checked > 200
+        assert checked > 2000
+
+    def test_dropped_document_with_norm_just_above_the_svd_tolerance(self):
+        # Draw 337 above: kept block [[15, 26, 13], [20, 25, 14]], dropped
+        # block [[2, 0], [1, 0], [1, 0]], rows and columns interleaved.  The
+        # dropped document (column 2) reconstructs to a norm of about 6e-14,
+        # just above max(t, d) * eps * s₁.
+        cells = np.array(
+            [
+                [0, 0, 1, 0, 0],
+                [0, 0, 1, 0, 0],
+                [0, 0, 2, 0, 0],
+                [14, 20, 0, 25, 0],
+                [13, 15, 0, 26, 0],
+            ]
+        )
+        queries = np.array([[3, 0, 1, 2, 3], [1, 0, 2, 0, 2], [1, 1, 0, 1, 1]]).T
+        tdm = synthetic(cells)
+        tqm = TermQueryMatrix(tdm.vocab, ("a", "b", "c"), queries)
+        values = cosine_similarity_matrix(truncated_svd(tdm, 2), tqm).values
+        assert (values[:, [2, 4]] == 0).all()
 
     def test_ds_style_binarization_shape(self):
         _, tdm, tqm = matrices_for(DS_STYLE_DOCS, DS_STYLE_QUERIES)
