@@ -52,8 +52,6 @@ from .fca import (
     aoc_concepts,
     binarize,
     build_aoc_poset,
-    derive_extent,
-    derive_intent,
     enumerate_concepts,
 )
 from .javaparser import ParseDiagnostic, parse_compilation_unit, parse_source_tree

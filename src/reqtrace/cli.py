@@ -17,13 +17,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import evaluation, fca, links, lsi, textprep
-from .errors import (
-    ConfigurationError,
-    EmptyCorpusError,
-    GoldCoverageError,
-    ParameterError,
-    ReqTraceError,
-)
+from .errors import ConfigurationError, EmptyCorpusError, ReqTraceError
 from .facts import CodeFacts, compute_metrics, load_facts_xml, save_facts_xml
 from .javaparser import parse_source_tree
 

@@ -120,8 +120,10 @@ def load_requirement_documents(directory: str | Path) -> QueryCorpus:
         seen.add(name)
         try:
             body = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise OSError(f"cannot read requirement file {path}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(
+                f"cannot read requirement file {path}: {exc}"
+            ) from exc
         text = name if not body.strip() else f"{name}\n{body}"
         queries.append(RawDocument(name=name, text=text, kind="requirement"))
     return QueryCorpus(queries=tuple(queries))

@@ -38,4 +38,4 @@ class DegenerateMatrixError(ReqTraceError):
 
 
 class GoldCoverageError(ReqTraceError):
-    """The gold-link file does not cover a traced requirement."""
+    """The gold-link file misses a traced requirement or names an unknown class."""

@@ -57,15 +57,23 @@ def recall(related: set, recovered: set) -> float | None:
 
 
 def evaluate(tls: TraceLinkSet, gold: GoldLinks) -> EvaluationReport:
-    """Score every traced requirement; the gold file must cover them all."""
+    """Score every traced requirement; the gold file must cover them all.
+
+    The gold entries scored must name only known classes
+    (`TraceLinkSet.class_names`); a misspelt or unqualified name would
+    otherwise count as a missed link.
+    """
     per_requirement = {}
     true_positives = related_total = recovered_total = 0
+    known = set(tls.class_names())
+    unknown: set[str] = set()
     for requirement, recovered in tls.links.items():
         if requirement not in gold.related:
             raise GoldCoverageError(
                 f"gold links missing requirement {requirement!r}"
             )
         related = gold.related[requirement]
+        unknown |= related - known
         recovered_set = set(recovered)
         per_requirement[requirement] = (
             precision(related, recovered_set),
@@ -74,6 +82,11 @@ def evaluate(tls: TraceLinkSet, gold: GoldLinks) -> EvaluationReport:
         true_positives += len(related & recovered_set)
         related_total += len(related)
         recovered_total += len(recovered_set)
+    if unknown:
+        raise GoldCoverageError(
+            "gold links name classes that are not documents: "
+            + ", ".join(sorted(unknown))
+        )
     return EvaluationReport(
         per_requirement=per_requirement,
         micro_precision=(

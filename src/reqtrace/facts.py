@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import XmlParseError, XmlSchemaError

@@ -31,8 +31,6 @@ __all__ = [
     "AOCConcept",
     "AOCPoset",
     "binarize",
-    "derive_intent",
-    "derive_extent",
     "enumerate_concepts",
     "aoc_concepts",
     "build_aoc_poset",
@@ -153,30 +151,6 @@ def binarize(csm: SimilarityMatrix, threshold: float) -> FormalContext:
     return FormalContext(
         objects=csm.query_names, attributes=csm.doc_names, incidence=incidence
     )
-
-
-def derive_intent(objects_subset, ctx: FormalContext) -> set[str]:
-    """Attributes shared by every given object; all attributes for the empty set."""
-    masks = _Masks(ctx)
-    object_mask = 0
-    for name in objects_subset:
-        try:
-            object_mask |= 1 << ctx.objects.index(name)
-        except ValueError:
-            raise ParameterError(f"unknown object {name!r}") from None
-    return set(_mask_names(masks.intent_of(object_mask), ctx.attributes))
-
-
-def derive_extent(attributes_subset, ctx: FormalContext) -> set[str]:
-    """Objects having every given attribute; all objects for the empty set."""
-    masks = _Masks(ctx)
-    attribute_mask = 0
-    for name in attributes_subset:
-        try:
-            attribute_mask |= 1 << ctx.attributes.index(name)
-        except ValueError:
-            raise ParameterError(f"unknown attribute {name!r}") from None
-    return set(_mask_names(masks.extent_of(attribute_mask), ctx.objects))
 
 
 def _sorted_concepts(pairs, ctx: FormalContext) -> list[FormalConcept]:

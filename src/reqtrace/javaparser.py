@@ -60,6 +60,10 @@ MODIFIERS = frozenset(
     transient volatile strictfp""".split()
 )
 
+# Keywords that end a generic argument list: primitives and the bounds
+# `extends` and `super` may appear inside one.
+_NOT_IN_GENERICS = KEYWORDS - PRIMITIVE_TYPES - {"extends", "super"}
+
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
@@ -185,7 +189,7 @@ def _lex(text: str, file: str, diagnostics: list[ParseDiagnostic]) -> list[_Toke
 
 
 class _Cursor:
-    """Linear token walker with balanced-brace skipping."""
+    """Linear token walker: balanced skips and the parts of a type."""
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -204,12 +208,54 @@ class _Cursor:
         self.i += 1
         return token
 
-    def at_punct(self, ch: str) -> bool:
-        i = self.i
-        if i >= self.n:
+    def at_punct(self, ch: str, offset: int = 0) -> bool:
+        j = self.i + offset
+        if j >= self.n:
             return False
-        token = self.tokens[i]
+        token = self.tokens[j]
         return token.kind == "punct" and token.text == ch
+
+    def at_name(self, offset: int = 0) -> bool:
+        """An identifier that is not a keyword."""
+        j = self.i + offset
+        if j >= self.n:
+            return False
+        token = self.tokens[j]
+        return token.kind == "ident" and token.text not in KEYWORDS
+
+    def dims(self) -> str:
+        """Consume `[]` pairs and return their text."""
+        text = ""
+        while self.at_punct("[") and self.at_punct("]", 1):
+            self.i += 2
+            text += "[]"
+        return text
+
+    def generic(self) -> str | None:
+        """Consume a balanced `<...>` of type-like tokens and return its text.
+
+        Anything else inside, or no closing `>`, consumes nothing: None.
+        """
+        if not self.at_punct("<"):
+            return None
+        tokens = self.tokens
+        depth = 0
+        for j in range(self.i, self.n):
+            token = tokens[j]
+            if token.kind == "punct":
+                if token.text == "<":
+                    depth += 1
+                elif token.text == ">":
+                    depth -= 1
+                    if depth == 0:
+                        text = "".join(t.text for t in tokens[self.i : j + 1])
+                        self.i = j + 1
+                        return text
+                elif token.text not in ",.?[]":
+                    return None
+            elif token.kind != "ident" or token.text in _NOT_IN_GENERICS:
+                return None
+        return None
 
     def skip_balanced(self, opener: str, closer: str) -> None:
         """Consume from the opener through its matching closer."""
@@ -289,8 +335,8 @@ def parse_compilation_unit(
                 cursor.take()
                 continue
             if word == "class":
-                cls, class_pending = _parse_class(cursor, file, diagnostics, pending)
-                pending = class_pending
+                cls = _parse_class(cursor, file, diagnostics, pending)
+                pending = []
                 if cls is not None:
                     classes.append(cls)
                 continue
@@ -355,39 +401,12 @@ def _skip_type_declaration(cursor: _Cursor) -> None:
         cursor.skip_balanced("{", "}")
 
 
-def _generic_suffix_end(tokens: list[_Token], start: int) -> int | None:
-    """Index just past a balanced <...> of type-ish tokens, else None."""
-    if start >= len(tokens) or tokens[start].kind != "punct" or tokens[start].text != "<":
-        return None
-    depth = 0
-    j = start
-    while j < len(tokens):
-        token = tokens[j]
-        if token.kind == "punct":
-            if token.text == "<":
-                depth += 1
-            elif token.text == ">":
-                depth -= 1
-                if depth == 0:
-                    return j + 1
-            elif token.text in ",.?[]":
-                pass
-            else:
-                return None
-        elif token.kind != "ident":
-            return None
-        elif token.text in KEYWORDS and token.text not in PRIMITIVE_TYPES and token.text not in ("extends", "super"):
-            return None
-        j += 1
-    return None
-
-
 def _parse_class(
     cursor: _Cursor,
     file: str,
     diagnostics: list[ParseDiagnostic],
     pending: list[_Token],
-) -> tuple[ClassFact | None, list[_Token]]:
+) -> ClassFact | None:
     class_token = cursor.take()  # "class"
     name_token = cursor.peek()
     if name_token is None or name_token.kind != "ident":
@@ -396,42 +415,22 @@ def _parse_class(
                 "error", file, class_token.line, "class keyword without a name"
             )
         )
-        return None, []
-    class_name = cursor.take().text
-    class_comments = [
-        CommentFact(text=c.text, kind="class-level") for c in pending
-    ]
+        return None
+    builder = _ClassBuilder(cursor.take().text, file, diagnostics)
+    builder.comments.extend(CommentFact(text=c.text, kind="class-level") for c in pending)
 
-    generic_end = _generic_suffix_end(cursor.tokens, cursor.i)
-    if generic_end is not None:
-        diagnostics.append(
-            ParseDiagnostic(
-                "warning", file, name_token.line, "generic type parameters ignored"
-            )
-        )
-        cursor.i = generic_end
-
-    superclass = None
+    if cursor.generic() is not None:
+        builder.warn(name_token.line, "generic type parameters ignored")
     while not cursor.eof() and not cursor.at_punct("{"):
         token = cursor.peek()
         if token.kind == "ident" and token.text == "extends":
             cursor.take()
-            superclass = _dotted_name(cursor) or None
-            generic_end = _generic_suffix_end(cursor.tokens, cursor.i)
-            if generic_end is not None:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        "warning", file, token.line, "generic superclass arguments ignored"
-                    )
-                )
-                cursor.i = generic_end
+            builder.superclass = _dotted_name(cursor) or None
+            if cursor.generic() is not None:
+                builder.warn(token.line, "generic superclass arguments ignored")
             continue
         if token.kind == "ident" and token.text == "implements":
-            diagnostics.append(
-                ParseDiagnostic(
-                    "warning", file, token.line, "implements clause ignored"
-                )
-            )
+            builder.warn(token.line, "implements clause ignored")
             while not cursor.eof() and not cursor.at_punct("{"):
                 cursor.take()
             break
@@ -439,17 +438,13 @@ def _parse_class(
     if not cursor.at_punct("{"):
         diagnostics.append(
             ParseDiagnostic(
-                "error", file, class_token.line, f"class {class_name} has no body"
+                "error", file, class_token.line, f"class {builder.name} has no body"
             )
         )
-        return None, []
+        return None
     cursor.take()  # "{"
-
-    builder = _ClassBuilder(class_name, file, diagnostics)
-    builder.superclass = superclass
-    builder.comments.extend(class_comments)
     _parse_class_body(cursor, builder)
-    return builder.finish(), []
+    return builder.finish()
 
 
 @dataclass
@@ -557,20 +552,11 @@ def _read_type_text(cursor: _Cursor, builder: _ClassBuilder) -> str | None:
     if token.text in KEYWORDS and token.text not in PRIMITIVE_TYPES:
         return None
     text = _dotted_name(cursor)
-    generic_end = _generic_suffix_end(cursor.tokens, cursor.i)
-    if generic_end is not None:
+    generic = cursor.generic()
+    if generic is not None:
         builder.warn(token.line, "generic type arguments ignored")
-        text += "".join(t.text for t in cursor.tokens[cursor.i : generic_end])
-        cursor.i = generic_end
-    while cursor.at_punct("["):
-        nxt = cursor.peek(1)
-        if nxt is not None and nxt.kind == "punct" and nxt.text == "]":
-            cursor.take()
-            cursor.take()
-            text += "[]"
-        else:
-            break
-    return text
+        text += generic
+    return text + cursor.dims()
 
 
 def _parse_member(
@@ -587,8 +573,7 @@ def _parse_member(
         _parse_callable(cursor, builder, builder.name, pending, start_line)
         return []
 
-    name_token = cursor.peek()
-    if name_token is None or name_token.kind != "ident" or name_token.text in KEYWORDS:
+    if not cursor.at_name():
         builder.warn(start_line, f"unrecognized member after type {type_text!r}")
         if not cursor.eof():
             cursor.take()
@@ -600,14 +585,7 @@ def _parse_member(
         return []
 
     # field declaration, possibly with several declarators
-    while cursor.at_punct("["):
-        nxt = cursor.peek(1)
-        if nxt is not None and nxt.kind == "punct" and nxt.text == "]":
-            cursor.take()
-            cursor.take()
-            type_text += "[]"
-        else:
-            break
+    type_text += cursor.dims()
     builder.add_field(member_name, type_text, start_line)
     _finish_field_declarators(cursor, builder, type_text, start_line)
     return pending
@@ -628,8 +606,7 @@ def _finish_field_declarators(
         elif token.text == ";" and depth == 0:
             return
         elif token.text == "," and depth == 0:
-            nxt = cursor.peek()
-            if nxt is not None and nxt.kind == "ident" and nxt.text not in KEYWORDS:
+            if cursor.at_name():
                 builder.add_field(cursor.take().text, type_text, line)
 
 
@@ -642,17 +619,7 @@ def _parse_callable(
 ) -> None:
     parameters = _parse_parameters(cursor, builder)
     while not cursor.eof() and not (cursor.at_punct("{") or cursor.at_punct(";")):
-        token = cursor.peek()
-        if token.kind == "ident" and token.text == "throws":
-            cursor.take()
-            while True:
-                _dotted_name(cursor)
-                if cursor.at_punct(","):
-                    cursor.take()
-                    continue
-                break
-            continue
-        cursor.take()
+        cursor.take()  # a `throws` clause, not modeled
     body: list[_Token] = []
     if cursor.at_punct("{"):
         start = cursor.i
@@ -675,41 +642,28 @@ def _parse_parameters(
     cursor: _Cursor, builder: _ClassBuilder
 ) -> list[tuple[str, str]]:
     parameters: list[tuple[str, str]] = []
-    if not cursor.at_punct("("):
-        return parameters
-    open_token = cursor.take()
+    open_token = cursor.take()  # "("
     while not cursor.eof() and not cursor.at_punct(")"):
-        token = cursor.peek()
-        if token.kind == "ident" and token.text == "final":
-            cursor.take()
-            continue
         type_text = _read_type_text(cursor, builder)
-        if type_text is None:
+        if type_text is None:  # `final` included
             cursor.take()
             continue
-        if cursor.at_punct(".") :
-            # varargs: three dot tokens before the name
-            dots = 0
-            while cursor.at_punct("."):
-                cursor.take()
-                dots += 1
-            if dots == 3:
-                builder.warn(open_token.line, "varargs parameter treated as array")
-                type_text += "[]"
-        name_token = cursor.peek()
-        if name_token is not None and name_token.kind == "ident" and name_token.text not in KEYWORDS:
-            param_name = cursor.take().text
-            if any(existing == param_name for existing, _ in parameters):
-                builder.warn(name_token.line, f"duplicate parameter {param_name!r} skipped")
+        dots = 0  # varargs: three dot tokens before the name
+        while cursor.at_punct("."):
+            cursor.take()
+            dots += 1
+        if dots == 3:
+            builder.warn(open_token.line, "varargs parameter treated as array")
+            type_text += "[]"
+        if cursor.at_name():
+            name_token = cursor.take()
+            if any(existing == name_token.text for existing, _ in parameters):
+                builder.warn(
+                    name_token.line, f"duplicate parameter {name_token.text!r} skipped"
+                )
             else:
-                parameters.append((param_name, type_text))
-            while cursor.at_punct("["):
-                nxt = cursor.peek(1)
-                if nxt is not None and nxt.kind == "punct" and nxt.text == "]":
-                    cursor.take()
-                    cursor.take()
-                else:
-                    break
+                parameters.append((name_token.text, type_text))
+            cursor.dims()
         if cursor.at_punct(","):
             cursor.take()
     if cursor.at_punct(")"):
@@ -729,6 +683,7 @@ def _scan_method_body(pending: _PendingMethod, field_names: set[str]) -> MethodF
     ]
 
     tokens = pending.body
+    cursor = _Cursor(tokens)
     consumed: set[int] = set()
     n = len(tokens)
 
@@ -769,13 +724,11 @@ def _scan_method_body(pending: _PendingMethod, field_names: set[str]) -> MethodF
                 invocations.append(word)
             j += 1
             continue
-        declaration = _match_declaration(tokens, j, consumed)
-        if declaration is not None:
-            declared_names, end = declaration
-            declared_type = declared_names[0][1]
-            for local_name, _ in declared_names:
-                locals_found.append((local_name, declared_type))
-            j = end
+        cursor.i = j
+        declared = _match_declaration(cursor, consumed)
+        if declared is not None:
+            locals_found.extend(declared)
+            j = cursor.i
             continue
         if word in field_names:
             accesses.append(word)
@@ -791,68 +744,36 @@ def _scan_method_body(pending: _PendingMethod, field_names: set[str]) -> MethodF
 
 
 def _match_declaration(
-    tokens: list[_Token], start: int, consumed: set[int]
-) -> tuple[list[tuple[str, str]], int] | None:
-    """Match `Type name` at `start`; returns declared (name, type) pairs and
-    the index just past the first declarator name.
+    cursor: _Cursor, consumed: set[int]
+) -> list[tuple[str, str]] | None:
+    """Match `Type name` at an identifier that may start a type; returns the
+    declared (name, type) pairs with the cursor just past the first
+    declarator name, or None.
 
     Only the type chain and declarator names are consumed; initializer
     expressions remain visible to the main scan so the calls and field
-    reads inside them are still recorded.
+    reads inside them are still recorded.  Extra declarator names are
+    marked in `consumed` instead.
     """
-    j = start
-    n = len(tokens)
-    token = tokens[j]
-    if token.kind != "ident":
+    type_text = cursor.take().text
+    while cursor.at_punct(".") and cursor.at_name(1):
+        cursor.take()
+        type_text += "." + cursor.take().text
+    type_text += cursor.dims()
+    if not cursor.at_name():
         return None
-    if token.text in KEYWORDS and token.text not in PRIMITIVE_TYPES:
-        return None
-    type_parts = [token.text]
-    j += 1
-    while (
-        j + 1 < n
-        and tokens[j].kind == "punct"
-        and tokens[j].text == "."
-        and tokens[j + 1].kind == "ident"
-        and tokens[j + 1].text not in KEYWORDS
-    ):
-        type_parts.append(tokens[j + 1].text)
-        j += 2
-    array_suffix = ""
-    while (
-        j + 1 < n
-        and tokens[j].kind == "punct"
-        and tokens[j].text == "["
-        and tokens[j + 1].kind == "punct"
-        and tokens[j + 1].text == "]"
-    ):
-        array_suffix += "[]"
-        j += 2
-    if j >= n or tokens[j].kind != "ident" or tokens[j].text in KEYWORDS:
-        return None
-    name_index = j
-    name = tokens[j].text
-    j += 1
-    while (
-        j + 1 < n
-        and tokens[j].kind == "punct"
-        and tokens[j].text == "["
-        and tokens[j + 1].kind == "punct"
-        and tokens[j + 1].text == "]"
-    ):
-        array_suffix += "[]"
-        j += 2
-    follows = tokens[j] if j < n else None
+    name = cursor.take().text
+    type_text += cursor.dims()
+    follows = cursor.peek()
     if follows is None or follows.kind != "punct" or follows.text not in "=;,:)":
         return None
-    declared_type = ".".join(type_parts) + array_suffix
-    declared = [(name, declared_type)]
-    consumed.update(range(start, name_index + 1))
+    declared = [(name, type_text)]
 
     # extra declarators in the same statement: scan ahead at bracket depth 0
-    k = j
+    tokens = cursor.tokens
+    n = cursor.n
     depth = 0
-    while k < n:
+    for k in range(cursor.i, n):
         token = tokens[k]
         if token.kind == "punct":
             if token.text in "([{":
@@ -863,21 +784,18 @@ def _match_declaration(
                 depth -= 1
             elif token.text == ";" and depth == 0:
                 break
-            elif token.text == "," and depth == 0:
-                nxt = tokens[k + 1] if k + 1 < n else None
-                after = tokens[k + 2] if k + 2 < n else None
+            elif token.text == "," and depth == 0 and k + 2 < n:
+                # unlike a field's, a local's extra name needs `=`, `,` or `;`
+                extra, after = tokens[k + 1], tokens[k + 2]
                 if (
-                    nxt is not None
-                    and nxt.kind == "ident"
-                    and nxt.text not in KEYWORDS
-                    and after is not None
+                    extra.kind == "ident"
+                    and extra.text not in KEYWORDS
                     and after.kind == "punct"
                     and after.text in "=,;"
                 ):
-                    declared.append((nxt.text, declared_type))
+                    declared.append((extra.text, type_text))
                     consumed.add(k + 1)
-        k += 1
-    return declared, j
+    return declared
 
 
 def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic]]:
@@ -888,8 +806,8 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
     if not root.is_dir():
         raise OSError(f"source root is not a directory: {root}")
     diagnostics: list[ParseDiagnostic] = []
-    package_classes: dict[str, list[ClassFact]] = {}  # in first-seen order
-    package_class_names: dict[str, set[str]] = {}
+    # package name -> class name -> class, both in first-seen order
+    package_classes: dict[str, dict[str, ClassFact]] = {}
     for path in sorted(root.rglob("*.java")):
         try:
             text = path.read_text(encoding="utf-8")
@@ -900,10 +818,9 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
             continue
         fragment, file_diagnostics = parse_compilation_unit(text, str(path))
         diagnostics.extend(file_diagnostics)
-        kept = package_classes.setdefault(fragment.name, [])
-        existing = package_class_names.setdefault(fragment.name, set())
+        kept = package_classes.setdefault(fragment.name, {})
         for cls in fragment.classes:
-            if cls.name in existing:
+            if cls.name in kept:
                 diagnostics.append(
                     ParseDiagnostic(
                         "warning",
@@ -914,10 +831,9 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
                     )
                 )
                 continue
-            existing.add(cls.name)
-            kept.append(cls)
+            kept[cls.name] = cls
     packages = tuple(
-        PackageFact(name=name, classes=tuple(classes))
+        PackageFact(name=name, classes=tuple(classes.values()))
         for name, classes in package_classes.items()
     )
     facts = CodeFacts(packages=packages, provenance=str(root))

@@ -181,6 +181,59 @@ def test_class_name_shared_by_two_packages_is_qualified(tmp_path):
     assert report["micro_precision"] == report["micro_recall"] == 1.0
 
 
+def test_requirement_file_not_in_utf8_exits_2(
+    tmp_path, ds_source, ds_requirements, capsys
+):
+    reqs = tmp_path / "reqs"
+    reqs.mkdir()
+    for path in ds_requirements.glob("*.txt"):
+        (reqs / path.name).write_bytes(path.read_bytes())
+    (reqs / "Latin.txt").write_bytes(b"caf\xe9")
+    out = tmp_path / "out"
+    assert trace(out, reqs, "--src", str(ds_source)) == EXIT_CONFIG
+    assert str(reqs / "Latin.txt") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture()
+def misspelt_gold(tmp_path) -> Path:
+    gold = tmp_path / "gold.json"
+    gold.write_text(
+        json.dumps(
+            {
+                "Draw a line": ["Lin"],
+                "Draw oval": ["Oval"],
+                "Draw rectangle": ["Rectangl", "MyRectangle"],
+            }
+        ),
+        encoding="utf-8",
+    )
+    return gold
+
+
+UNKNOWN_GOLD_MESSAGE = "not documents: Lin, Oval, Rectangl"
+
+
+def test_trace_gold_naming_unknown_classes_exits_2(
+    tmp_path, ds_source, ds_requirements, misspelt_gold, capsys
+):
+    out = tmp_path / "out"
+    args = ["--src", str(ds_source), "--gold", str(misspelt_gold)]
+    assert trace(out, ds_requirements, *args) == EXIT_CONFIG
+    assert UNKNOWN_GOLD_MESSAGE in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_evaluate_gold_naming_unknown_classes_exits_2(
+    ds_out, tmp_path, misspelt_gold, capsys
+):
+    argv = ["evaluate", "--links", str(ds_out / "links.json")]
+    argv += ["--gold", str(misspelt_gold), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert UNKNOWN_GOLD_MESSAGE in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_source_tree_without_classes_exits_3(tmp_path, ds_requirements):
     src = tmp_path / "src"
     src.mkdir()

@@ -19,11 +19,13 @@ from reqtrace.evaluation import (
 from reqtrace.links import TraceLinkSet
 
 
-def tls_of(links: dict[str, tuple[str, ...]]) -> TraceLinkSet:
+def tls_of(links: dict[str, tuple[str, ...]], classes=()) -> TraceLinkSet:
+    """Links over a class universe: the linked classes plus `classes`."""
+    linked = {c for linked_classes in links.values() for c in linked_classes}
     return TraceLinkSet(
         links=links,
         clusters=(),
-        unlinked_classes=(),
+        unlinked_classes=tuple(c for c in classes if c not in linked),
         unlinked_requirements=tuple(r for r, c in links.items() if not c),
     )
 
@@ -93,7 +95,8 @@ class TestEvaluate:
 
     def test_empty_links_nonempty_gold(self):
         report = evaluate(
-            tls_of({"req": ()}), GoldLinks(related={"req": frozenset({"C"})})
+            tls_of({"req": ()}, classes=("C",)),
+            GoldLinks(related={"req": frozenset({"C"})}),
         )
         p, r = report.per_requirement["req"]
         assert p is None
@@ -103,6 +106,17 @@ class TestEvaluate:
         with pytest.raises(GoldCoverageError) as info:
             evaluate(tls_of({"lost": ("C",)}), GoldLinks(related={}))
         assert "lost" in str(info.value)
+
+    def test_unknown_gold_classes_are_an_error(self):
+        tls = tls_of({"r1": ("Line",), "r2": ()}, classes=("Oval",))
+        gold = GoldLinks(related={
+            "r1": frozenset({"Lin", "Line"}),
+            "r2": frozenset({"Rectangl", "Oval", "Ovl"}),
+            "unscored": frozenset({"Nowhere"}),
+        })
+        with pytest.raises(GoldCoverageError) as info:
+            evaluate(tls, gold)
+        assert str(info.value).endswith(": Lin, Ovl, Rectangl")
 
     def test_extra_gold_entries_ignored(self):
         report = evaluate(
@@ -116,7 +130,7 @@ class TestEvaluate:
 
     def test_micro_average_over_pairs(self):
         report = evaluate(
-            tls_of({"r1": ("a", "b"), "r2": ("c", "d", "e", "f")}),
+            tls_of({"r1": ("a", "b"), "r2": ("c", "d", "e", "f")}, classes=("x",)),
             GoldLinks(related={
                 "r1": frozenset({"a", "b"}),
                 "r2": frozenset({"c", "x"}),
@@ -138,7 +152,7 @@ class TestEvaluate:
                 n: frozenset(c for c in universe if rng.random() < 0.4)
                 for n in names
             }
-            report = evaluate(tls_of(links), GoldLinks(related=gold))
+            report = evaluate(tls_of(links, universe), GoldLinks(related=gold))
             tp = sum(len(set(links[n]) & gold[n]) for n in names)
             rec = sum(len(links[n]) for n in names)
             rel = sum(len(gold[n]) for n in names)

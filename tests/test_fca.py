@@ -14,8 +14,6 @@ from reqtrace.fca import (
     aoc_concepts,
     binarize,
     build_aoc_poset,
-    derive_extent,
-    derive_intent,
     enumerate_concepts,
     export_context_csv,
 )
@@ -85,13 +83,33 @@ TRACE_CTX = context_from(
 )
 
 
+def intent_of(objects, ctx: FormalContext) -> set[str]:
+    """Attributes shared by every given object; all attributes for none."""
+    rows = dict(zip(ctx.objects, ctx.incidence))
+    return {
+        a
+        for i, a in enumerate(ctx.attributes)
+        if all(rows[o][i] for o in objects)
+    }
+
+
+def extent_of(attributes, ctx: FormalContext) -> set[str]:
+    """Objects having every given attribute; all objects for none."""
+    columns = {a: i for i, a in enumerate(ctx.attributes)}
+    return {
+        o
+        for o, row in zip(ctx.objects, ctx.incidence)
+        if all(row[columns[a]] for a in attributes)
+    }
+
+
 def brute_force_concepts_via_attributes(ctx: FormalContext) -> set:
     """Independent oracle: close every attribute subset (dual direction)."""
     concepts = set()
     for r in range(len(ctx.attributes) + 1):
         for subset in combinations(ctx.attributes, r):
-            extent = derive_extent(subset, ctx)
-            intent = derive_intent(extent, ctx)
+            extent = extent_of(subset, ctx)
+            intent = intent_of(extent, ctx)
             concepts.add((frozenset(extent), frozenset(intent)))
     return concepts
 
@@ -178,28 +196,6 @@ class TestBinarize:
                 assert binarize(fast, threshold) == binarize(reference, threshold)
 
 
-class TestDerivations:
-    def test_fully_marked_row(self):
-        assert derive_intent(["Release_5"], RELEASES_CTX) == set(RELEASE_FEATURES)
-
-    def test_empty_object_set_gives_all_attributes(self):
-        assert derive_intent([], RELEASES_CTX) == set(RELEASE_FEATURES)
-
-    def test_class_column(self):
-        assert derive_extent(["class I"], REQUIREMENTS_CTX) == {
-            "requirement C", "requirement D",
-        }
-
-    def test_empty_attribute_set_gives_all_objects(self):
-        assert derive_extent([], REQUIREMENTS_CTX) == set(REQUIREMENTS_CTX.objects)
-
-    def test_unknown_names_rejected(self):
-        with pytest.raises(ParameterError):
-            derive_intent(["nobody"], RELEASES_CTX)
-        with pytest.raises(ParameterError):
-            derive_extent(["nothing"], RELEASES_CTX)
-
-
 class TestEnumerateConcepts:
     def test_empty_context_single_concept(self):
         ctx = FormalContext(objects=(), attributes=(), incidence=())
@@ -221,8 +217,8 @@ class TestEnumerateConcepts:
     def test_closure_property(self):
         for ctx in (RELEASES_CTX, REQUIREMENTS_CTX, TRACE_CTX):
             for concept in enumerate_concepts(ctx):
-                assert derive_intent(concept.extent, ctx) == set(concept.intent)
-                assert derive_extent(concept.intent, ctx) == set(concept.extent)
+                assert intent_of(concept.extent, ctx) == set(concept.intent)
+                assert extent_of(concept.intent, ctx) == set(concept.extent)
 
     def test_matches_brute_force_oracle_on_fixtures(self):
         for ctx in (RELEASES_CTX, REQUIREMENTS_CTX, TRACE_CTX):

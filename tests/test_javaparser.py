@@ -363,6 +363,54 @@ class TestCompilationUnit:
         ]
 
 
+ARRAYS_AND_GENERICS = """class Box<T> extends Base<T> {
+    String c[][];
+    int[] a;
+    void m(String[] y, int... z) {
+        int w[] = null;
+        this.g(c);
+    }
+}
+"""
+
+
+class TestArraysAndGenerics:
+    def parse(self):
+        fragment, diagnostics = parse_compilation_unit(ARRAYS_AND_GENERICS, "Box.java")
+        return only_class(fragment), diagnostics
+
+    def test_field_dims_after_type_or_name(self):
+        cls, _ = self.parse()
+        assert [(a.name, a.declared_type) for a in cls.attributes] == [
+            ("c", "String[][]"),
+            ("a", "int[]"),
+        ]
+
+    def test_array_and_varargs_parameters(self):
+        cls, diagnostics = self.parse()
+        assert cls.methods[0].parameters == (("y", "String[]"), ("z", "int[]"))
+        assert [(d.line, d.message) for d in diagnostics if "varargs" in d.message] == [
+            (4, "varargs parameter treated as array")
+        ]
+
+    def test_local_dims_after_name(self):
+        cls, _ = self.parse()
+        assert cls.methods[0].local_variables == (("w", "int[]"),)
+
+    def test_generic_class_and_superclass(self):
+        cls, diagnostics = self.parse()
+        assert cls.superclass == "Base"
+        assert [(d.line, d.message) for d in diagnostics if "generic" in d.message] == [
+            (1, "generic type parameters ignored"),
+            (1, "generic superclass arguments ignored"),
+        ]
+
+    def test_this_qualified_call_is_an_invocation(self):
+        cls, _ = self.parse()
+        assert cls.methods[0].method_invocations == ("g",)
+        assert cls.methods[0].attribute_accesses == ("c",)
+
+
 class TestLexer:
     @settings(max_examples=400, deadline=None)
     @given(st.text() | st.text(java_dense_chars, max_size=80))
