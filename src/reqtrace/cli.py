@@ -1,9 +1,10 @@
 """Command-line front end: extract, trace, and evaluate subcommands.
 
 Exit codes: 0 success (warnings allowed), 2 configuration or parse
-failure, 3 empty corpus after preprocessing.  All artifacts are written
-atomically (temp file + rename) and two runs over identical inputs
-produce byte-identical outputs.
+failure, 3 empty corpus after preprocessing.  `trace` reads every input,
+computes every artifact, and only then writes them, so a run that fails
+writes nothing.  Each artifact is written atomically (temp file + rename)
+and two runs over identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -24,29 +24,6 @@ from .javaparser import parse_source_tree
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_EMPTY_CORPUS = 3
-
-
-@dataclass
-class PipelineConfig:
-    requirements_dir: Path
-    output_dir: Path
-    source_root: Path | None = None
-    facts_file: Path | None = None
-    threshold: float = 0.70
-    topics: int | None = None  # None = full rank
-    stopwords_file: Path | None = None
-    gold_file: Path | None = None
-    dump_intermediates: bool = False
-
-    def validate(self) -> None:
-        if (self.source_root is None) == (self.facts_file is None):
-            raise ConfigurationError("exactly one of --src and --facts is required")
-        if not -1.0 < self.threshold <= 1.0:
-            raise ConfigurationError(
-                f"threshold {self.threshold} outside (-1.0, 1.0]"
-            )
-        if self.topics is not None and self.topics < 1:
-            raise ConfigurationError("topics must be >= 1")
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -98,75 +75,70 @@ def cmd_extract(source_root: Path, out: Path) -> int:
     return EXIT_OK
 
 
-def _load_facts(config: PipelineConfig) -> CodeFacts:
-    if config.facts_file is not None:
-        return load_facts_xml(config.facts_file.read_bytes())
-    facts, diagnostics = parse_source_tree(config.source_root)
-    _print_diagnostics(diagnostics)
-    return facts
+def _report_files(
+    tls: links.TraceLinkSet, gold: evaluation.GoldLinks
+) -> dict[str, str]:
+    report = evaluation.evaluate(tls, gold)
+    return {
+        "report.json": evaluation.report_to_json(report),
+        "report.csv": evaluation.report_to_csv(report),
+    }
 
 
-def cmd_trace(config: PipelineConfig) -> int:
-    config.validate()
-    facts = _load_facts(config)
+def _write_files(out: Path, files: dict[str, str]) -> None:
+    for name, text in files.items():
+        _write_atomic(out / name, text.encode("utf-8"))
+
+
+def cmd_trace(args: argparse.Namespace) -> int:
+    if not -1.0 < args.threshold <= 1.0:
+        raise ConfigurationError(f"threshold {args.threshold} outside (-1.0, 1.0]")
+    if args.topics is not None and args.topics < 1:
+        raise ConfigurationError("topics must be >= 1")
+    queries = corpus_mod.load_requirement_documents(args.reqs)
+    stops = (
+        textprep.load_stop_words(args.stopwords)
+        if args.stopwords is not None
+        else textprep.StopWordList()
+    )
+    gold = evaluation.load_gold_links(args.gold) if args.gold is not None else None
+
+    if args.facts is not None:
+        facts = load_facts_xml(args.facts.read_bytes())
+    else:
+        facts, diagnostics = parse_source_tree(args.src)
+        _print_diagnostics(diagnostics)
     documents = corpus_mod.build_class_documents(facts)
     if not documents.documents:
         raise EmptyCorpusError("no classes found; document corpus is empty")
-    queries = corpus_mod.load_requirement_documents(config.requirements_dir)
-
-    stops = (
-        textprep.load_stop_words(config.stopwords_file)
-        if config.stopwords_file is not None
-        else textprep.StopWordList()
-    )
     doc_bags = [textprep.preprocess(d, stops) for d in documents.documents]
     query_bags = [textprep.preprocess(q, stops) for q in queries.queries]
 
     vocab = lsi.build_vocabulary(doc_bags)
     tdm = lsi.build_tdm(doc_bags, vocab)
     tqm = lsi.build_tqm(query_bags, vocab)
-
-    if config.topics is None:
+    if args.topics is None:
         csm = lsi.count_cosine_matrix(tdm, tqm)
     else:
-        full_rank = min(len(vocab), len(tdm.doc_names))
-        if config.topics > full_rank:
-            raise ConfigurationError(
-                f"topics {config.topics} exceeds min(terms, documents) = {full_rank}"
-            )
-        space = lsi.truncated_svd(tdm, config.topics)
-        csm = lsi.cosine_similarity_matrix(space, tqm)
+        csm = lsi.cosine_similarity_matrix(lsi.truncated_svd(tdm, args.topics), tqm)
 
-    ctx = fca.binarize(csm, config.threshold)
+    ctx = fca.binarize(csm, args.threshold)
     poset = fca.build_aoc_poset(fca.aoc_concepts(ctx), ctx)
     tls = links.assemble_links(poset, ctx)
 
-    out = config.output_dir
-    _write_atomic(out / "links.json", links.links_to_json(tls).encode("utf-8"))
-    _write_atomic(out / "poset.dot", links.emit_dot_poset(poset).encode("utf-8"))
-    _write_atomic(
-        out / "tracelinks.dot", links.emit_dot_tracelinks(tls).encode("utf-8")
-    )
-    if config.dump_intermediates:
-        _write_atomic(
-            out / "tdm.csv", lsi.write_count_matrix_csv(tdm, "term").encode("utf-8")
-        )
-        _write_atomic(
-            out / "tqm.csv", lsi.write_count_matrix_csv(tqm, "term").encode("utf-8")
-        )
-        _write_atomic(out / "csm.csv", lsi.write_similarity_csv(csm).encode("utf-8"))
-        _write_atomic(
-            out / "context.csv", fca.export_context_csv(ctx).encode("utf-8")
-        )
-    if config.gold_file is not None:
-        gold = evaluation.load_gold_links(config.gold_file)
-        report = evaluation.evaluate(tls, gold)
-        _write_atomic(
-            out / "report.json", evaluation.report_to_json(report).encode("utf-8")
-        )
-        _write_atomic(
-            out / "report.csv", evaluation.report_to_csv(report).encode("utf-8")
-        )
+    files = {
+        "links.json": links.links_to_json(tls),
+        "poset.dot": links.emit_dot_poset(poset),
+        "tracelinks.dot": links.emit_dot_tracelinks(tls),
+    }
+    if args.dump_intermediates:
+        files["tdm.csv"] = lsi.write_count_matrix_csv(tdm)
+        files["tqm.csv"] = lsi.write_count_matrix_csv(tqm)
+        files["csm.csv"] = lsi.write_similarity_csv(csm)
+        files["context.csv"] = fca.export_context_csv(ctx)
+    if gold is not None:
+        files.update(_report_files(tls, gold))
+    _write_files(args.out, files)
     linked = sum(1 for classes in tls.links.values() if classes)
     print(
         f"traced {len(tls.links)} requirements against {len(ctx.attributes)}"
@@ -180,11 +152,9 @@ def cmd_evaluate(links_file: Path, gold_file: Path, out: Path) -> int:
         tls = links.links_from_json(links_file.read_text(encoding="utf-8"))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigurationError(f"links file {links_file}: {exc}") from exc
-    gold = evaluation.load_gold_links(gold_file)
-    report = evaluation.evaluate(tls, gold)
-    _write_atomic(out / "report.json", evaluation.report_to_json(report).encode("utf-8"))
-    _write_atomic(out / "report.csv", evaluation.report_to_csv(report).encode("utf-8"))
-    print(evaluation.report_to_csv(report), end="")
+    files = _report_files(tls, evaluation.load_gold_links(gold_file))
+    _write_files(out, files)
+    print(files["report.csv"], end="")
     return EXIT_OK
 
 
@@ -239,18 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "extract":
             return cmd_extract(args.src, args.out)
         if args.command == "trace":
-            config = PipelineConfig(
-                source_root=args.src,
-                facts_file=args.facts,
-                requirements_dir=args.reqs,
-                threshold=args.threshold,
-                topics=args.topics,
-                stopwords_file=args.stopwords,
-                output_dir=args.out,
-                gold_file=args.gold,
-                dump_intermediates=args.dump_intermediates,
-            )
-            return cmd_trace(config)
+            return cmd_trace(args)
         if args.command == "evaluate":
             return cmd_evaluate(args.links, args.gold, args.out)
         raise ConfigurationError(f"unknown command {args.command!r}")

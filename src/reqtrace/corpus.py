@@ -32,23 +32,16 @@ __all__ = [
 class RawDocument:
     name: str
     text: str
-    kind: str  # "class" | "requirement"
 
 
 @dataclass(frozen=True)
 class DocumentCorpus:
     documents: tuple[RawDocument, ...]
 
-    def names(self) -> list[str]:
-        return [doc.name for doc in self.documents]
-
 
 @dataclass(frozen=True)
 class QueryCorpus:
     queries: tuple[RawDocument, ...]
-
-    def names(self) -> list[str]:
-        return [query.name for query in self.queries]
 
 
 def class_document_text(package_name: str, cls: ClassFact) -> str:
@@ -96,11 +89,7 @@ def build_class_documents(facts: CodeFacts) -> DocumentCorpus:
                 )
             seen.add(name)
             documents.append(
-                RawDocument(
-                    name=name,
-                    text=class_document_text(package.name, cls),
-                    kind="class",
-                )
+                RawDocument(name=name, text=class_document_text(package.name, cls))
             )
     return DocumentCorpus(documents=tuple(documents))
 
@@ -125,5 +114,5 @@ def load_requirement_documents(directory: str | Path) -> QueryCorpus:
                 f"cannot read requirement file {path}: {exc}"
             ) from exc
         text = name if not body.strip() else f"{name}\n{body}"
-        queries.append(RawDocument(name=name, text=text, kind="requirement"))
+        queries.append(RawDocument(name=name, text=text))
     return QueryCorpus(queries=tuple(queries))

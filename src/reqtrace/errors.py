@@ -38,4 +38,5 @@ class DegenerateMatrixError(ReqTraceError):
 
 
 class GoldCoverageError(ReqTraceError):
-    """The gold-link file misses a traced requirement or names an unknown class."""
+    """The gold-link file is not a JSON object of class lists, misses a traced
+    requirement or names an unknown class."""

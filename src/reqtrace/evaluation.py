@@ -102,7 +102,10 @@ def load_gold_links(path: str | Path) -> GoldLinks:
     Classes are named as the class documents are: by simple name, or as
     ``package.Class`` where more than one package declares that name.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSON syntax or UTF-8 decoding
+        raise GoldCoverageError(f"gold file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise GoldCoverageError("gold file must be a JSON object")
     related = {}

@@ -5,9 +5,17 @@ file allowed), `extends`, fields, methods and constructors, parameters,
 local variable declarations (plain statements and `for` headers), line and
 block comments, plus token-level attribute accesses and method
 invocations inside bodies.  Imports and `throws` clauses are read and
-deliberately not modeled.  Generics, annotations, interfaces, enums,
-inner classes, and initializer blocks are skipped with a warning
-diagnostic; nothing is dropped silently.
+deliberately not modeled.  Annotations (on parameters too), generic type
+parameters of classes and methods, interfaces, enums, inner classes, and
+initializer blocks are skipped with a warning diagnostic; a class or
+method body that runs to the end of the file is an error.  Nothing is
+dropped silently.
+
+Fields, parameters and locals read a declared type the same way: a dotted
+name, its generic arguments (kept in the type text, with a warning on
+fields and parameters; `List<String> xs` is a local too) and `[]` pairs.
+A declarator's own `[]` pairs after its name join its type, and each
+extra declarator of `int a, b[];` gets the base type plus its own pairs.
 
 Detection rules inside a method body are intentionally token-level: any
 `name(` occurrence that is not a keyword counts as an invocation, and an
@@ -257,8 +265,9 @@ class _Cursor:
                 return None
         return None
 
-    def skip_balanced(self, opener: str, closer: str) -> None:
-        """Consume from the opener through its matching closer."""
+    def skip_balanced(self, opener: str, closer: str) -> bool:
+        """Consume from the opener through its matching closer; False when
+        the tokens end first."""
         tokens = self.tokens
         n = self.n
         i = self.i
@@ -272,8 +281,10 @@ class _Cursor:
                 elif token.text == closer:
                     depth -= 1
                     if depth == 0:
-                        break
+                        self.i = i
+                        return True
         self.i = i
+        return False
 
     def skip_past_semicolon(self) -> None:
         tokens = self.tokens
@@ -294,11 +305,9 @@ def _dotted_name(cursor: _Cursor) -> str:
         if token is None or token.kind != "ident":
             break
         parts.append(cursor.take().text)
-        if cursor.at_punct("."):
-            nxt = cursor.peek(1)
-            if nxt is not None and nxt.kind == "ident":
-                cursor.take()
-                continue
+        if cursor.at_punct(".") and cursor.at_name(1):
+            cursor.take()
+            continue
         break
     return ".".join(parts)
 
@@ -442,7 +451,6 @@ def _parse_class(
             )
         )
         return None
-    cursor.take()  # "{"
     _parse_class_body(cursor, builder)
     return builder.finish()
 
@@ -470,6 +478,9 @@ class _ClassBuilder:
         self.diagnostics.append(
             ParseDiagnostic("warning", self.file, line, message)
         )
+
+    def error(self, line: int, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic("error", self.file, line, message))
 
     def add_field(self, name: str, declared_type: str, line: int) -> None:
         if any(a.name == name for a in self.attributes):
@@ -505,9 +516,15 @@ class _ClassBuilder:
 
 
 def _parse_class_body(cursor: _Cursor, builder: _ClassBuilder) -> None:
+    open_brace = cursor.take()
     pending: list[_Token] = []
-    while not cursor.eof():
+    while True:
         token = cursor.peek()
+        if token is None:
+            builder.error(
+                open_brace.line, f"unterminated body of class {builder.name!r}"
+            )
+            break
         if token.kind == "punct" and token.text == "}":
             cursor.take()
             break
@@ -526,6 +543,10 @@ def _parse_class_body(cursor: _Cursor, builder: _ClassBuilder) -> None:
             builder.warn(token.line, "initializer block skipped")
             cursor.skip_balanced("{", "}")
             continue
+        if token.kind == "punct" and token.text == "<":
+            if cursor.generic() is not None:  # of a generic method
+                builder.warn(token.line, "generic type parameters ignored")
+                continue
         if token.kind == "ident" and token.text in MODIFIERS:
             cursor.take()
             continue
@@ -544,8 +565,11 @@ def _parse_class_body(cursor: _Cursor, builder: _ClassBuilder) -> None:
     )
 
 
-def _read_type_text(cursor: _Cursor, builder: _ClassBuilder) -> str | None:
-    """Dotted type name with optional generic suffix and [] pairs."""
+def _read_type_text(cursor: _Cursor, builder: _ClassBuilder | None) -> str | None:
+    """Dotted type name with optional generic suffix and [] pairs.
+
+    A generic suffix is warned about through `builder`, if one is given.
+    """
     token = cursor.peek()
     if token is None or token.kind != "ident":
         return None
@@ -554,7 +578,8 @@ def _read_type_text(cursor: _Cursor, builder: _ClassBuilder) -> str | None:
     text = _dotted_name(cursor)
     generic = cursor.generic()
     if generic is not None:
-        builder.warn(token.line, "generic type arguments ignored")
+        if builder is not None:
+            builder.warn(token.line, "generic type arguments ignored")
         text += generic
     return text + cursor.dims()
 
@@ -585,29 +610,56 @@ def _parse_member(
         return []
 
     # field declaration, possibly with several declarators
-    type_text += cursor.dims()
-    builder.add_field(member_name, type_text, start_line)
-    _finish_field_declarators(cursor, builder, type_text, start_line)
+    builder.add_field(member_name, type_text + cursor.dims(), start_line)
+    extras, cursor.i = _more_declarators(cursor.tokens, cursor.i, type_text)
+    for _, name, declared_type in extras:
+        builder.add_field(name, declared_type, start_line)
     return pending
 
 
-def _finish_field_declarators(
-    cursor: _Cursor, builder: _ClassBuilder, type_text: str, line: int
-) -> None:
+def _more_declarators(
+    tokens: list[_Token], start: int, base_type: str
+) -> tuple[list[tuple[int, str, str]], int]:
+    """The declarators after the first one of a field or local declaration.
+
+    Scans from `start` at bracket depth 0 up to the `;` or the unbalanced
+    closer that ends the statement, and returns the end index with the
+    (index, name, type) of each extra declarator: a name after a `,` whose
+    `[]` pairs are followed by `=`, `,` or `;`.  Its type is `base_type`
+    plus its own pairs.
+    """
+    n = len(tokens)
+    found = []
     depth = 0
-    while not cursor.eof():
-        token = cursor.take()
-        if token.kind != "punct":
-            continue
-        if token.text in "([{":
-            depth += 1
-        elif token.text in ")]}":
-            depth -= 1
-        elif token.text == ";" and depth == 0:
-            return
-        elif token.text == "," and depth == 0:
-            if cursor.at_name():
-                builder.add_field(cursor.take().text, type_text, line)
+    k = start
+    while k < n:
+        token = tokens[k]
+        if token.kind == "punct":
+            text = token.text
+            if text in "([{":
+                depth += 1
+            elif text in ")]}":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif text == ";" and depth == 0:
+                break
+            elif text == "," and depth == 0 and k + 1 < n:
+                name = tokens[k + 1]
+                if name.kind == "ident" and name.text not in KEYWORDS:
+                    dims = ""
+                    m = k + 2
+                    while (
+                        m + 1 < n
+                        and tokens[m][:2] == ("punct", "[")
+                        and tokens[m + 1][:2] == ("punct", "]")
+                    ):
+                        dims += "[]"
+                        m += 2
+                    if m < n and tokens[m].kind == "punct" and tokens[m].text in "=,;":
+                        found.append((k + 1, name.text, base_type + dims))
+        k += 1
+    return found, k
 
 
 def _parse_callable(
@@ -623,8 +675,13 @@ def _parse_callable(
     body: list[_Token] = []
     if cursor.at_punct("{"):
         start = cursor.i
-        cursor.skip_balanced("{", "}")
-        body = cursor.tokens[start + 1 : cursor.i - 1]
+        if cursor.skip_balanced("{", "}"):
+            body = cursor.tokens[start + 1 : cursor.i - 1]
+        else:
+            body = cursor.tokens[start + 1 :]
+            builder.error(
+                cursor.tokens[start].line, f"unterminated body of method {name!r}"
+            )
     elif cursor.at_punct(";"):
         cursor.take()
     builder.add_method(
@@ -644,6 +701,9 @@ def _parse_parameters(
     parameters: list[tuple[str, str]] = []
     open_token = cursor.take()  # "("
     while not cursor.eof() and not cursor.at_punct(")"):
+        if cursor.at_punct("@"):
+            _skip_annotation(cursor, builder.file, builder.diagnostics)
+            continue
         type_text = _read_type_text(cursor, builder)
         if type_text is None:  # `final` included
             cursor.take()
@@ -657,13 +717,13 @@ def _parse_parameters(
             type_text += "[]"
         if cursor.at_name():
             name_token = cursor.take()
+            type_text += cursor.dims()
             if any(existing == name_token.text for existing, _ in parameters):
                 builder.warn(
                     name_token.line, f"duplicate parameter {name_token.text!r} skipped"
                 )
             else:
                 parameters.append((name_token.text, type_text))
-            cursor.dims()
         if cursor.at_punct(","):
             cursor.take()
     if cursor.at_punct(")"):
@@ -724,12 +784,14 @@ def _scan_method_body(pending: _PendingMethod, field_names: set[str]) -> MethodF
                 invocations.append(word)
             j += 1
             continue
-        cursor.i = j
-        declared = _match_declaration(cursor, consumed)
-        if declared is not None:
-            locals_found.extend(declared)
-            j = cursor.i
-            continue
+        # a type goes on with `.`, `<` or `[`, or is followed by the name
+        if nxt is not None and (nxt.kind == "ident" or nxt.text in ".<["):
+            cursor.i = j
+            declared = _match_declaration(cursor, consumed)
+            if declared is not None:
+                locals_found.extend(declared)
+                j = cursor.i
+                continue
         if word in field_names:
             accesses.append(word)
         j += 1
@@ -750,52 +812,23 @@ def _match_declaration(
     declared (name, type) pairs with the cursor just past the first
     declarator name, or None.
 
-    Only the type chain and declarator names are consumed; initializer
+    The type is read as a field's is, without its generic warning.  Only
+    the type and the first declarator name are consumed; initializer
     expressions remain visible to the main scan so the calls and field
     reads inside them are still recorded.  Extra declarator names are
     marked in `consumed` instead.
     """
-    type_text = cursor.take().text
-    while cursor.at_punct(".") and cursor.at_name(1):
-        cursor.take()
-        type_text += "." + cursor.take().text
-    type_text += cursor.dims()
-    if not cursor.at_name():
+    type_text = _read_type_text(cursor, None)
+    if type_text is None or not cursor.at_name():
         return None
     name = cursor.take().text
-    type_text += cursor.dims()
+    dims = cursor.dims()
     follows = cursor.peek()
     if follows is None or follows.kind != "punct" or follows.text not in "=;,:)":
         return None
-    declared = [(name, type_text)]
-
-    # extra declarators in the same statement: scan ahead at bracket depth 0
-    tokens = cursor.tokens
-    n = cursor.n
-    depth = 0
-    for k in range(cursor.i, n):
-        token = tokens[k]
-        if token.kind == "punct":
-            if token.text in "([{":
-                depth += 1
-            elif token.text in ")]}":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif token.text == ";" and depth == 0:
-                break
-            elif token.text == "," and depth == 0 and k + 2 < n:
-                # unlike a field's, a local's extra name needs `=`, `,` or `;`
-                extra, after = tokens[k + 1], tokens[k + 2]
-                if (
-                    extra.kind == "ident"
-                    and extra.text not in KEYWORDS
-                    and after.kind == "punct"
-                    and after.text in "=,;"
-                ):
-                    declared.append((extra.text, type_text))
-                    consumed.add(k + 1)
-    return declared
+    extras, _ = _more_declarators(cursor.tokens, cursor.i, type_text)
+    consumed.update(index for index, _, _ in extras)
+    return [(name, type_text + dims), *((extra, t) for _, extra, t in extras)]
 
 
 def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic]]:

@@ -253,9 +253,7 @@ def count_cosine_matrix(
     )
 
 
-def write_count_matrix_csv(
-    matrix: TermDocumentMatrix | TermQueryMatrix, label: str
-) -> str:
+def write_count_matrix_csv(matrix: TermDocumentMatrix | TermQueryMatrix) -> str:
     """Render a count matrix as CSV: header of names, first column of terms."""
     names = (
         matrix.doc_names
@@ -264,7 +262,7 @@ def write_count_matrix_csv(
     )
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([label, *names])
+    writer.writerow(["term", *names])
     for i, term in enumerate(matrix.vocab.terms):
         writer.writerow([term, *(int(v) for v in matrix.cells[i])])
     return buffer.getvalue()

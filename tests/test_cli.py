@@ -224,6 +224,34 @@ def test_trace_gold_naming_unknown_classes_exits_2(
     assert not (out / "report.json").exists()
 
 
+def test_failed_trace_writes_nothing(
+    tmp_path, ds_source, ds_requirements, misspelt_gold
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    args = ["--src", str(ds_source), "--gold", str(misspelt_gold)]
+    args += ["--dump-intermediates"]
+    assert trace(out, ds_requirements, *args) == EXIT_CONFIG
+    assert list(out.iterdir()) == []
+
+
+def test_gold_that_is_not_json_exits_2_before_parsing(
+    tmp_path, ds_requirements, capsys
+):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "I.java").write_text("interface I {}\n", encoding="utf-8")
+    gold = tmp_path / "gold.json"
+    gold.write_text("not json", encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["--src", str(src), "--gold", str(gold)]
+    assert trace(out, ds_requirements, *args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"gold file {gold}" in err
+    assert "interface declaration skipped" not in err
+    assert not out.exists()
+
+
 def test_evaluate_gold_naming_unknown_classes_exits_2(
     ds_out, tmp_path, misspelt_gold, capsys
 ):

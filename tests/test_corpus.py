@@ -81,8 +81,7 @@ class TestClassDocuments:
             )
         )
         corpus = build_class_documents(facts)
-        assert corpus.names() == ["One", "Two"]
-        assert all(d.kind == "class" for d in corpus.documents)
+        assert [d.name for d in corpus.documents] == ["One", "Two"]
 
     def test_names_repeated_across_packages_are_qualified(self):
         facts = CodeFacts(
@@ -95,7 +94,7 @@ class TestClassDocuments:
             )
         )
         corpus = build_class_documents(facts)
-        assert corpus.names() == ["a.Same", "One", "Same", "b.c.Same"]
+        assert [d.name for d in corpus.documents] == ["a.Same", "One", "Same", "b.c.Same"]
         assert corpus.documents[0].text.startswith("a\nSame")
 
     def test_name_collision_rejected(self):
@@ -113,7 +112,7 @@ class TestClassDocuments:
     def test_ds_corpus_names(self, ds_source):
         facts, _ = parse_source_tree(ds_source)
         corpus = build_class_documents(facts)
-        assert sorted(corpus.names()) == [
+        assert sorted(d.name for d in corpus.documents) == [
             "DrawingShapes", "MyLine", "MyOval", "MyRectangle", "MyShape", "PaintJPanel",
         ]
         assert len(corpus.documents) == sum(
@@ -136,8 +135,9 @@ class TestClassDocuments:
 class TestRequirementDocuments:
     def test_ds_requirements(self, ds_requirements):
         corpus = load_requirement_documents(ds_requirements)
-        assert corpus.names() == ["Draw a line", "Draw oval", "Draw rectangle"]
-        assert all(q.kind == "requirement" for q in corpus.queries)
+        assert [q.name for q in corpus.queries] == [
+            "Draw a line", "Draw oval", "Draw rectangle",
+        ]
         # file body follows the name line
         first = corpus.queries[0]
         assert first.text.startswith("Draw a line\n")

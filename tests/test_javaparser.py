@@ -26,7 +26,7 @@ DS_SOURCES = sorted(
 # inside and outside ASCII, "²" (a digit that is not regex \d), "½" (regex
 # \w but neither a letter nor a digit) and control characters.
 JAVA_DENSE_ALPHABET = [
-    *"aZ_$09.\"'\\/*{}();=<>@,",
+    *"aZ_$09.\"'\\/*{}();=<>@,[]:?",
     *"\n\r\x0b\x0c\x1c\x85\u2028 \t",
     *"é一٣²½€\u0301",
     *"\x00\x07\x7f\x9f",
@@ -409,6 +409,87 @@ class TestArraysAndGenerics:
         cls, _ = self.parse()
         assert cls.methods[0].method_invocations == ("g",)
         assert cls.methods[0].attribute_accesses == ("c",)
+
+
+def parse_one(source: str):
+    fragment, diagnostics = parse_compilation_unit(source, "D.java")
+    return only_class(fragment), [(d.severity, d.message) for d in diagnostics]
+
+
+class TestDeclarators:
+    def test_generic_locals_are_recorded_without_a_warning(self):
+        cls, diagnostics = parse_one(
+            "class C { void m() { List<String> xs = f(); Map.Entry<K, V> e = null; } }"
+        )
+        assert cls.methods[0].local_variables == (
+            ("xs", "List<String>"),
+            ("e", "Map.Entry<K,V>"),
+        )
+        assert diagnostics == []
+
+    def test_extra_declarator_takes_the_base_type_and_its_own_dims(self):
+        cls, _ = parse_one(
+            "class C { int q[], r; int[] a, b[]; void m() { int q[], r; } }"
+        )
+        assert [(a.name, a.declared_type) for a in cls.attributes] == [
+            ("q", "int[]"), ("r", "int"), ("a", "int[]"), ("b", "int[][]"),
+        ]
+        assert cls.methods[0].local_variables == (("q", "int[]"), ("r", "int"))
+
+    def test_extra_local_declarator_with_dims_is_recorded(self):
+        cls, _ = parse_one("class C { void m() { int[] u = g(1), v[]; } }")
+        assert cls.methods[0].local_variables == (("u", "int[]"), ("v", "int[][]"))
+        assert cls.methods[0].method_invocations == ("g",)
+
+    def test_parameter_dims_after_the_name_join_its_type(self):
+        cls, _ = parse_one("class C { void m(int x[], String[] y[]) {} }")
+        assert cls.methods[0].parameters == (("x", "int[]"), ("y", "String[][]"))
+
+    def test_field_without_semicolon_stops_at_the_class_closer(self):
+        source = "class A { int a = 1 } class B { int b; void m() {} }"
+        fragment, _ = parse_compilation_unit(source, "D.java")
+        first, second = fragment.classes
+        assert [a.name for a in first.attributes] == ["a"]
+        assert first.methods == ()
+        assert [a.name for a in second.attributes] == ["b"]
+        assert [m.name for m in second.methods] == ["m"]
+
+    def test_comparisons_in_arguments_read_as_a_generic_local(self):
+        # token-level ambiguity: `a < b, c > d` is also `Type<b, c> d`
+        cls, _ = parse_one("class C { void m() { f(a < b, c > d); } }")
+        assert cls.methods[0].local_variables == (("d", "a<b,c>"),)
+
+    def test_annotated_parameter_keeps_its_type_and_name(self):
+        cls, diagnostics = parse_one("class C { void m(@Nullable String s) {} }")
+        assert cls.methods[0].parameters == (("s", "String"),)
+        assert diagnostics == [("warning", "annotation @Nullable ignored")]
+
+    def test_generic_method_type_parameters_warn_once(self):
+        cls, diagnostics = parse_one("class C { public <U> List<U> f() { return null; } }")
+        assert [m.name for m in cls.methods] == ["f"]
+        assert diagnostics == [
+            ("warning", "generic type parameters ignored"),
+            ("warning", "generic type arguments ignored"),
+        ]
+
+
+class TestUnterminatedBodies:
+    def test_method_body_to_end_of_file_keeps_its_last_token(self):
+        source = "class C {\n void m() {\n foo(); bar(); baz("
+        fragment, diagnostics = parse_compilation_unit(source, "D.java")
+        assert only_class(fragment).methods[0].method_invocations == (
+            "foo", "bar", "baz",
+        )
+        # each error is reported at the line of its opening brace
+        assert [(d.severity, d.line, d.message) for d in diagnostics] == [
+            ("error", 2, "unterminated body of method 'm'"),
+            ("error", 1, "unterminated body of class 'C'"),
+        ]
+
+    def test_class_body_to_end_of_file_is_an_error(self):
+        cls, diagnostics = parse_one("class C { int a; void m() {}")
+        assert [a.name for a in cls.attributes] == ["a"]
+        assert diagnostics == [("error", "unterminated body of class 'C'")]
 
 
 class TestLexer:

@@ -429,7 +429,7 @@ class TestCountCosine:
 class TestCsvDumps:
     def test_count_matrix_csv(self):
         _, tdm, _ = matrices_for({"DocA": {"x": 2}}, {})
-        text = write_count_matrix_csv(tdm, "term")
+        text = write_count_matrix_csv(tdm)
         assert text.splitlines() == ["term,DocA", "x,2"]
 
     def test_similarity_csv_has_nine_decimals(self):

@@ -20,7 +20,7 @@ from conftest import DS_LINE_DESCRIPTION
 
 
 def bag_of(text: str, stops: StopWordList | None = None) -> TermBag:
-    return preprocess(RawDocument(name="t", text=text, kind="class"), stops)
+    return preprocess(RawDocument(name="t", text=text), stops)
 
 
 def split_token_by_token(text: str) -> list[str]:
