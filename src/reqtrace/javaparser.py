@@ -355,7 +355,7 @@ def parse_compilation_unit(
                         "warning", file, token.line, f"{word} declaration skipped"
                     )
                 )
-                _skip_type_declaration(cursor)
+                _skip_type_declaration(cursor, file, diagnostics)
                 pending = []
                 continue
             diagnostics.append(
@@ -399,15 +399,31 @@ def _skip_annotation(
     )
 
 
-def _skip_type_declaration(cursor: _Cursor) -> None:
-    cursor.take()  # interface/enum keyword
+def _skip_type_declaration(
+    cursor: _Cursor, file: str, diagnostics: list[ParseDiagnostic]
+) -> None:
+    """Skip a declaration headed by `class`, `interface` or `enum`.
+
+    A body that runs to the end of the file is an error at its `{` line.
+    """
+    keyword = cursor.take()
+    name = cursor.peek().text if cursor.at_name() else "?"
     while not cursor.eof() and not cursor.at_punct("{"):
         if cursor.at_punct(";"):
             cursor.take()
             return
         cursor.take()
     if cursor.at_punct("{"):
-        cursor.skip_balanced("{", "}")
+        open_brace = cursor.peek()
+        if not cursor.skip_balanced("{", "}"):
+            diagnostics.append(
+                ParseDiagnostic(
+                    "error",
+                    file,
+                    open_brace.line,
+                    f"unterminated body of {keyword.text} {name!r}",
+                )
+            )
 
 
 def _parse_class(
@@ -552,7 +568,7 @@ def _parse_class_body(cursor: _Cursor, builder: _ClassBuilder) -> None:
             continue
         if token.kind == "ident" and token.text in ("class", "interface", "enum"):
             builder.warn(token.line, f"nested {token.text} skipped")
-            _skip_type_declaration(cursor)
+            _skip_type_declaration(cursor, builder.file, builder.diagnostics)
             continue
         if token.kind == "ident":
             pending = _parse_member(cursor, builder, pending)
@@ -600,7 +616,7 @@ def _parse_member(
 
     if not cursor.at_name():
         builder.warn(start_line, f"unrecognized member after type {type_text!r}")
-        if not cursor.eof():
+        if not (cursor.eof() or cursor.at_punct("}")):  # `}` ends the class
             cursor.take()
         return pending
     member_name = cursor.take().text

@@ -13,6 +13,18 @@ rank (`truncated_svd` + `cosine_similarity_matrix`) smooths the documents
 onto the dominant term associations.  Cosines are invariant to the
 per-topic sign ambiguity of the SVD.
 
+The count matrices are sparse: only their nonzero cells are held, sorted
+by term, so that each term's cells form its posting list (Manning,
+Raghavan & Schütze, *Introduction to IR*, ch. 6-7).  Nothing builds a
+dense t x d or t x q array; `cells` makes one on demand for inspection.
+Dot products are summed term at a time over the postings of the terms a
+column actually holds.  Counts are integers, so every dot product and
+squared norm is an integer, and float64 sums of integers below 2⁵³
+(about 9e15, far beyond any corpus's counts) are exact in any order: the
+full-rank cosines and the Gram matrix below equal, bit for bit, a dense
+product of the counts.  Products with the singular vectors are not
+integer sums, so they match a dense product only up to rounding.
+
 `truncated_svd` takes the SVD from an eigendecomposition of the smaller
 Gram matrix, AᵀA or AAᵀ, not from a thin SVD of the t x d TDM.  The
 price is resolution: a singular value s is seen through s², so values
@@ -64,17 +76,79 @@ class Vocabulary:
 
 
 @dataclass(frozen=True, eq=False)
-class TermDocumentMatrix:
-    vocab: Vocabulary
-    doc_names: tuple[str, ...]
-    cells: np.ndarray  # t x d, nonnegative integers
+class _Nonzeros:
+    """The nonzero cells of a sparse integer matrix, sorted by row.
+
+    Cell i holds `counts[i]` at (`rows[i]`, `columns[i]`); `rows` is
+    nondecreasing and `columns` increases within a row, so the cells of a
+    row are contiguous.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    columns: np.ndarray
+    counts: np.ndarray  # int64, all nonzero
+
+    def starts(self) -> np.ndarray:
+        """Offset of each row's first cell, then the number of cells."""
+        return np.searchsorted(self.rows, np.arange(self.shape[0] + 1))
+
+    def transposed(self) -> _Nonzeros:
+        order = np.argsort(self.columns, kind="stable")
+        return _Nonzeros(
+            shape=self.shape[::-1],
+            rows=self.columns[order],
+            columns=self.rows[order],
+            counts=self.counts[order],
+        )
+
+    def column_norms(self) -> np.ndarray:
+        squares = np.bincount(
+            self.columns, weights=self.counts * self.counts, minlength=self.shape[1]
+        )
+        return np.sqrt(squares)
+
+    def times(self, dense: np.ndarray) -> np.ndarray:
+        """This matrix times `dense` (columns x k), one topic at a time."""
+        by_topic = np.ascontiguousarray(dense.T)
+        out = np.empty((self.shape[0], len(by_topic)))
+        for c, column in enumerate(by_topic):
+            out[:, c] = np.bincount(
+                self.rows,
+                weights=self.counts * column[self.columns],
+                minlength=self.shape[0],
+            )
+        return out
+
+
+class _CountMatrix:
+    """Shape and dense view of a count matrix held as `nonzeros`."""
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.nonzeros.shape
+
+    @property
+    def cells(self) -> np.ndarray:
+        """A dense int64 copy, built on every call; for inspection only."""
+        nonzeros = self.nonzeros
+        cells = np.zeros(nonzeros.shape, dtype=np.int64)
+        cells[nonzeros.rows, nonzeros.columns] = nonzeros.counts
+        return cells
 
 
 @dataclass(frozen=True, eq=False)
-class TermQueryMatrix:
+class TermDocumentMatrix(_CountMatrix):
+    vocab: Vocabulary
+    doc_names: tuple[str, ...]
+    nonzeros: _Nonzeros  # t x d
+
+
+@dataclass(frozen=True, eq=False)
+class TermQueryMatrix(_CountMatrix):
     vocab: Vocabulary
     query_names: tuple[str, ...]
-    cells: np.ndarray  # t x q; terms outside the vocabulary are dropped
+    nonzeros: _Nonzeros  # t x q; terms outside the vocabulary are dropped
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,21 +186,33 @@ def build_vocabulary(corpus: list[TermBag]) -> Vocabulary:
     return Vocabulary(terms=tuple(terms), index={t: i for i, t in enumerate(terms)})
 
 
-def _count_matrix(bags: list[TermBag], vocab: Vocabulary) -> np.ndarray:
-    cells = np.zeros((len(vocab), len(bags)), dtype=np.int64)
+def _count_nonzeros(bags: list[TermBag], vocab: Vocabulary) -> _Nonzeros:
+    """Terms x bags counts; terms outside `vocab` and zero counts are dropped."""
+    rows: list[int] = []
+    columns: list[int] = []
+    counts: list[int] = []
     for j, bag in enumerate(bags):
         for term, count in bag.counts.items():
             row = vocab.index.get(term)
-            if row is not None:
-                cells[row, j] = count
-    return cells
+            if row is not None and count:
+                rows.append(row)
+                columns.append(j)
+                counts.append(count)
+    by_row = np.array(rows, dtype=np.intp)
+    order = np.argsort(by_row, kind="stable")
+    return _Nonzeros(
+        shape=(len(vocab), len(bags)),
+        rows=by_row[order],
+        columns=np.array(columns, dtype=np.intp)[order],
+        counts=np.array(counts, dtype=np.int64)[order],
+    )
 
 
 def build_tdm(bags: list[TermBag], vocab: Vocabulary) -> TermDocumentMatrix:
     return TermDocumentMatrix(
         vocab=vocab,
         doc_names=tuple(bag.name for bag in bags),
-        cells=_count_matrix(bags, vocab),
+        nonzeros=_count_nonzeros(bags, vocab),
     )
 
 
@@ -134,8 +220,60 @@ def build_tqm(queries: list[TermBag], vocab: Vocabulary) -> TermQueryMatrix:
     return TermQueryMatrix(
         vocab=vocab,
         query_names=tuple(bag.name for bag in queries),
-        cells=_count_matrix(queries, vocab),
+        nonzeros=_count_nonzeros(queries, vocab),
     )
+
+
+def _gather(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The ranges first[i]..last[i]-1, concatenated."""
+    lengths = last - first
+    shifts = np.repeat(first - np.cumsum(lengths) + lengths, lengths)
+    return shifts + np.arange(len(shifts))
+
+
+def _add_dots(docs: _Nonzeros, queries: _Nonzeros, out: np.ndarray) -> np.ndarray:
+    """Add Qᵀ·D, q x d, to `out`, term at a time over D's postings.
+
+    D and Q share their rows.  Each query gathers the postings of its own
+    terms only, and one bincount sums them per document.
+    """
+    starts = docs.starts()
+    by_query = queries.transposed()
+    query_starts = by_query.starts()
+    for j in range(by_query.shape[0]):
+        cells = slice(query_starts[j], query_starts[j + 1])
+        terms = by_query.columns[cells]
+        first, last = starts[terms], starts[terms + 1]
+        postings = _gather(first, last)
+        weights = np.repeat(by_query.counts[cells], last - first)
+        out[j] += np.bincount(
+            docs.columns[postings],
+            weights=weights * docs.counts[postings],
+            minlength=docs.shape[1],
+        )
+    return out
+
+
+def _gram(side: _Nonzeros) -> np.ndarray:
+    """SᵀS of the sparse S, exactly.
+
+    A row in more than an eighth of the columns (a common word) goes into
+    one dense block, whose product adds its full outer product; at most
+    8 * nnz / width rows qualify, so the block holds at most 8 * nnz cells.
+    Every other row adds only the pairs of its own cells, through
+    `_add_dots`.  Both sum integers, so the result is exact.
+    """
+    width = side.shape[1]
+    frequency = np.diff(side.starts())
+    heavy_rows = frequency > width / 8
+    heavy = heavy_rows[side.rows]
+    block = np.zeros((int(heavy_rows.sum()), width))
+    block_row = np.cumsum(heavy_rows) - 1
+    block[block_row[side.rows[heavy]], side.columns[heavy]] = side.counts[heavy]
+    light = _Nonzeros(
+        side.shape, side.rows[~heavy], side.columns[~heavy], side.counts[~heavy]
+    )
+    return _add_dots(light, light, block.T @ block)
 
 
 def truncated_svd(tdm: TermDocumentMatrix, k: int) -> LsiSpace:
@@ -150,24 +288,24 @@ def truncated_svd(tdm: TermDocumentMatrix, k: int) -> LsiSpace:
     never exceeds the numerical rank and every kept singular value is
     strictly positive.
     """
-    t, d = tdm.cells.shape
+    t, d = tdm.shape
     if not 1 <= k <= min(t, d):
         raise ParameterError(f"k={k} outside valid range 1..{min(t, d)}")
-    if not tdm.cells.any():
+    matrix = tdm.nonzeros
+    if not len(matrix.counts):
         raise DegenerateMatrixError("term-document matrix is all zeros")
-    matrix = tdm.cells.astype(np.float64)
-    side = matrix if d <= t else matrix.T  # sideᵀ side is the smaller Gram
-    eigenvalues, eigenvectors = np.linalg.eigh(side.T @ side)
+    side = matrix if d <= t else matrix.transposed()  # sideᵀ side is the smaller Gram
+    eigenvalues, eigenvectors = np.linalg.eigh(_gram(side))
     singular = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
     effective = min(k, int(np.sum(singular > _rank_tolerance(t, d, singular[0]))))
     s = singular[:effective]
-    vectors = eigenvectors[:, ::-1][:, :effective]
-    other = side @ vectors / s
+    vectors = np.ascontiguousarray(eigenvectors[:, ::-1][:, :effective])
+    other = side.times(vectors) / s
     u, v = (other, vectors) if d <= t else (vectors, other)
     # An all-zero column folds in to the origin, but the eigensolver can
     # leave rounding noise in its row of V; the empty document would then
     # get cosines of pure noise, up to 1.
-    v[~matrix.any(axis=0)] = 0.0
+    v[np.bincount(matrix.columns, minlength=d) == 0] = 0.0
     return LsiSpace(
         k=effective,
         left_vectors=u,
@@ -210,17 +348,17 @@ def cosine_similarity_matrix(space: LsiSpace, tqm: TermQueryMatrix) -> Similarit
     up to rounding; its norm is within `truncated_svd`'s rank tolerance
     and is taken as 0, since a cosine of that rounding noise can reach 1.
     """
-    queries = tqm.cells.astype(np.float64)  # t x q
+    queries = tqm.nonzeros  # t x q
     doc_scaled = space.doc_coords * space.singular_values  # d x k rows
-    projected = space.left_vectors.T @ queries  # k x q
+    projected = queries.transposed().times(space.left_vectors)  # q x k
     doc_norms = np.linalg.norm(doc_scaled, axis=1)
     tolerance = _rank_tolerance(
         len(space.left_vectors), len(space.doc_coords), space.singular_values[0]
     )
     doc_norms[doc_norms <= tolerance] = 0.0
     values = _cosines(
-        projected.T @ doc_scaled.T,  # q x d
-        np.linalg.norm(queries, axis=0),  # true term-space norms
+        projected @ doc_scaled.T,  # q x d
+        queries.column_norms(),  # true term-space norms
         doc_norms,
     )
     return SimilarityMatrix(
@@ -239,12 +377,12 @@ def count_cosine_matrix(
     rounding, without factorizing the TDM.  Counts are nonnegative, so
     every value lies in [0, 1]; a zero query or document column gives 0.
     """
-    docs = tdm.cells.astype(np.float64)  # t x d
-    queries = tqm.cells.astype(np.float64)  # t x q
+    docs, queries = tdm.nonzeros, tqm.nonzeros
+    dots = np.zeros((queries.shape[1], docs.shape[1]))
     values = _cosines(
-        queries.T @ docs,
-        np.linalg.norm(queries, axis=0),
-        np.linalg.norm(docs, axis=0),
+        _add_dots(docs, queries, dots),
+        queries.column_norms(),
+        docs.column_norms(),
     )
     return SimilarityMatrix(
         query_names=tqm.query_names,
@@ -260,11 +398,20 @@ def write_count_matrix_csv(matrix: TermDocumentMatrix | TermQueryMatrix) -> str:
         if isinstance(matrix, TermDocumentMatrix)
         else matrix.query_names
     )
+    nonzeros = matrix.nonzeros
+    starts = nonzeros.starts().tolist()
+    columns = (nonzeros.columns + 1).tolist()  # + 1 skips the term
+    counts = [str(count) for count in nonzeros.counts.tolist()]
+    zeros = ["", *["0"] * len(names)]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["term", *names])
     for i, term in enumerate(matrix.vocab.terms):
-        writer.writerow([term, *(int(v) for v in matrix.cells[i])])
+        row = zeros.copy()
+        row[0] = term
+        for cell in range(starts[i], starts[i + 1]):
+            row[columns[cell]] = counts[cell]
+        writer.writerow(row)
     return buffer.getvalue()
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import RawDocument
+from .errors import ConfigurationError
 from .porter import stem
 
 __all__ = [
@@ -66,9 +67,13 @@ class TermBag:
 
 
 def load_stop_words(path: str | Path) -> StopWordList:
-    """Read a stop-word file: one lowercase word per line, # comments."""
+    """Read a UTF-8 stop-word file: one lowercase word per line, # comments."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read stop-word file {path}: {exc}") from exc
     words = set()
-    for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw_line in text.splitlines():
         line = raw_line.split("#", 1)[0].strip()
         if line:
             words.add(line.lower())

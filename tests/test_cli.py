@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import csv
 import json
+import uuid
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from reqtrace import fca
 from reqtrace.cli import EXIT_CONFIG, EXIT_EMPTY_CORPUS, EXIT_OK, main
-from reqtrace.lsi import SimilarityMatrix, TermQueryMatrix
+from reqtrace.lsi import SimilarityMatrix
 
-from test_lsi import svd_cosines, synthetic
+from test_lsi import query_matrix, svd_cosines, synthetic
 
 DS_POSET_DOT = r"""digraph aoc_poset {
   rankdir=BT;
@@ -124,7 +126,7 @@ def test_topics_similarity_matches_the_svd_oracle(
     doc_names, docs = read_matrix_csv(tmp_path / "tdm.csv")
     query_names, queries = read_matrix_csv(tmp_path / "tqm.csv")
     tdm = synthetic(docs.astype(int))
-    tqm = TermQueryMatrix(tdm.vocab, tuple(query_names), queries.astype(int))
+    tqm = query_matrix(tdm, queries.astype(int), tuple(query_names))
     _, expected = svd_cosines(tdm, tqm, topics)
     shown_docs, shown = read_matrix_csv(tmp_path / "csm.csv")
     assert shown_docs == doc_names
@@ -192,6 +194,18 @@ def test_requirement_file_not_in_utf8_exits_2(
     out = tmp_path / "out"
     assert trace(out, reqs, "--src", str(ds_source)) == EXIT_CONFIG
     assert str(reqs / "Latin.txt") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stop_word_file_not_in_utf8_exits_2(
+    tmp_path, ds_source, ds_requirements, capsys
+):
+    stops = tmp_path / "stops.txt"
+    stops.write_bytes(b"the\n\xe9t\xe9\n")
+    out = tmp_path / "out"
+    args = ["--src", str(ds_source), "--stopwords", str(stops)]
+    assert trace(out, ds_requirements, *args) == EXIT_CONFIG
+    assert f"stop-word file {stops}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -269,3 +283,42 @@ def test_source_tree_without_classes_exits_3(tmp_path, ds_requirements):
     out = tmp_path / "out"
     assert trace(out, ds_requirements, "--src", str(src)) == EXIT_EMPTY_CORPUS
     assert not out.exists()
+
+
+FUZZ_CLASS = b"class Shape { int size; void drawShape() { size = 2; } }\n"
+
+
+def fuzz_bytes() -> st.SearchStrategy[bytes]:
+    """Raw bytes, UTF-8 text, or a valid class with bytes on either side."""
+    return st.one_of(
+        st.binary(max_size=120),
+        st.text(max_size=120).map(lambda text: text.encode("utf-8")),
+        st.tuples(st.binary(max_size=20), st.binary(max_size=20)).map(
+            lambda ends: ends[0] + FUZZ_CLASS + ends[1]
+        ),
+    )
+
+
+@seed(7)
+@settings(
+    max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    requirement=fuzz_bytes(),
+    stop_words=fuzz_bytes(),
+    java=fuzz_bytes(),
+    topics=st.sampled_from([[], ["--topics", "1"]]),
+)
+def test_trace_on_arbitrary_bytes_exits_0_2_or_3(
+    tmp_path, requirement, stop_words, java, topics
+):
+    run = tmp_path / uuid.uuid4().hex
+    (run / "reqs").mkdir(parents=True)
+    (run / "src").mkdir()
+    (run / "reqs" / "Fuzzed_requirement.txt").write_bytes(requirement)
+    (run / "stops.txt").write_bytes(stop_words)
+    (run / "src" / "Fuzzed.java").write_bytes(java)
+    (run / "src" / "Shape.java").write_bytes(FUZZ_CLASS)
+    args = ["--src", str(run / "src"), "--stopwords", str(run / "stops.txt")]
+    code = trace(run / "out", run / "reqs", *args, "--dump-intermediates", *topics)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_EMPTY_CORPUS)

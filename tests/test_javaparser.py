@@ -491,6 +491,37 @@ class TestUnterminatedBodies:
         assert [a.name for a in cls.attributes] == ["a"]
         assert diagnostics == [("error", "unterminated body of class 'C'")]
 
+    @pytest.mark.parametrize("keyword", ["interface", "enum"])
+    def test_skipped_body_to_end_of_file_is_an_error(self, keyword):
+        source = f"class C {{}}\n{keyword} I {{\n void m();"
+        fragment, diagnostics = parse_compilation_unit(source, "D.java")
+        assert only_class(fragment).name == "C"
+        assert [(d.severity, d.line, d.message) for d in diagnostics] == [
+            ("warning", 2, f"{keyword} declaration skipped"),
+            ("error", 2, f"unterminated body of {keyword} 'I'"),
+        ]
+
+    def test_nested_skipped_body_to_end_of_file_is_an_error(self):
+        source = "class C {\n int a;\n interface J {\n void m();"
+        fragment, diagnostics = parse_compilation_unit(source, "D.java")
+        assert [a.name for a in only_class(fragment).attributes] == ["a"]
+        assert [(d.severity, d.line, d.message) for d in diagnostics] == [
+            ("warning", 3, "nested interface skipped"),
+            ("error", 3, "unterminated body of interface 'J'"),
+            ("error", 1, "unterminated body of class 'C'"),
+        ]
+
+    def test_member_with_a_type_and_no_name_leaves_the_class_brace(self):
+        source = "class A { int } class B { void m() {} }"
+        fragment, diagnostics = parse_compilation_unit(source, "D.java")
+        assert [(c.name, [m.name for m in c.methods]) for c in fragment.classes] == [
+            ("A", []),
+            ("B", ["m"]),
+        ]
+        assert [(d.severity, d.message) for d in diagnostics] == [
+            ("warning", "unrecognized member after type 'int'")
+        ]
+
 
 class TestLexer:
     @settings(max_examples=400, deadline=None)

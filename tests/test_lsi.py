@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from reqtrace.errors import DegenerateMatrixError, EmptyCorpusError, ParameterError
+from reqtrace import lsi
 from reqtrace.fca import binarize
 from reqtrace.lsi import (
     SimilarityMatrix,
@@ -50,25 +55,41 @@ def matrices_for(doc_counts, query_counts):
     return vocab, build_tdm(doc_bags, vocab), build_tqm(bags(query_counts), vocab)
 
 
+def column_bags(
+    cells: np.ndarray, terms: tuple[str, ...], prefix: str, names=None
+) -> list[TermBag]:
+    """One bag per column of `cells`, counting the term of each row."""
+    if names is None:
+        names = tuple(f"{prefix}{j}" for j in range(cells.shape[1]))
+    return [
+        TermBag(name, {terms[i]: int(c) for i, c in enumerate(column) if c})
+        for name, column in zip(names, cells.T)
+    ]
+
+
 def synthetic(cells: np.ndarray) -> TermDocumentMatrix:
-    t, d = cells.shape
-    vocab = Vocabulary(
-        terms=tuple(f"t{i}" for i in range(t)),
-        index={f"t{i}": i for i in range(t)},
-    )
-    return TermDocumentMatrix(
-        vocab=vocab, doc_names=tuple(f"d{j}" for j in range(d)), cells=cells
-    )
+    """The TDM of `cells`, all-zero rows included, built from its columns."""
+    terms = tuple(f"t{i}" for i in range(cells.shape[0]))
+    vocab = Vocabulary(terms=terms, index={term: i for i, term in enumerate(terms)})
+    return build_tdm(column_bags(cells, terms, "d"), vocab)
+
+
+def query_matrix(tdm: TermDocumentMatrix, cells: np.ndarray, names=None):
+    """The TQM of `cells` over the vocabulary of `tdm`, built from its columns."""
+    return build_tqm(column_bags(cells, tdm.vocab.terms, "q", names), tdm.vocab)
 
 
 def random_counts(rng, t: int, d: int, q: int, trial: int):
     """Sparse seeded TDM and TQM; `trial` picks which edge cases to plant.
 
-    Every third trial has an all-zero document column, every fifth a
-    rank-deficient TDM (one column the sum of two others), every fourth an
-    all-zero query.  Returns None when the TDM came out all zero.
+    Every other trial has an all-zero term row, every third an all-zero
+    document column, every fifth a rank-deficient TDM (one column the sum of
+    two others), every fourth an all-zero query.  Returns None when the TDM
+    came out all zero.
     """
     cells = rng.randint(0, 9, size=(t, d)) * (rng.rand(t, d) < rng.uniform(0.2, 1))
+    if t >= 2 and trial % 2 == 1:
+        cells[rng.randint(t)] = 0
     if d >= 2 and trial % 3 == 0:
         cells[:, rng.randint(d)] = 0
     if d >= 3 and trial % 5 == 0:
@@ -79,8 +100,7 @@ def random_counts(rng, t: int, d: int, q: int, trial: int):
     if trial % 4 == 0:
         queries[:, 0] = 0
     tdm = synthetic(cells)
-    names = tuple(f"q{i}" for i in range(q))
-    return tdm, TermQueryMatrix(vocab=tdm.vocab, query_names=names, cells=queries)
+    return tdm, query_matrix(tdm, queries)
 
 
 def svd_cosines(tdm: TermDocumentMatrix, tqm: TermQueryMatrix, k: int):
@@ -111,16 +131,89 @@ def full_rank_svd_cosines(tdm: TermDocumentMatrix, tqm: TermQueryMatrix):
     return SimilarityMatrix(tqm.query_names, tdm.doc_names, values)
 
 
-def raw_cosine(tdm_cells: np.ndarray, tqm_cells: np.ndarray) -> np.ndarray:
-    docs = tdm_cells.astype(float)
-    queries = tqm_cells.astype(float)
+def mixed_counts(rng, t: int, d: int, q: int):
+    """Seeded TDM and TQM whose term rows range from empty to full.
+
+    Counts are mostly small, with some up to 10⁵, so that dot products
+    reach ~10¹¹.  An all-zero term row, document column and query are
+    planted wherever the matrix has more than one of them.
+    """
+    density = rng.uniform(0, 1, size=(t, 1)) ** 3
+    large = rng.rand(t, d) < 0.05
+    counts = np.where(
+        large, rng.randint(1, 100_000, size=(t, d)), rng.randint(1, 9, size=(t, d))
+    )
+    cells = counts * (rng.rand(t, d) < density)
+    if t >= 2:
+        cells[rng.randint(t)] = 0
+    if d >= 2:
+        cells[:, rng.randint(d)] = 0
+    queries = rng.randint(0, 5, size=(t, q)) * (rng.rand(t, q) < 0.5)
+    if q >= 2:
+        queries[:, rng.randint(q)] = 0
+    tdm = synthetic(cells)
+    return tdm, query_matrix(tdm, queries)
+
+
+def dense_count_cosine(tdm_cells: np.ndarray, tqm_cells: np.ndarray) -> np.ndarray:
+    """The full-rank cosine as one dense product of the counts: the oracle."""
+    docs = tdm_cells.astype(np.float64)
+    queries = tqm_cells.astype(np.float64)
     numerators = queries.T @ docs
     denominators = np.outer(
         np.linalg.norm(queries, axis=0), np.linalg.norm(docs, axis=0)
     )
-    return np.divide(
+    values = np.divide(
         numerators, denominators, out=np.zeros_like(numerators), where=denominators > 0
     )
+    return np.clip(values, -1.0, 1.0)
+
+
+def dense_gram(tdm_cells: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix, AᵀA or AAᵀ, as one dense product: the oracle."""
+    matrix = tdm_cells.astype(np.float64)
+    side = matrix if matrix.shape[1] <= matrix.shape[0] else matrix.T
+    return side.T @ side
+
+
+def per_cell_csv(names: tuple[str, ...], terms: tuple[str, ...], cells) -> str:
+    """A count matrix written one dense cell at a time: the oracle."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["term", *names])
+    for i, term in enumerate(terms):
+        writer.writerow([term, *(int(v) for v in cells[i])])
+    return buffer.getvalue()
+
+
+def assert_bitwise(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def sparse_bag_corpus(seed: int, terms: int, docs: int, queries: int):
+    """Seeded document and query bags over `terms` distinct words.
+
+    Each document owns terms // docs words of its own, so every word is in
+    the vocabulary, and draws 100 more from a Zipf-like law, so a few words
+    are in most documents.  Each query draws 20.
+    """
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(terms)]
+    weights = 1.0 / np.arange(1, terms + 1)
+    weights /= weights.sum()
+    own = terms // docs
+
+    def bag(name: str, draws: int, owned: np.ndarray) -> TermBag:
+        chosen = np.concatenate([rng.choice(terms, size=draws, p=weights), owned])
+        ids, counts = np.unique(chosen, return_counts=True)
+        return TermBag(name, {words[i]: int(c) for i, c in zip(ids, counts)})
+
+    doc_bags = [
+        bag(f"d{j}", 100, np.arange(j * own, (j + 1) * own)) for j in range(docs)
+    ]
+    query_bags = [bag(f"q{j}", 20, np.arange(0)) for j in range(queries)]
+    return doc_bags, query_bags
 
 
 class TestVocabulary:
@@ -288,11 +381,9 @@ class TestFoldIn:
 
 class TestSimilarityMatrix:
     def test_query_identical_to_document_scores_one(self):
-        vocab, tdm, _ = matrices_for(DS_STYLE_DOCS, DS_STYLE_QUERIES)
-        space = truncated_svd(tdm, min(tdm.cells.shape))
-        tqm = TermQueryMatrix(
-            vocab=vocab, query_names=("copy",), cells=tdm.cells[:, [1]]
-        )
+        _, tdm, _ = matrices_for(DS_STYLE_DOCS, DS_STYLE_QUERIES)
+        space = truncated_svd(tdm, min(tdm.shape))
+        tqm = query_matrix(tdm, tdm.cells[:, [1]], ("copy",))
         csm = cosine_similarity_matrix(space, tqm)
         assert csm.values[0, 1] == pytest.approx(1.0, abs=1e-6)
 
@@ -309,14 +400,11 @@ class TestSimilarityMatrix:
                 cells[:, -1] = cells[:, 0]  # rank-deficient case
             queries = rng.randint(0, 6, size=(t, q))
             tdm = synthetic(cells)
-            tqm = TermQueryMatrix(
-                vocab=tdm.vocab,
-                query_names=tuple(f"q{i}" for i in range(q)),
-                cells=queries,
-            )
+            tqm = query_matrix(tdm, queries)
             space = truncated_svd(tdm, int(np.linalg.matrix_rank(cells)))
             csm = cosine_similarity_matrix(space, tqm)
-            assert np.abs(csm.values - raw_cosine(cells, queries)).max() < 1e-6
+            expected = dense_count_cosine(cells, queries)
+            assert np.abs(csm.values - expected).max() < 1e-6
 
     def test_values_within_unit_interval(self):
         rng = np.random.RandomState(17)
@@ -326,7 +414,7 @@ class TestSimilarityMatrix:
                 continue
             queries = rng.randint(0, 7, size=(cells.shape[0], 3))
             tdm = synthetic(cells)
-            tqm = TermQueryMatrix(tdm.vocab, ("a", "b", "c"), queries)
+            tqm = query_matrix(tdm, queries)
             for k in range(1, min(cells.shape) + 1):
                 space = truncated_svd(tdm, k)
                 values = cosine_similarity_matrix(space, tqm).values
@@ -339,17 +427,17 @@ class TestSimilarityMatrix:
         tdm = synthetic(cells)
         space = truncated_svd(tdm, 3)
         base = cosine_similarity_matrix(
-            space, TermQueryMatrix(tdm.vocab, ("a", "b"), queries)
+            space, query_matrix(tdm, queries)
         ).values
         scaled = cosine_similarity_matrix(
-            space, TermQueryMatrix(tdm.vocab, ("a", "b"), queries * 53)
+            space, query_matrix(tdm, queries * 53)
         ).values
         assert np.abs(base - scaled).max() < 1e-9
 
     def test_zero_query_row_is_zero(self):
         tdm = synthetic(np.eye(3, dtype=int))
         space = truncated_svd(tdm, 3)
-        tqm = TermQueryMatrix(tdm.vocab, ("empty",), np.zeros((3, 1), dtype=int))
+        tqm = query_matrix(tdm, np.zeros((3, 1), dtype=int))
         assert (cosine_similarity_matrix(space, tqm).values == 0).all()
 
     def test_documents_outside_the_kept_topics_score_zero(self):
@@ -371,7 +459,7 @@ class TestSimilarityMatrix:
             columns = rng.permutation(cells.shape[1])
             tdm = synthetic(cells[rows][:, columns])
             queries = rng.randint(0, 4, size=(cells.shape[0], 3))
-            tqm = TermQueryMatrix(tdm.vocab, ("a", "b", "c"), queries)
+            tqm = query_matrix(tdm, queries)
             values = cosine_similarity_matrix(truncated_svd(tdm, k), tqm).values
             assert (values[:, columns >= kept.shape[1]] == 0).all()
             checked += 1
@@ -393,13 +481,13 @@ class TestSimilarityMatrix:
         )
         queries = np.array([[3, 0, 1, 2, 3], [1, 0, 2, 0, 2], [1, 1, 0, 1, 1]]).T
         tdm = synthetic(cells)
-        tqm = TermQueryMatrix(tdm.vocab, ("a", "b", "c"), queries)
+        tqm = query_matrix(tdm, queries)
         values = cosine_similarity_matrix(truncated_svd(tdm, 2), tqm).values
         assert (values[:, [2, 4]] == 0).all()
 
     def test_ds_style_binarization_shape(self):
         _, tdm, tqm = matrices_for(DS_STYLE_DOCS, DS_STYLE_QUERIES)
-        space = truncated_svd(tdm, min(tdm.cells.shape))
+        space = truncated_svd(tdm, min(tdm.shape))
         csm = cosine_similarity_matrix(space, tqm)
         line_row = csm.values[list(csm.query_names).index("Draw a line")]
         by_doc = dict(zip(csm.doc_names, line_row))
@@ -438,3 +526,62 @@ class TestCsvDumps:
         text = write_similarity_csv(cosine_similarity_matrix(space, tqm))
         first_value = text.splitlines()[1].split(",")[1]
         assert len(first_value.split(".")[1]) == 9
+
+
+MIXED_SHAPES = [
+    (40, 12), (12, 40), (90, 30), (30, 90), (64, 64), (1, 30), (30, 1), (1, 1)
+]
+
+
+class TestAgainstDenseProducts:
+    """The sparse routines give, bit for bit, what dense products of the
+    counts give: every sum they make is an integer below 2⁵³."""
+
+    @pytest.mark.parametrize("t, d", MIXED_SHAPES)
+    def test_count_cosine(self, t, d):
+        rng = np.random.RandomState(300 * t + d)
+        for _ in range(25):
+            tdm, tqm = mixed_counts(rng, t, d, rng.randint(1, 6))
+            expected = dense_count_cosine(tdm.cells, tqm.cells)
+            assert_bitwise(count_cosine_matrix(tdm, tqm).values, expected)
+
+    @pytest.mark.parametrize("t, d", MIXED_SHAPES)
+    def test_gram(self, t, d):
+        rng = np.random.RandomState(400 * t + d)
+        for _ in range(25):
+            tdm, _ = mixed_counts(rng, t, d, 1)
+            side = tdm.nonzeros if d <= t else tdm.nonzeros.transposed()
+            assert_bitwise(lsi._gram(side), dense_gram(tdm.cells))
+
+    @pytest.mark.parametrize("t, d", MIXED_SHAPES)
+    def test_count_matrix_csv(self, t, d):
+        rng = np.random.RandomState(500 * t + d)
+        for _ in range(5):
+            tdm, tqm = mixed_counts(rng, t, d, 2)
+            tqm = query_matrix(tdm, tqm.cells, ("a,b", 'say "x"'))
+            for matrix, names in ((tdm, tdm.doc_names), (tqm, tqm.query_names)):
+                expected = per_cell_csv(names, tdm.vocab.terms, matrix.cells)
+                assert write_count_matrix_csv(matrix) == expected
+
+
+class TestMemory:
+    def test_no_dense_term_by_document_array(self):
+        t, d = 20_000, 2_000
+        doc_bags, query_bags = sparse_bag_corpus(5, terms=t, docs=d, queries=200)
+        vocab = build_vocabulary(doc_bags)
+        assert len(vocab) == t
+        quarter_dense = t * d * 8 // 4  # bytes of a quarter t x d float64 array
+        tracemalloc.start()
+        try:
+            tdm = build_tdm(doc_bags, vocab)
+            tqm = build_tqm(query_bags, vocab)
+            count_cosine_matrix(tdm, tqm)
+            full_rank_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            cosine_similarity_matrix(truncated_svd(tdm, 50), tqm)
+            topics_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert full_rank_peak < quarter_dense
+        assert topics_peak < quarter_dense
