@@ -1,10 +1,14 @@
 """Command-line front end: extract, trace, and evaluate subcommands.
 
-Exit codes: 0 success (warnings allowed), 2 configuration or parse
-failure, 3 empty corpus after preprocessing.  `trace` reads every input,
-computes every artifact, and only then writes them, so a run that fails
-writes nothing.  Each artifact is written atomically (temp file + rename)
-and two runs over identical inputs produce byte-identical outputs.
+Exit codes: 0 success, 2 configuration failure, 3 empty corpus after
+preprocessing.  `extract` and `trace --src` share one policy for Java
+sources: they print every parse diagnostic, warnings and errors alike, to
+stderr, keep going and exit 0.  A Java file that is not UTF-8 is read as
+ISO-8859-1 with a warning; requirement, stop-word and gold files must be
+UTF-8 (exit 2).  `trace` reads every input, computes every artifact, and
+only then writes them, so a run that fails writes nothing.  Each artifact
+is written atomically (temp file + rename) and two runs over identical
+inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -68,8 +72,6 @@ def _metrics_summary(facts: CodeFacts) -> str:
 def cmd_extract(source_root: Path, out: Path) -> int:
     facts, diagnostics = parse_source_tree(source_root)
     _print_diagnostics(diagnostics)
-    if any(d.severity == "error" for d in diagnostics):
-        return EXIT_CONFIG
     _write_atomic(out, save_facts_xml(facts))
     print(_metrics_summary(facts))
     return EXIT_OK

@@ -9,7 +9,8 @@ deliberately not modeled.  Annotations (on parameters too), generic type
 parameters of classes and methods, interfaces, enums, inner classes, and
 initializer blocks are skipped with a warning diagnostic; a class or
 method body that runs to the end of the file is an error.  Nothing is
-dropped silently.
+dropped silently.  A file that is not UTF-8 is read as ISO-8859-1 with a
+warning.
 
 Fields, parameters and locals read a declared type the same way: a dotted
 name, its generic arguments (kept in the type text, with a warning on
@@ -24,13 +25,15 @@ the same class or is written `this.name`.  Recall matters more than
 precision here; the facts feed a text corpus, not a call graph.
 
 Lexing is one compiled regular expression: `findall` returns every token
-string in C, skipping whitespace, and one Python pass sorts the strings by
-their first character into identifiers, numbers, string and char literals,
-comments and punctuation, counting lines and reporting unterminated
-comments and literals.  Identifiers start where `str.isalpha` holds and
-numbers where `str.isdigit` does; a run that starts outside ASCII is split
-by those predicates, because the regex word and digit classes draw them
-differently.
+string in C, skipping whitespace, and one Python pass keeps those strings
+as the tokens, with a parallel list of their line numbers.  The pass counts
+lines, reports unterminated comments and literals, and cleans comment text.
+A token's kind is read from its first character: `str.isalpha`, `_` or `$`
+starts an identifier, a digit or a quote a literal, and anything else is
+punctuation.  A comment keeps its `//` or `/*` marker in front of its
+cleaned text, so it never equals a punctuation token such as `}`.  A run
+that starts outside ASCII is split by the `str` predicates, because the
+regex word and digit classes draw them differently.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Sequence
 
 from .facts import (
     AttributeFact,
@@ -81,12 +84,6 @@ class ParseDiagnostic:
     message: str
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident" | "punct" | "literal" | "comment"
-    text: str
-    line: int
-
-
 # One token string per match, in C.  Whitespace matches no alternative, so
 # findall skips it; regex \s is exactly str.isspace and \w is exactly
 # str.isalnum plus "_".  A newline is its own token so lines can be
@@ -110,13 +107,16 @@ _TOKEN = re.compile(
     re.DOTALL,
 )
 
-# Kind of a token by its first character, for the ASCII characters whose
-# token needs no further look: "/" may open a comment, quotes a literal.
-_ASCII_KIND = {
-    ch: "ident" if ch.isalpha() or ch in "_$" else "literal" if ch.isdigit() else "punct"
-    for ch in map(chr, range(128))
-    if not ch.isspace() and ch not in "/\"'"
-}
+
+def _is_ident(token: str) -> bool:
+    """An identifier or keyword: it starts with a letter, `_` or `$`."""
+    first = token[:1]
+    return first.isalpha() or first in ("_", "$")
+
+
+def _is_comment(token: str) -> bool:
+    """A comment: its `//` or `/*` marker, then its cleaned text."""
+    return token.startswith(("//", "/*"))
 
 
 def _clean_comment(text: str) -> str:
@@ -134,46 +134,45 @@ def _literal_terminated(token: str) -> bool:
     return (len(body) - len(body.rstrip("\\"))) % 2 == 0
 
 
-def _lex(text: str, file: str, diagnostics: list[ParseDiagnostic]) -> list[_Token]:
-    tokens: list[_Token] = []
-    append = tokens.append
-    kinds = _ASCII_KIND
+def _lex(text: str) -> tuple[list[str], list[int], list[tuple[int, str]]]:
+    """The tokens, the line of each, and the (line, message) of each
+    unterminated comment or literal."""
+    tokens: list[str] = []
+    lines: list[int] = []
+    errors: list[tuple[int, str]] = []
     line = 1
     for tok in _TOKEN.findall(text):
         first = tok[0]
-        kind = kinds.get(first)
-        if kind is not None:
-            append(_Token(kind, tok, line))
+        if "/" < first < "\x80":  # ASCII after "/": opens no comment or literal
+            tokens.append(tok)
+            lines.append(line)
         elif first == "\n":
             line += 1
-        elif first == "/":
-            if tok == "/":
-                append(_Token("punct", tok, line))
-            elif tok[1] == "/":
-                append(_Token("comment", _clean_comment(tok[2:]), line))
+        elif first == "/" and tok != "/":
+            if tok[1] == "/":
+                cleaned = _clean_comment(tok[2:])
             else:
                 if len(tok) >= 4 and tok.endswith("*/"):
                     body = tok[2:-2]
                 else:
-                    diagnostics.append(
-                        ParseDiagnostic("error", file, line, "unterminated block comment")
-                    )
+                    errors.append((line, "unterminated block comment"))
                     body = tok[2:]
                 cleaned = " ".join(
                     _clean_comment(part.lstrip(" \t").lstrip("*"))
                     for part in body.splitlines()
                 ).strip()
-                append(_Token("comment", cleaned, line))
-                line += body.count("\n")
+            tokens.append(tok[:2] + cleaned)
+            lines.append(line)
+            line += tok.count("\n")
         elif first == '"' or first == "'":
             if not _literal_terminated(tok):
-                diagnostics.append(
-                    ParseDiagnostic(
-                        "error", file, line, "unterminated string or char literal"
-                    )
-                )
-            append(_Token("literal", tok, line))
+                errors.append((line, "unterminated string or char literal"))
+            tokens.append(tok)
+            lines.append(line)
             line += tok.count("\n")
+        elif first < "\x80":  # punctuation before "/", and "/" itself
+            tokens.append(tok)
+            lines.append(line)
         else:
             # A run that starts outside ASCII.  Identifiers start where
             # str.isalpha holds and numbers where str.isdigit does, which
@@ -182,59 +181,65 @@ def _lex(text: str, file: str, diagnostics: list[ParseDiagnostic]) -> list[_Toke
             # holds only [\w$.], so each piece ends at the first character
             # its kind cannot continue with, and the next piece starts there.
             while tok:
-                first = tok[0]
-                if first.isalpha() or first in "_$":
-                    kind, end = "ident", tok.find(".")
-                elif first.isdigit():
-                    kind, end = "literal", tok.find("$")
+                if _is_ident(tok):
+                    end = tok.find(".")
+                elif tok[0].isdigit():
+                    end = tok.find("$")
                 else:
-                    kind, end = "punct", 1
+                    end = 1
                 if end < 0:
                     end = len(tok)
-                append(_Token(kind, tok[:end], line))
+                tokens.append(tok[:end])
+                lines.append(line)
                 tok = tok[end:]
-    return tokens
+    return tokens, lines, errors
 
 
 class _Cursor:
-    """Linear token walker: balanced skips and the parts of a type."""
+    """Linear token walker: balanced skips, the parts of a type, and the
+    file's diagnostics."""
 
-    def __init__(self, tokens: list[_Token]):
+    def __init__(
+        self, tokens: list[str], lines: Sequence[int] = (), file: str = "<memory>"
+    ):
         self.tokens = tokens
+        self.lines = lines
         self.n = len(tokens)
         self.i = 0
+        self.file = file
+        self.diagnostics: list[ParseDiagnostic] = []
+
+    def warn(self, line: int, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic("warning", self.file, line, message))
+
+    def error(self, line: int, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic("error", self.file, line, message))
 
     def eof(self) -> bool:
         return self.i >= self.n
 
-    def peek(self, offset: int = 0) -> _Token | None:
+    def peek(self, offset: int = 0) -> str:
+        """The token at `offset`, or "" past the end."""
         j = self.i + offset
-        return self.tokens[j] if j < self.n else None
+        return self.tokens[j] if j < self.n else ""
 
-    def take(self) -> _Token:
+    def line(self) -> int:
+        return self.lines[self.i]
+
+    def take(self) -> str:
         token = self.tokens[self.i]
         self.i += 1
         return token
 
-    def at_punct(self, ch: str, offset: int = 0) -> bool:
-        j = self.i + offset
-        if j >= self.n:
-            return False
-        token = self.tokens[j]
-        return token.kind == "punct" and token.text == ch
-
     def at_name(self, offset: int = 0) -> bool:
         """An identifier that is not a keyword."""
-        j = self.i + offset
-        if j >= self.n:
-            return False
-        token = self.tokens[j]
-        return token.kind == "ident" and token.text not in KEYWORDS
+        token = self.peek(offset)
+        return _is_ident(token) and token not in KEYWORDS
 
     def dims(self) -> str:
         """Consume `[]` pairs and return their text."""
         text = ""
-        while self.at_punct("[") and self.at_punct("]", 1):
+        while self.peek() == "[" and self.peek(1) == "]":
             self.i += 2
             text += "[]"
         return text
@@ -244,24 +249,23 @@ class _Cursor:
 
         Anything else inside, or no closing `>`, consumes nothing: None.
         """
-        if not self.at_punct("<"):
+        if self.peek() != "<":
             return None
         tokens = self.tokens
         depth = 0
         for j in range(self.i, self.n):
             token = tokens[j]
-            if token.kind == "punct":
-                if token.text == "<":
-                    depth += 1
-                elif token.text == ">":
-                    depth -= 1
-                    if depth == 0:
-                        text = "".join(t.text for t in tokens[self.i : j + 1])
-                        self.i = j + 1
-                        return text
-                elif token.text not in ",.?[]":
-                    return None
-            elif token.kind != "ident" or token.text in _NOT_IN_GENERICS:
+            if token == "<":
+                depth += 1
+            elif token == ">":
+                depth -= 1
+                if depth == 0:
+                    text = "".join(tokens[self.i : j + 1])
+                    self.i = j + 1
+                    return text
+            elif token not in (",", ".", "?", "[", "]") and (
+                not _is_ident(token) or token in _NOT_IN_GENERICS
+            ):
                 return None
         return None
 
@@ -275,40 +279,30 @@ class _Cursor:
         while i < n:
             token = tokens[i]
             i += 1
-            if token.kind == "punct":
-                if token.text == opener:
-                    depth += 1
-                elif token.text == closer:
-                    depth -= 1
-                    if depth == 0:
-                        self.i = i
-                        return True
+            if token == opener:
+                depth += 1
+            elif token == closer:
+                depth -= 1
+                if depth == 0:
+                    self.i = i
+                    return True
         self.i = i
         return False
 
     def skip_past_semicolon(self) -> None:
-        tokens = self.tokens
-        n = self.n
-        i = self.i
-        while i < n:
-            token = tokens[i]
-            i += 1
-            if token.kind == "punct" and token.text == ";":
-                break
-        self.i = i
+        try:
+            self.i = self.tokens.index(";", self.i) + 1
+        except ValueError:
+            self.i = self.n
 
 
 def _dotted_name(cursor: _Cursor) -> str:
     parts = []
-    while True:
-        token = cursor.peek()
-        if token is None or token.kind != "ident":
+    while _is_ident(cursor.peek()):
+        parts.append(cursor.take())
+        if not (cursor.peek() == "." and cursor.at_name(1)):
             break
-        parts.append(cursor.take().text)
-        if cursor.at_punct(".") and cursor.at_name(1):
-            cursor.take()
-            continue
-        break
+        cursor.take()
     return ".".join(parts)
 
 
@@ -316,156 +310,98 @@ def parse_compilation_unit(
     text: str, file: str = "<memory>"
 ) -> tuple[PackageFact, list[ParseDiagnostic]]:
     """Extract one file's package fragment; never raises on source content."""
-    diagnostics: list[ParseDiagnostic] = []
-    cursor = _Cursor(_lex(text, file, diagnostics))
+    tokens, lines, errors = _lex(text)
+    cursor = _Cursor(tokens, lines, file)
+    for line, message in errors:
+        cursor.error(line, message)
     package_name = ""
     classes: list[ClassFact] = []
-    pending: list[_Token] = []
+    pending: list[str] = []  # comment texts
 
     while not cursor.eof():
         token = cursor.peek()
-        if token.kind == "comment":
-            if token.text:
-                pending.append(token)
+        if _is_comment(token):
+            if len(token) > 2:
+                pending.append(token[2:])
             cursor.take()
-            continue
-        if token.kind == "ident":
-            word = token.text
-            if word == "package":
-                cursor.take()
-                package_name = _dotted_name(cursor)
-                cursor.skip_past_semicolon()
-                continue
-            if word == "import":
-                cursor.take()
-                cursor.skip_past_semicolon()
-                continue
-            if word in MODIFIERS:
-                cursor.take()
-                continue
-            if word == "class":
-                cls = _parse_class(cursor, file, diagnostics, pending)
-                pending = []
-                if cls is not None:
-                    classes.append(cls)
-                continue
-            if word in ("interface", "enum"):
-                diagnostics.append(
-                    ParseDiagnostic(
-                        "warning", file, token.line, f"{word} declaration skipped"
-                    )
-                )
-                _skip_type_declaration(cursor, file, diagnostics)
-                pending = []
-                continue
-            diagnostics.append(
-                ParseDiagnostic(
-                    "warning",
-                    file,
-                    token.line,
-                    f"unrecognized top-level construct near {word!r}",
-                )
-            )
+        elif token == "package":
             cursor.take()
-            continue
-        if token.kind == "punct" and token.text == "@":
-            _skip_annotation(cursor, file, diagnostics)
-            continue
-        if token.kind == "punct" and token.text == ";":
+            package_name = _dotted_name(cursor)
+            cursor.skip_past_semicolon()
+        elif token == "import":
             cursor.take()
-            continue
-        diagnostics.append(
-            ParseDiagnostic(
-                "warning",
-                file,
-                token.line,
-                f"unrecognized top-level token {token.text!r}",
-            )
-        )
-        cursor.take()
+            cursor.skip_past_semicolon()
+        elif token in MODIFIERS or token == ";":
+            cursor.take()
+        elif token == "class":
+            cls = _parse_class(cursor, pending)
+            pending = []
+            if cls is not None:
+                classes.append(cls)
+        elif token in ("interface", "enum"):
+            cursor.warn(cursor.line(), f"{token} declaration skipped")
+            _skip_type_declaration(cursor)
+            pending = []
+        elif token == "@":
+            _skip_annotation(cursor)
+        else:
+            what = "construct near" if _is_ident(token) else "token"
+            cursor.warn(cursor.line(), f"unrecognized top-level {what} {token!r}")
+            cursor.take()
 
-    return PackageFact(name=package_name, classes=tuple(classes)), diagnostics
+    return PackageFact(name=package_name, classes=tuple(classes)), cursor.diagnostics
 
 
-def _skip_annotation(
-    cursor: _Cursor, file: str, diagnostics: list[ParseDiagnostic]
-) -> None:
-    at = cursor.take()  # "@"
+def _skip_annotation(cursor: _Cursor) -> None:
+    line = cursor.line()
+    cursor.take()  # "@"
     name = _dotted_name(cursor) or "?"
-    if cursor.at_punct("("):
+    if cursor.peek() == "(":
         cursor.skip_balanced("(", ")")
-    diagnostics.append(
-        ParseDiagnostic("warning", file, at.line, f"annotation @{name} ignored")
-    )
+    cursor.warn(line, f"annotation @{name} ignored")
 
 
-def _skip_type_declaration(
-    cursor: _Cursor, file: str, diagnostics: list[ParseDiagnostic]
-) -> None:
+def _skip_type_declaration(cursor: _Cursor) -> None:
     """Skip a declaration headed by `class`, `interface` or `enum`.
 
     A body that runs to the end of the file is an error at its `{` line.
     """
     keyword = cursor.take()
-    name = cursor.peek().text if cursor.at_name() else "?"
-    while not cursor.eof() and not cursor.at_punct("{"):
-        if cursor.at_punct(";"):
-            cursor.take()
+    name = cursor.peek() if cursor.at_name() else "?"
+    while not cursor.eof() and cursor.peek() != "{":
+        if cursor.take() == ";":
             return
-        cursor.take()
-    if cursor.at_punct("{"):
-        open_brace = cursor.peek()
+    if cursor.peek() == "{":
+        line = cursor.line()
         if not cursor.skip_balanced("{", "}"):
-            diagnostics.append(
-                ParseDiagnostic(
-                    "error",
-                    file,
-                    open_brace.line,
-                    f"unterminated body of {keyword.text} {name!r}",
-                )
-            )
+            cursor.error(line, f"unterminated body of {keyword} {name!r}")
 
 
-def _parse_class(
-    cursor: _Cursor,
-    file: str,
-    diagnostics: list[ParseDiagnostic],
-    pending: list[_Token],
-) -> ClassFact | None:
-    class_token = cursor.take()  # "class"
-    name_token = cursor.peek()
-    if name_token is None or name_token.kind != "ident":
-        diagnostics.append(
-            ParseDiagnostic(
-                "error", file, class_token.line, "class keyword without a name"
-            )
-        )
+def _parse_class(cursor: _Cursor, pending: list[str]) -> ClassFact | None:
+    class_line = cursor.line()
+    cursor.take()  # "class"
+    if not _is_ident(cursor.peek()):
+        cursor.error(class_line, "class keyword without a name")
         return None
-    builder = _ClassBuilder(cursor.take().text, file, diagnostics)
-    builder.comments.extend(CommentFact(text=c.text, kind="class-level") for c in pending)
+    name_line = cursor.line()
+    builder = _ClassBuilder(cursor.take(), cursor)
+    builder.comments.extend(CommentFact(text=c, kind="class-level") for c in pending)
 
     if cursor.generic() is not None:
-        builder.warn(name_token.line, "generic type parameters ignored")
-    while not cursor.eof() and not cursor.at_punct("{"):
-        token = cursor.peek()
-        if token.kind == "ident" and token.text == "extends":
-            cursor.take()
+        cursor.warn(name_line, "generic type parameters ignored")
+    while not cursor.eof() and cursor.peek() != "{":
+        line = cursor.line()
+        token = cursor.take()
+        if token == "extends":
             builder.superclass = _dotted_name(cursor) or None
             if cursor.generic() is not None:
-                builder.warn(token.line, "generic superclass arguments ignored")
-            continue
-        if token.kind == "ident" and token.text == "implements":
-            builder.warn(token.line, "implements clause ignored")
-            while not cursor.eof() and not cursor.at_punct("{"):
+                cursor.warn(line, "generic superclass arguments ignored")
+        elif token == "implements":
+            cursor.warn(line, "implements clause ignored")
+            while not cursor.eof() and cursor.peek() != "{":
                 cursor.take()
-            break
-        cursor.take()
-    if not cursor.at_punct("{"):
-        diagnostics.append(
-            ParseDiagnostic(
-                "error", file, class_token.line, f"class {builder.name} has no body"
-            )
-        )
+    if cursor.peek() != "{":
+        cursor.error(class_line, f"class {builder.name} has no body")
         return None
     _parse_class_body(cursor, builder)
     return builder.finish()
@@ -475,32 +411,23 @@ def _parse_class(
 class _PendingMethod:
     name: str
     parameters: list[tuple[str, str]]
-    body: list[_Token]
+    body: list[str]
     leading_comments: list[str]
     line: int
 
 
 class _ClassBuilder:
-    def __init__(self, name: str, file: str, diagnostics: list[ParseDiagnostic]):
+    def __init__(self, name: str, cursor: _Cursor):
         self.name = name
-        self.file = file
-        self.diagnostics = diagnostics
+        self.cursor = cursor
         self.superclass: str | None = None
         self.comments: list[CommentFact] = []
         self.attributes: list[AttributeFact] = []
         self.methods: list[_PendingMethod] = []
 
-    def warn(self, line: int, message: str) -> None:
-        self.diagnostics.append(
-            ParseDiagnostic("warning", self.file, line, message)
-        )
-
-    def error(self, line: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic("error", self.file, line, message))
-
     def add_field(self, name: str, declared_type: str, line: int) -> None:
         if any(a.name == name for a in self.attributes):
-            self.warn(line, f"duplicate field {name!r} skipped")
+            self.cursor.warn(line, f"duplicate field {name!r} skipped")
             return
         self.attributes.append(AttributeFact(name=name, declared_type=declared_type))
 
@@ -509,7 +436,7 @@ class _ClassBuilder:
         if any(
             (m.name, len(m.parameters)) == signature for m in self.methods
         ):
-            self.warn(
+            self.cursor.warn(
                 method.line,
                 f"duplicate method signature {method.name!r}"
                 f"/{len(method.parameters)} skipped",
@@ -532,96 +459,89 @@ class _ClassBuilder:
 
 
 def _parse_class_body(cursor: _Cursor, builder: _ClassBuilder) -> None:
-    open_brace = cursor.take()
-    pending: list[_Token] = []
+    open_line = cursor.line()
+    cursor.take()  # "{"
+    pending: list[str] = []
     while True:
+        if cursor.eof():
+            cursor.error(open_line, f"unterminated body of class {builder.name!r}")
+            break
         token = cursor.peek()
-        if token is None:
-            builder.error(
-                open_brace.line, f"unterminated body of class {builder.name!r}"
-            )
-            break
-        if token.kind == "punct" and token.text == "}":
+        line = cursor.line()
+        if token == "}":
             cursor.take()
             break
-        if token.kind == "comment":
-            if token.text:
-                pending.append(token)
+        if _is_comment(token):
+            if len(token) > 2:
+                pending.append(token[2:])
             cursor.take()
             continue
-        if token.kind == "punct" and token.text == ";":
+        if token == ";" or token in MODIFIERS:
             cursor.take()
             continue
-        if token.kind == "punct" and token.text == "@":
-            _skip_annotation(cursor, builder.file, builder.diagnostics)
+        if token == "@":
+            _skip_annotation(cursor)
             continue
-        if token.kind == "punct" and token.text == "{":
-            builder.warn(token.line, "initializer block skipped")
+        if token == "{":
+            cursor.warn(line, "initializer block skipped")
             cursor.skip_balanced("{", "}")
             continue
-        if token.kind == "punct" and token.text == "<":
-            if cursor.generic() is not None:  # of a generic method
-                builder.warn(token.line, "generic type parameters ignored")
-                continue
-        if token.kind == "ident" and token.text in MODIFIERS:
-            cursor.take()
+        if token == "<" and cursor.generic() is not None:  # of a generic method
+            cursor.warn(line, "generic type parameters ignored")
             continue
-        if token.kind == "ident" and token.text in ("class", "interface", "enum"):
-            builder.warn(token.line, f"nested {token.text} skipped")
-            _skip_type_declaration(cursor, builder.file, builder.diagnostics)
+        if token in ("class", "interface", "enum"):
+            cursor.warn(line, f"nested {token} skipped")
+            _skip_type_declaration(cursor)
             continue
-        if token.kind == "ident":
+        if _is_ident(token):
             pending = _parse_member(cursor, builder, pending)
             continue
-        builder.warn(token.line, f"unrecognized token {token.text!r} in class body")
+        cursor.warn(line, f"unrecognized token {token!r} in class body")
         cursor.take()
     # trailing comments with no following member belong to the class
-    builder.comments.extend(
-        CommentFact(text=c.text, kind="class-level") for c in pending
-    )
+    builder.comments.extend(CommentFact(text=c, kind="class-level") for c in pending)
 
 
-def _read_type_text(cursor: _Cursor, builder: _ClassBuilder | None) -> str | None:
+def _read_type_text(cursor: _Cursor, warn: bool) -> str | None:
     """Dotted type name with optional generic suffix and [] pairs.
 
-    A generic suffix is warned about through `builder`, if one is given.
+    A generic suffix is warned about when `warn` is set.
     """
     token = cursor.peek()
-    if token is None or token.kind != "ident":
+    if not _is_ident(token) or (token in KEYWORDS and token not in PRIMITIVE_TYPES):
         return None
-    if token.text in KEYWORDS and token.text not in PRIMITIVE_TYPES:
-        return None
+    start = cursor.i
     text = _dotted_name(cursor)
     generic = cursor.generic()
     if generic is not None:
-        if builder is not None:
-            builder.warn(token.line, "generic type arguments ignored")
+        if warn:
+            cursor.warn(cursor.lines[start], "generic type arguments ignored")
         text += generic
     return text + cursor.dims()
 
 
 def _parse_member(
-    cursor: _Cursor, builder: _ClassBuilder, pending: list[_Token]
-) -> list[_Token]:
-    start_line = cursor.peek().line
-    type_text = _read_type_text(cursor, builder)
+    cursor: _Cursor, builder: _ClassBuilder, pending: list[str]
+) -> list[str]:
+    start_line = cursor.line()
+    type_text = _read_type_text(cursor, warn=True)
     if type_text is None:
-        builder.warn(start_line, "unrecognized member skipped")
+        cursor.warn(start_line, "unrecognized member skipped")
         cursor.take()
         return pending
 
-    if cursor.at_punct("(") and type_text == builder.name:
+    if cursor.peek() == "(" and type_text == builder.name:
         _parse_callable(cursor, builder, builder.name, pending, start_line)
         return []
 
     if not cursor.at_name():
-        builder.warn(start_line, f"unrecognized member after type {type_text!r}")
-        if not (cursor.eof() or cursor.at_punct("}")):  # `}` ends the class
+        cursor.warn(start_line, f"unrecognized member after type {type_text!r}")
+        if cursor.peek() not in ("", "}"):  # `}` ends the class
             cursor.take()
         return pending
-    member_name = cursor.take().text
+    member_name = cursor.take()
 
-    if cursor.at_punct("("):
+    if cursor.peek() == "(":
         _parse_callable(cursor, builder, member_name, pending, start_line)
         return []
 
@@ -634,7 +554,7 @@ def _parse_member(
 
 
 def _more_declarators(
-    tokens: list[_Token], start: int, base_type: str
+    tokens: list[str], start: int, base_type: str
 ) -> tuple[list[tuple[int, str, str]], int]:
     """The declarators after the first one of a field or local declaration.
 
@@ -650,30 +570,24 @@ def _more_declarators(
     k = start
     while k < n:
         token = tokens[k]
-        if token.kind == "punct":
-            text = token.text
-            if text in "([{":
-                depth += 1
-            elif text in ")]}":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif text == ";" and depth == 0:
+        if token in ("(", "[", "{"):
+            depth += 1
+        elif token in (")", "]", "}"):
+            if depth == 0:
                 break
-            elif text == "," and depth == 0 and k + 1 < n:
-                name = tokens[k + 1]
-                if name.kind == "ident" and name.text not in KEYWORDS:
-                    dims = ""
-                    m = k + 2
-                    while (
-                        m + 1 < n
-                        and tokens[m][:2] == ("punct", "[")
-                        and tokens[m + 1][:2] == ("punct", "]")
-                    ):
-                        dims += "[]"
-                        m += 2
-                    if m < n and tokens[m].kind == "punct" and tokens[m].text in "=,;":
-                        found.append((k + 1, name.text, base_type + dims))
+            depth -= 1
+        elif depth == 0 and token == ";":
+            break
+        elif depth == 0 and token == "," and k + 1 < n:
+            name = tokens[k + 1]
+            if _is_ident(name) and name not in KEYWORDS:
+                dims = ""
+                m = k + 2
+                while m + 1 < n and tokens[m] == "[" and tokens[m + 1] == "]":
+                    dims += "[]"
+                    m += 2
+                if m < n and tokens[m] in ("=", ",", ";"):
+                    found.append((k + 1, name, base_type + dims))
         k += 1
     return found, k
 
@@ -682,67 +596,63 @@ def _parse_callable(
     cursor: _Cursor,
     builder: _ClassBuilder,
     name: str,
-    pending: list[_Token],
+    pending: list[str],
     line: int,
 ) -> None:
-    parameters = _parse_parameters(cursor, builder)
-    while not cursor.eof() and not (cursor.at_punct("{") or cursor.at_punct(";")):
+    parameters = _parse_parameters(cursor)
+    while not cursor.eof() and cursor.peek() not in ("{", ";"):
         cursor.take()  # a `throws` clause, not modeled
-    body: list[_Token] = []
-    if cursor.at_punct("{"):
+    body: list[str] = []
+    if cursor.peek() == "{":
         start = cursor.i
         if cursor.skip_balanced("{", "}"):
             body = cursor.tokens[start + 1 : cursor.i - 1]
         else:
             body = cursor.tokens[start + 1 :]
-            builder.error(
-                cursor.tokens[start].line, f"unterminated body of method {name!r}"
-            )
-    elif cursor.at_punct(";"):
+            cursor.error(cursor.lines[start], f"unterminated body of method {name!r}")
+    elif cursor.peek() == ";":
         cursor.take()
     builder.add_method(
         _PendingMethod(
             name=name,
             parameters=parameters,
             body=body,
-            leading_comments=[c.text for c in pending],
+            leading_comments=pending,
             line=line,
         )
     )
 
 
-def _parse_parameters(
-    cursor: _Cursor, builder: _ClassBuilder
-) -> list[tuple[str, str]]:
+def _parse_parameters(cursor: _Cursor) -> list[tuple[str, str]]:
     parameters: list[tuple[str, str]] = []
-    open_token = cursor.take()  # "("
-    while not cursor.eof() and not cursor.at_punct(")"):
-        if cursor.at_punct("@"):
-            _skip_annotation(cursor, builder.file, builder.diagnostics)
+    open_line = cursor.line()
+    cursor.take()  # "("
+    while not cursor.eof() and cursor.peek() != ")":
+        if cursor.peek() == "@":
+            _skip_annotation(cursor)
             continue
-        type_text = _read_type_text(cursor, builder)
+        type_text = _read_type_text(cursor, warn=True)
         if type_text is None:  # `final` included
             cursor.take()
             continue
         dots = 0  # varargs: three dot tokens before the name
-        while cursor.at_punct("."):
+        while cursor.peek() == ".":
             cursor.take()
             dots += 1
         if dots == 3:
-            builder.warn(open_token.line, "varargs parameter treated as array")
+            cursor.warn(open_line, "varargs parameter treated as array")
             type_text += "[]"
         if cursor.at_name():
-            name_token = cursor.take()
+            name_line = cursor.line()
+            name = cursor.take()
             type_text += cursor.dims()
-            if any(existing == name_token.text for existing, _ in parameters):
-                builder.warn(
-                    name_token.line, f"duplicate parameter {name_token.text!r} skipped"
-                )
+            if any(existing == name for existing, _ in parameters):
+                cursor.warn(name_line, f"duplicate parameter {name!r} skipped")
             else:
-                parameters.append((name_token.text, type_text))
-        if cursor.at_punct(","):
+                parameters.append((name, type_text))
+        if cursor.peek() == ",":
             cursor.take()
-    if cursor.at_punct(")"):
+    if cursor.peek() == ")":
         cursor.take()
     return parameters
 
@@ -753,9 +663,7 @@ def _scan_method_body(pending: _PendingMethod, field_names: set[str]) -> MethodF
     accesses: list[str] = []
     invocations: list[str] = []
     comments = [
-        CommentFact(text=text, kind="method-level")
-        for text in pending.leading_comments
-        if text
+        CommentFact(text=text, kind="method-level") for text in pending.leading_comments
     ]
 
     tokens = pending.body
@@ -766,50 +674,40 @@ def _scan_method_body(pending: _PendingMethod, field_names: set[str]) -> MethodF
     j = 0
     while j < n:
         token = tokens[j]
-        if token.kind == "comment":
-            if token.text:
-                comments.append(CommentFact(text=token.text, kind="method-level"))
+        if not _is_ident(token) or j in consumed:
+            if len(token) > 2 and _is_comment(token):
+                comments.append(CommentFact(text=token[2:], kind="method-level"))
             j += 1
             continue
-        if token.kind != "ident" or j in consumed:
-            j += 1
-            continue
-        word = token.text
-        if word == "this":
-            if (
-                j + 2 < n
-                and tokens[j + 1].kind == "punct"
-                and tokens[j + 1].text == "."
-                and tokens[j + 2].kind == "ident"
-            ):
-                target = tokens[j + 2].text
-                follows = tokens[j + 3] if j + 3 < n else None
-                if follows is not None and follows.kind == "punct" and follows.text == "(":
+        if token == "this":
+            if j + 2 < n and tokens[j + 1] == "." and _is_ident(tokens[j + 2]):
+                target = tokens[j + 2]
+                if j + 3 < n and tokens[j + 3] == "(":
                     invocations.append(target)
                 else:
                     accesses.append(target)
                 consumed.add(j + 2)
             j += 1
             continue
-        if word in KEYWORDS and word not in PRIMITIVE_TYPES:
+        if token in KEYWORDS and token not in PRIMITIVE_TYPES:
             j += 1
             continue
-        nxt = tokens[j + 1] if j + 1 < n else None
-        if nxt is not None and nxt.kind == "punct" and nxt.text == "(":
-            if word not in PRIMITIVE_TYPES:
-                invocations.append(word)
+        nxt = tokens[j + 1] if j + 1 < n else ""
+        if nxt == "(":
+            if token not in PRIMITIVE_TYPES:
+                invocations.append(token)
             j += 1
             continue
         # a type goes on with `.`, `<` or `[`, or is followed by the name
-        if nxt is not None and (nxt.kind == "ident" or nxt.text in ".<["):
+        if nxt in (".", "<", "[") or _is_ident(nxt):
             cursor.i = j
             declared = _match_declaration(cursor, consumed)
             if declared is not None:
                 locals_found.extend(declared)
                 j = cursor.i
                 continue
-        if word in field_names:
-            accesses.append(word)
+        if token in field_names:
+            accesses.append(token)
         j += 1
     return MethodFact(
         name=pending.name,
@@ -834,13 +732,12 @@ def _match_declaration(
     reads inside them are still recorded.  Extra declarator names are
     marked in `consumed` instead.
     """
-    type_text = _read_type_text(cursor, None)
+    type_text = _read_type_text(cursor, warn=False)
     if type_text is None or not cursor.at_name():
         return None
-    name = cursor.take().text
+    name = cursor.take()
     dims = cursor.dims()
-    follows = cursor.peek()
-    if follows is None or follows.kind != "punct" or follows.text not in "=;,:)":
+    if cursor.peek() not in ("=", ";", ",", ":", ")"):
         return None
     extras, _ = _more_declarators(cursor.tokens, cursor.i, type_text)
     consumed.update(index for index, _, _ in extras)
@@ -848,7 +745,10 @@ def _match_declaration(
 
 
 def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic]]:
-    """Parse every .java file under `root`, merged in sorted-path order."""
+    """Parse every .java file under `root`, merged in sorted-path order.
+
+    A file that is not UTF-8 is decoded as ISO-8859-1, with a warning.
+    """
     root = Path(root)
     if not root.exists():
         raise OSError(f"source root does not exist: {root}")
@@ -858,14 +758,20 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
     # package name -> class name -> class, both in first-seen order
     package_classes: dict[str, dict[str, ClassFact]] = {}
     for path in sorted(root.rglob("*.java")):
+        file = str(path)
         try:
             text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+        except UnicodeDecodeError:
+            text = path.read_text(encoding="iso-8859-1")
             diagnostics.append(
-                ParseDiagnostic("error", str(path), 1, f"unreadable file: {exc}")
+                ParseDiagnostic("warning", file, 1, "not UTF-8; decoded as ISO-8859-1")
+            )
+        except OSError as exc:
+            diagnostics.append(
+                ParseDiagnostic("error", file, 1, f"unreadable file: {exc}")
             )
             continue
-        fragment, file_diagnostics = parse_compilation_unit(text, str(path))
+        fragment, file_diagnostics = parse_compilation_unit(text, file)
         diagnostics.extend(file_diagnostics)
         kept = package_classes.setdefault(fragment.name, {})
         for cls in fragment.classes:
@@ -873,7 +779,7 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
                 diagnostics.append(
                     ParseDiagnostic(
                         "warning",
-                        str(path),
+                        file,
                         1,
                         f"duplicate class {cls.name!r} in package"
                         f" {fragment.name!r} skipped",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 import uuid
 from pathlib import Path
 
@@ -91,6 +92,330 @@ def test_src_and_extracted_facts_agree(ds_out, tmp_path, ds_source, ds_requireme
     assert trace(out, ds_requirements, "--facts", str(facts)) == EXIT_OK
     for name in ("links.json", "poset.dot"):
         assert (out / name).read_bytes() == (ds_out / name).read_bytes()
+
+
+DS_FACTS_XML = r"""<?xml version="1.0" encoding="UTF-8"?>
+<codefacts provenance="{src}">
+  <package name="Drawing.Shapes.app">
+    <class name="DrawingShapes" superclass="JFrame">
+      <comment kind="class-level">Main window: combo boxes pick the kind and the color, the panel shows the picture.</comment>
+      <attribute name="paintPanel" type="PaintJPanel"/>
+      <attribute name="shapeChooser" type="JComboBox"/>
+      <attribute name="colorChooser" type="JComboBox"/>
+      <attribute name="statusLabel" type="JLabel"/>
+      <attribute name="shapeNames" type="String[]"/>
+      <attribute name="colorNames" type="String[]"/>
+      <method name="DrawingShapes">
+        <access name="shapeNames"/>
+        <access name="colorNames"/>
+        <access name="paintPanel"/>
+        <access name="shapeChooser"/>
+        <access name="colorChooser"/>
+        <access name="statusLabel"/>
+        <access name="shapeChooser"/>
+        <access name="paintPanel"/>
+        <access name="statusLabel"/>
+        <invoke name="PaintJPanel"/>
+        <invoke name="JComboBox"/>
+        <invoke name="JComboBox"/>
+        <invoke name="JLabel"/>
+        <invoke name="add"/>
+        <invoke name="add"/>
+        <invoke name="add"/>
+        <invoke name="setSize"/>
+        <invoke name="setVisible"/>
+      </method>
+      <method name="main">
+        <param name="args" type="String[]"/>
+        <local name="application" type="DrawingShapes"/>
+        <invoke name="DrawingShapes"/>
+        <invoke name="setDefaultCloseOperation"/>
+      </method>
+    </class>
+  </package>
+  <package name="Drawing.Shapes.coreElements">
+    <class name="MyLine" superclass="MyShape">
+      <comment kind="class-level">Line shape: a line connects two end points; the user can draw a single line.</comment>
+      <method name="MyLine"/>
+      <method name="MyLine">
+        <param name="x1" type="int"/>
+        <param name="y1" type="int"/>
+        <param name="x2" type="int"/>
+        <param name="y2" type="int"/>
+        <param name="color" type="Color"/>
+      </method>
+      <method name="draw">
+        <param name="g" type="Graphics"/>
+        <access name="X1"/>
+        <access name="Y1"/>
+        <access name="X2"/>
+        <access name="Y2"/>
+        <invoke name="setColor"/>
+        <invoke name="getShapeColor"/>
+        <invoke name="drawLine"/>
+        <comment kind="method-level">draw a line on the drawing zone; the user can choose the right color of the drawn line</comment>
+      </method>
+    </class>
+    <class name="MyOval" superclass="MyShape">
+      <comment kind="class-level">Oval shape: the user can draw a single oval inside a bounding box.</comment>
+      <method name="MyOval">
+        <param name="x1" type="int"/>
+        <param name="y1" type="int"/>
+        <param name="x2" type="int"/>
+        <param name="y2" type="int"/>
+        <param name="color" type="Color"/>
+      </method>
+      <method name="draw">
+        <param name="g" type="Graphics"/>
+        <local name="ovalWidth" type="int"/>
+        <local name="ovalHeight" type="int"/>
+        <invoke name="setColor"/>
+        <invoke name="getShapeColor"/>
+        <invoke name="drawOval"/>
+        <comment kind="method-level">draw an oval on the drawing zone; the user can choose the right color of the drawn oval</comment>
+      </method>
+    </class>
+    <class name="MyRectangle" superclass="MyShape">
+      <comment kind="class-level">Rectangle shape: the user can draw a single rectangle with four corners.</comment>
+      <method name="MyRectangle">
+        <param name="x1" type="int"/>
+        <param name="y1" type="int"/>
+        <param name="x2" type="int"/>
+        <param name="y2" type="int"/>
+        <param name="color" type="Color"/>
+      </method>
+      <method name="draw">
+        <param name="g" type="Graphics"/>
+        <local name="rectangleWidth" type="int"/>
+        <local name="rectangleHeight" type="int"/>
+        <invoke name="setColor"/>
+        <invoke name="getShapeColor"/>
+        <invoke name="drawRect"/>
+        <comment kind="method-level">draw a rectangle on the drawing zone; the user can choose the right color of the drawn rectangle</comment>
+      </method>
+    </class>
+  </package>
+  <package name="Drawing.Shapes.gui">
+    <class name="PaintJPanel" superclass="JPanel">
+      <comment kind="class-level">Panel holding the drawing zone: stores every finished shape and the shape being dragged.</comment>
+      <attribute name="shapes" type="MyShape[]"/>
+      <attribute name="shapeCount" type="int"/>
+      <attribute name="currentShapeType" type="int"/>
+      <attribute name="currentShapeColor" type="Color"/>
+      <attribute name="currentShape" type="MyShape"/>
+      <method name="PaintJPanel">
+        <access name="shapes"/>
+        <access name="shapeCount"/>
+        <access name="currentShapeType"/>
+        <access name="currentShapeColor"/>
+        <access name="currentShape"/>
+      </method>
+      <method name="paintComponent">
+        <param name="g" type="Graphics"/>
+        <local name="index" type="int"/>
+        <access name="shapeCount"/>
+        <access name="shapes"/>
+        <access name="currentShape"/>
+        <access name="currentShape"/>
+        <invoke name="paintComponent"/>
+        <invoke name="draw"/>
+        <invoke name="draw"/>
+        <comment kind="method-level">paint every stored shape, then the shape under the mouse</comment>
+      </method>
+      <method name="mousePressed">
+        <param name="event" type="MouseEvent"/>
+        <local name="pressedX" type="int"/>
+        <local name="pressedY" type="int"/>
+        <access name="currentShapeType"/>
+        <access name="currentShape"/>
+        <access name="currentShapeColor"/>
+        <access name="currentShapeType"/>
+        <access name="currentShape"/>
+        <access name="currentShapeColor"/>
+        <access name="currentShapeType"/>
+        <access name="currentShape"/>
+        <access name="currentShapeColor"/>
+        <invoke name="getX"/>
+        <invoke name="getY"/>
+        <invoke name="MyLine"/>
+        <invoke name="MyOval"/>
+        <invoke name="MyRectangle"/>
+        <invoke name="repaint"/>
+        <comment kind="method-level">the pressed mouse button starts a new shape of the selected kind</comment>
+      </method>
+      <method name="mouseDragged">
+        <param name="event" type="MouseEvent"/>
+        <access name="currentShape"/>
+        <access name="currentShape"/>
+        <access name="currentShape"/>
+        <invoke name="setX2"/>
+        <invoke name="getX"/>
+        <invoke name="setY2"/>
+        <invoke name="getY"/>
+        <invoke name="repaint"/>
+        <comment kind="method-level">the dragged mouse resizes the shape under construction</comment>
+      </method>
+      <method name="mouseReleased">
+        <param name="event" type="MouseEvent"/>
+        <access name="currentShape"/>
+        <access name="shapes"/>
+        <access name="shapeCount"/>
+        <access name="currentShape"/>
+        <access name="shapeCount"/>
+        <access name="shapeCount"/>
+        <access name="currentShape"/>
+        <invoke name="repaint"/>
+        <comment kind="method-level">the released mouse button stores the finished shape</comment>
+      </method>
+      <method name="setCurrentShapeType">
+        <param name="type" type="int"/>
+        <access name="currentShapeType"/>
+      </method>
+      <method name="setCurrentShapeColor">
+        <param name="color" type="Color"/>
+        <access name="currentShapeColor"/>
+      </method>
+    </class>
+  </package>
+  <package name="Drawing.Shapes.model">
+    <class name="MyShape">
+      <comment kind="class-level">Base class for every shape that can be drawn: keeps the two end points and the color.</comment>
+      <attribute name="X1" type="int"/>
+      <attribute name="Y1" type="int"/>
+      <attribute name="X2" type="int"/>
+      <attribute name="Y2" type="int"/>
+      <attribute name="shapeColor" type="Color"/>
+      <method name="MyShape">
+        <access name="X1"/>
+        <access name="Y1"/>
+        <access name="X2"/>
+        <access name="Y2"/>
+        <access name="shapeColor"/>
+      </method>
+      <method name="MyShape">
+        <param name="x1" type="int"/>
+        <param name="y1" type="int"/>
+        <param name="x2" type="int"/>
+        <param name="y2" type="int"/>
+        <param name="color" type="Color"/>
+        <access name="X1"/>
+        <access name="Y1"/>
+        <access name="X2"/>
+        <access name="Y2"/>
+        <access name="shapeColor"/>
+      </method>
+      <method name="getX1">
+        <access name="X1"/>
+      </method>
+      <method name="setX1">
+        <param name="x1" type="int"/>
+        <access name="X1"/>
+      </method>
+      <method name="getY1">
+        <access name="Y1"/>
+      </method>
+      <method name="setY1">
+        <param name="y1" type="int"/>
+        <access name="Y1"/>
+      </method>
+      <method name="getX2">
+        <access name="X2"/>
+      </method>
+      <method name="setX2">
+        <param name="x2" type="int"/>
+        <access name="X2"/>
+      </method>
+      <method name="getY2">
+        <access name="Y2"/>
+      </method>
+      <method name="setY2">
+        <param name="y2" type="int"/>
+        <access name="Y2"/>
+      </method>
+      <method name="getShapeColor">
+        <access name="shapeColor"/>
+      </method>
+      <method name="setShapeColor">
+        <param name="color" type="Color"/>
+        <access name="shapeColor"/>
+      </method>
+      <method name="draw">
+        <param name="g" type="Graphics"/>
+        <comment kind="method-level">every concrete shape paints itself</comment>
+      </method>
+    </class>
+  </package>
+</codefacts>
+"""
+
+DS_EXTRACT_SUMMARY = """packages (NOP)      4
+classes (NOC)       6
+attributes (NOA)    16
+methods (NOM)       29
+identifiers         95
+comments            14
+local variables     8
+method invocations  35
+attribute accesses  63
+"""
+
+
+def test_extract_output_is_pinned(tmp_path, ds_source, capsys):
+    facts = tmp_path / "facts.xml"
+    assert main(["extract", "--src", str(ds_source), "--out", str(facts)]) == EXIT_OK
+    xml = facts.read_text(encoding="utf-8")
+    xml = xml.replace(f'provenance="{ds_source}"', 'provenance="{src}"')
+    assert xml == DS_FACTS_XML
+    out, err = capsys.readouterr()
+    assert out == DS_EXTRACT_SUMMARY
+    assert err == ""  # no diagnostic lines
+
+
+def extract_and_trace(tmp_path, ds_source, ds_requirements, capsys, name, data):
+    """`extract` and `trace --src` on a copy of the DS sources plus one file.
+
+    Returns the path of that file and, for each command, its exit code and
+    stderr; the outputs go to `facts.xml` and `out/` under `tmp_path`.
+    """
+    src = tmp_path / "src"
+    shutil.copytree(ds_source, src)
+    (src / name).write_bytes(data)
+    argv = ["extract", "--src", str(src), "--out", str(tmp_path / "facts.xml")]
+    extracted = main(argv), capsys.readouterr().err
+    args = ["--src", str(src), "--dump-intermediates"]
+    traced = trace(tmp_path / "out", ds_requirements, *args), capsys.readouterr().err
+    return src / name, extracted, traced
+
+
+def traced_classes(out: Path) -> list[str]:
+    return (out / "csm.csv").read_text(encoding="utf-8").splitlines()[0].split(",")[1:]
+
+
+def test_parse_errors_do_not_abort_extract_or_trace(
+    tmp_path, ds_source, ds_requirements, capsys
+):
+    broken = b"class Broken {\n  void m() {}\n"
+    path, extracted, traced = extract_and_trace(
+        tmp_path, ds_source, ds_requirements, capsys, "Broken.java", broken
+    )
+    message = f"error: {path}:1: unterminated body of class 'Broken'\n"
+    assert extracted == traced == (EXIT_OK, message)
+    assert '<class name="Broken">' in (tmp_path / "facts.xml").read_text("utf-8")
+    assert "Broken" in traced_classes(tmp_path / "out")
+
+
+def test_java_file_not_in_utf8_is_read_as_latin1(
+    tmp_path, ds_source, ds_requirements, capsys
+):
+    legacy = b"package legacy;\n// caf\xe9\nclass Legacy { void brew() {} }\n"
+    path, extracted, traced = extract_and_trace(
+        tmp_path, ds_source, ds_requirements, capsys, "Legacy.java", legacy
+    )
+    message = f"warning: {path}:1: not UTF-8; decoded as ISO-8859-1\n"
+    assert extracted == traced == (EXIT_OK, message)
+    xml = (tmp_path / "facts.xml").read_text(encoding="utf-8")
+    assert '<comment kind="class-level">caf\u00e9</comment>' in xml
+    assert "Legacy" in traced_classes(tmp_path / "out")
 
 
 def test_evaluate_reproduces_the_trace_report(ds_out, tmp_path, ds_gold):

@@ -40,3 +40,49 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants of a package
+    (file name -> source) that no module of it reads."""
+    defined = []
+    read = set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [
+                (file, node.lineno, name)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{file} line {line}: {name}" for file, line, name in defined if name not in read]
+
+
+def test_checker_finds_an_unused_private_name():
+    sources = {
+        "a.py": "import re\n_ASCII_KIND = {}\n_Token: type = tuple\n__all__ = []\n"
+        "_WORD = re.compile('w')\ndef _lex(): return _WORD\nclass _Cursor: pass\n",
+        "b.py": "from . import a\nfrom .a import _Cursor\nprint(a._lex())\n",
+    }
+    assert unused_private_names(sources) == [
+        "a.py line 2: _ASCII_KIND",
+        "a.py line 3: _Token",
+        "a.py line 7: _Cursor",
+    ]
+
+
+def test_every_module_level_private_name_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unused_private_names(sources) == []

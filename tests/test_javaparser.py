@@ -3,6 +3,7 @@ from __future__ import annotations
 import re
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from reqtrace.facts import compute_metrics, load_facts_xml, save_facts_xml, validate_facts
 from reqtrace.javaparser import (
     ParseDiagnostic,
+    _is_comment,
+    _is_ident,
     _lex,
-    _Token,
     parse_compilation_unit,
     parse_source_tree,
 )
@@ -32,6 +34,12 @@ JAVA_DENSE_ALPHABET = [
     *"\x00\x07\x7f\x9f",
 ]
 java_dense_chars = st.sampled_from(JAVA_DENSE_ALPHABET)
+
+
+class _Token(NamedTuple):
+    kind: str  # "ident" | "punct" | "literal" | "comment"
+    text: str
+    line: int
 
 
 def clean_comment_char_by_char(text: str) -> str:
@@ -536,9 +544,22 @@ class TestLexer:
     def test_equals_char_by_char_lexer(self, text):
         expected_diagnostics: list[ParseDiagnostic] = []
         expected = lex_char_by_char(text, "F.java", expected_diagnostics)
-        diagnostics: list[ParseDiagnostic] = []
-        assert _lex(text, "F.java", diagnostics) == expected
+        tokens, lines, errors = _lex(text)
+        assert len(lines) == len(tokens)
+        assert [(*kind_text(t), line) for t, line in zip(tokens, lines)] == expected
+        diagnostics = [ParseDiagnostic("error", "F.java", *error) for error in errors]
         assert diagnostics == expected_diagnostics
+
+
+def kind_text(token: str) -> tuple[str, str]:
+    """The (kind, text) of a lexer token, read from its first character."""
+    if _is_comment(token):
+        return "comment", token[2:]
+    if _is_ident(token):
+        return "ident", token
+    if token[0].isdigit() or token[0] in "\"'":
+        return "literal", token
+    return "punct", token
 
 
 class TestMutatedSources:
@@ -576,11 +597,30 @@ class TestSourceTree:
         assert any("duplicate class" in d.message for d in diagnostics)
 
     def test_unreadable_file_reported_others_parsed(self, tmp_path):
-        (tmp_path / "Bad.java").write_bytes(b"\xff\xfe\x00bogus")
+        (tmp_path / "Bad.java").mkdir()  # matches *.java, but read fails
         (tmp_path / "Good.java").write_text("package p; class Good { }")
         facts, diagnostics = parse_source_tree(tmp_path)
         assert [c.name for p in facts.packages for c in p.classes] == ["Good"]
-        assert any(d.severity == "error" for d in diagnostics)
+        assert [(d.severity, d.file) for d in diagnostics] == [
+            ("error", str(tmp_path / "Bad.java"))
+        ]
+        assert diagnostics[0].message.startswith("unreadable file: ")
+
+    def test_file_not_in_utf8_is_read_as_latin1_with_a_warning(self, tmp_path):
+        (tmp_path / "Legacy.java").write_bytes(
+            b"package p;\r\n// caf\xe9\r\nclass Legacy { }\n\xff\xfe\x00bogus"
+        )
+        facts, diagnostics = parse_source_tree(tmp_path)
+        (legacy,) = facts.packages[0].classes
+        assert [c.text for c in legacy.comments] == ["caf\u00e9"]
+        assert {d.file for d in diagnostics} == {str(tmp_path / "Legacy.java")}
+        # CRLF line ends count as one line each, as with UTF-8 sources
+        assert [(d.severity, d.line, d.message) for d in diagnostics] == [
+            ("warning", 1, "not UTF-8; decoded as ISO-8859-1"),
+            ("warning", 4, "unrecognized top-level construct near '\u00ff\u00fe'"),
+            ("warning", 4, "unrecognized top-level token '\\x00'"),
+            ("warning", 4, "unrecognized top-level construct near 'bogus'"),
+        ]
 
     def test_ds_tree(self, ds_source):
         facts, diagnostics = parse_source_tree(ds_source)
