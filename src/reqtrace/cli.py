@@ -7,8 +7,9 @@ stderr, keep going and exit 0.  A Java file that is not UTF-8 is read as
 ISO-8859-1 with a warning; requirement, stop-word and gold files must be
 UTF-8 (exit 2).  `trace` reads every input, computes every artifact, and
 only then writes them, so a run that fails writes nothing.  Each artifact
-is written atomically (temp file + rename) and two runs over identical
-inputs produce byte-identical outputs.
+is written atomically (temp file + rename) with the mode that the umask
+gives a new file, and two runs over identical inputs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ def _write_atomic(path: Path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+        # mkstemp makes the file 0600; give it the mode `open` would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

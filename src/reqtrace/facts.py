@@ -2,16 +2,25 @@
 
 The model mirrors what a class document needs: packages, classes, members,
 comments, and the three code relations (inheritance, attribute access,
-method invocation).  Facts are immutable and travel as a small XML format;
-`save_facts_xml` emits a canonical byte form that `load_facts_xml` reads
-back to an equal value.
+method invocation).  Facts are immutable slotted records and travel as a
+small XML format; `save_facts_xml` emits a canonical byte form that
+`load_facts_xml` reads back to an equal value.
+
+Neither end copies the whole document into another form.  The writer
+encodes the lines of each class when the class is done and joins the bytes
+once.  The reader makes one `xml.parsers.expat` pass and builds the records
+as their tags open and close, with no element tree; it accepts and rejects
+what a walk over the ElementTree of the document would, with the same
+messages.  A well-formedness error takes precedence over a schema error:
+the first schema violation is held and raised only when the parse has
+ended.  The model invariants (`validate_facts`) are checked last.
 """
 
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import XmlParseError, XmlSchemaError
@@ -33,19 +42,19 @@ __all__ = [
 COMMENT_KINDS = ("class-level", "method-level")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommentFact:
     text: str
     kind: str  # one of COMMENT_KINDS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeFact:
     name: str
     declared_type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodFact:
     name: str
     parameters: tuple[tuple[str, str], ...] = ()  # (name, declared_type)
@@ -55,7 +64,7 @@ class MethodFact:
     method_invocations: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassFact:
     name: str
     superclass: str | None = None
@@ -64,19 +73,19 @@ class ClassFact:
     comments: tuple[CommentFact, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PackageFact:
     name: str
     classes: tuple[ClassFact, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodeFacts:
     packages: tuple[PackageFact, ...] = ()
     provenance: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SoftwareMetrics:
     """Raw size counts over one CodeFacts value.
 
@@ -179,15 +188,17 @@ def _escape(text: str) -> str:
 def save_facts_xml(facts: CodeFacts) -> bytes:
     """Serialize to canonical XML: fixed element order, 2-space indent, UTF-8."""
     validate_facts(facts)
-    out = ['<?xml version="1.0" encoding="UTF-8"?>']
-    out.append(f"<codefacts provenance={_quote(facts.provenance)}>")
+    chunks = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f"<codefacts provenance={_quote(facts.provenance)}>\n".encode("utf-8")
+    ]
     for package in facts.packages:
-        out.append(f"  <package name={_quote(package.name)}>")
+        chunks.append(f"  <package name={_quote(package.name)}>\n".encode("utf-8"))
         for cls in package.classes:
-            out.extend(_class_lines(cls))
-        out.append("  </package>")
-    out.append("</codefacts>")
-    return ("\n".join(out) + "\n").encode("utf-8")
+            chunks.append(("\n".join(_class_lines(cls)) + "\n").encode("utf-8"))
+        chunks.append(b"  </package>\n")
+    chunks.append(b"</codefacts>\n")
+    return b"".join(chunks)
 
 
 def _class_lines(cls: ClassFact) -> list[str]:
@@ -237,104 +248,225 @@ def _comment_line(comment: CommentFact) -> str:
 
 # --- XML reading ---------------------------------------------------------
 
+_PREDEFINED_ENTITIES = frozenset(("&amp;", "&lt;", "&gt;", "&apos;", "&quot;"))
+
 
 def load_facts_xml(data: bytes) -> CodeFacts:
     """Parse a code-facts document, checking the schema and model invariants."""
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        line = exc.position[0] if exc.position else None
-        raise XmlParseError(str(exc), line) from exc
-    if root.tag != "codefacts":
-        raise XmlSchemaError("root element must be <codefacts>", root.tag)
-    packages = []
-    for package_el in root:
-        if package_el.tag != "package":
-            raise XmlSchemaError("expected <package>", package_el.tag)
-        packages.append(_read_package(package_el))
-    facts = CodeFacts(
-        packages=tuple(packages), provenance=root.get("provenance", "")
-    )
+    reader = _Reader()
+    reader.read(data)
+    facts = CodeFacts(packages=tuple(reader.packages), provenance=reader.provenance)
     validate_facts(facts)
     return facts
 
 
-def _require_name(element: ET.Element) -> str:
-    name = element.get("name")
-    if name is None:
-        raise XmlSchemaError("missing name attribute", element.tag)
-    return name
+def _tag(name: str) -> str:
+    """An expat name as ElementTree spells it: `{uri}local` in a namespace."""
+    return "{" + name if "}" in name else name
 
 
-def _read_package(package_el: ET.Element) -> PackageFact:
-    classes = []
-    for class_el in package_el:
-        if class_el.tag != "class":
-            raise XmlSchemaError("expected <class>", class_el.tag)
-        classes.append(_read_class(class_el))
-    return PackageFact(name=_require_name(package_el), classes=tuple(classes))
+class _Reader:
+    """Builds the facts of one document from its expat events.
 
+    The containers (codefacts, package, class, method) are read as they
+    open and close.  A leaf (attribute, param, local, access, invoke,
+    comment) is read from its start tag, and what it holds is skipped,
+    except that a comment's text is the character data before its first
+    child.  The checks run in the order of a walk over the element tree:
+    tags, comment kinds and leaf names at start tags, and the names of
+    containers at their end tags, after their children.  The first
+    violation is kept, and the events that follow are only parsed.
+    """
 
-def _read_class(class_el: ET.Element) -> ClassFact:
-    attributes = []
-    methods = []
-    comments = []
-    for child in class_el:
-        if child.tag == "comment":
-            comments.append(_read_comment(child))
-        elif child.tag == "attribute":
-            attributes.append(
-                AttributeFact(
-                    name=_require_name(child), declared_type=child.get("type", "")
+    def __init__(self) -> None:
+        self.parser: expat.XMLParserType | None = None
+        self.error: XmlSchemaError | None = None
+        self.level = 0  # open containers
+        self.skip = 0  # open elements inside or at a leaf
+        self.provenance = ""
+        self.packages: list[PackageFact] = []
+        self.classes: list[ClassFact] = []
+        self.attributes: list[AttributeFact] = []
+        self.methods: list[MethodFact] = []
+        self.class_comments: list[CommentFact] = []
+        self.parameters: list[tuple[str, str]] = []
+        self.local_variables: list[tuple[str, str]] = []
+        self.accesses: list[str] = []
+        self.invocations: list[str] = []
+        self.method_comments: list[CommentFact] = []
+        self.names: list[str | None] = []  # of the open containers
+        self.superclass: str | None = None
+        self.comment_kind = ""
+        self.text: list[str] = []
+        self.in_text = False
+
+    def read(self, data: bytes) -> None:
+        """Parse `data`; raise its first well-formedness error, else its
+        first schema error."""
+        parser = self.parser = expat.ParserCreate(namespace_separator="}")
+        parser.buffer_text = True
+        parser.StartElementHandler = self.start
+        parser.EndElementHandler = self.end
+        parser.CharacterDataHandler = self.data
+        parser.DefaultHandlerExpand = self.default
+        try:
+            # in two calls, as ElementTree's feed and close
+            parser.Parse(data, False)
+            parser.Parse(b"", True)
+        except expat.ExpatError as exc:
+            raise XmlParseError(str(exc), exc.lineno) from exc
+        finally:
+            self.parser = None  # its handlers refer back to this reader
+        if self.error is not None:
+            raise self.error
+
+    def fail(self, message: str, element: str) -> None:
+        self.error = XmlSchemaError(message, _tag(element))
+        # character data stays handled, so that only entity references
+        # reach `default`
+        self.parser.StartElementHandler = None
+        self.parser.EndElementHandler = None
+        self.in_text = False
+
+    def leaf_name(self, tag: str, attrs: dict[str, str]) -> str:
+        name = attrs.get("name")
+        if name is None:
+            self.fail("missing name attribute", tag)
+            return ""
+        return name
+
+    def start(self, tag: str, attrs: dict[str, str]) -> None:
+        if self.skip:
+            self.skip += 1
+            self.in_text = False
+            return
+        level = self.level
+        if level == 4:
+            self.skip = 1
+            if tag == "param":
+                name = self.leaf_name(tag, attrs)
+                self.parameters.append((name, attrs.get("type", "")))
+            elif tag == "local":
+                name = self.leaf_name(tag, attrs)
+                self.local_variables.append((name, attrs.get("type", "")))
+            elif tag == "access":
+                self.accesses.append(self.leaf_name(tag, attrs))
+            elif tag == "invoke":
+                self.invocations.append(self.leaf_name(tag, attrs))
+            elif tag == "comment":
+                self.open_comment(attrs)
+            else:
+                self.fail("unexpected element inside <method>", tag)
+        elif level == 3:
+            if tag == "method":
+                self.names.append(attrs.get("name"))
+                self.level = 4
+                return
+            self.skip = 1
+            if tag == "attribute":
+                self.attributes.append(
+                    AttributeFact(self.leaf_name(tag, attrs), attrs.get("type", ""))
+                )
+            elif tag == "comment":
+                self.open_comment(attrs)
+            else:
+                self.fail("unexpected element inside <class>", tag)
+        elif level == 2:
+            if tag != "class":
+                self.fail("expected <class>", tag)
+                return
+            self.names.append(attrs.get("name"))
+            self.superclass = attrs.get("superclass")
+            self.level = 3
+        elif level == 1:
+            if tag != "package":
+                self.fail("expected <package>", tag)
+                return
+            self.names.append(attrs.get("name"))
+            self.level = 2
+        else:
+            if tag != "codefacts":
+                self.fail("root element must be <codefacts>", tag)
+                return
+            self.provenance = attrs.get("provenance", "")
+            self.level = 1
+
+    def open_comment(self, attrs: dict[str, str]) -> None:
+        kind = attrs.get("kind")
+        if kind not in COMMENT_KINDS:
+            self.fail(f"comment kind must be one of {COMMENT_KINDS}", "comment")
+            return
+        self.comment_kind = kind
+        self.text = []
+        self.in_text = True
+
+    def data(self, text: str) -> None:
+        if self.in_text:
+            self.text.append(text)
+
+    def end(self, tag: str) -> None:
+        if self.skip:
+            self.skip -= 1
+            if not self.skip and tag == "comment":
+                self.in_text = False
+                comment = CommentFact("".join(self.text), self.comment_kind)
+                if self.level == 4:
+                    self.method_comments.append(comment)
+                else:
+                    self.class_comments.append(comment)
+            return
+        level = self.level
+        if level == 1:
+            return
+        name = self.names.pop()
+        if name is None:
+            self.fail("missing name attribute", tag)
+            return
+        if level == 4:
+            self.methods.append(
+                MethodFact(
+                    name=name,
+                    parameters=tuple(self.parameters),
+                    local_variables=tuple(self.local_variables),
+                    comments=tuple(self.method_comments),
+                    attribute_accesses=tuple(self.accesses),
+                    method_invocations=tuple(self.invocations),
                 )
             )
-        elif child.tag == "method":
-            methods.append(_read_method(child))
+            self.parameters = []
+            self.local_variables = []
+            self.accesses = []
+            self.invocations = []
+            self.method_comments = []
+        elif level == 3:
+            self.classes.append(
+                ClassFact(
+                    name=name,
+                    superclass=self.superclass,
+                    attributes=tuple(self.attributes),
+                    methods=tuple(self.methods),
+                    comments=tuple(self.class_comments),
+                )
+            )
+            self.attributes = []
+            self.methods = []
+            self.class_comments = []
         else:
-            raise XmlSchemaError("unexpected element inside <class>", child.tag)
-    return ClassFact(
-        name=_require_name(class_el),
-        superclass=class_el.get("superclass"),
-        attributes=tuple(attributes),
-        methods=tuple(methods),
-        comments=tuple(comments),
-    )
+            self.packages.append(PackageFact(name, tuple(self.classes)))
+            self.classes = []
+        self.level = level - 1
 
-
-def _read_method(method_el: ET.Element) -> MethodFact:
-    parameters = []
-    local_variables = []
-    accesses = []
-    invocations = []
-    comments = []
-    for child in method_el:
-        if child.tag == "param":
-            parameters.append((_require_name(child), child.get("type", "")))
-        elif child.tag == "local":
-            local_variables.append((_require_name(child), child.get("type", "")))
-        elif child.tag == "access":
-            accesses.append(_require_name(child))
-        elif child.tag == "invoke":
-            invocations.append(_require_name(child))
-        elif child.tag == "comment":
-            comments.append(_read_comment(child))
-        else:
-            raise XmlSchemaError("unexpected element inside <method>", child.tag)
-    return MethodFact(
-        name=_require_name(method_el),
-        parameters=tuple(parameters),
-        local_variables=tuple(local_variables),
-        comments=tuple(comments),
-        attribute_accesses=tuple(accesses),
-        method_invocations=tuple(invocations),
-    )
-
-
-def _read_comment(comment_el: ET.Element) -> CommentFact:
-    kind = comment_el.get("kind")
-    if kind not in COMMENT_KINDS:
-        raise XmlSchemaError(f"comment kind must be one of {COMMENT_KINDS}", "comment")
-    return CommentFact(text=comment_el.text or "", kind=kind)
+    def default(self, text: str) -> None:
+        """Reject a reference to an entity that is external or undeclared,
+        as ElementTree does, with its message and position."""
+        if text[:1] != "&" or text[:2] == "&#" or text in _PREDEFINED_ENTITIES:
+            return
+        reference = text.encode("utf-8")[:100].decode("utf-8", "replace")
+        line = self.parser.CurrentLineNumber
+        column = self.parser.CurrentColumnNumber
+        raise XmlParseError(
+            f"undefined entity {reference}: line {line}, column {column}", line
+        )
 
 
 # --- metrics -------------------------------------------------------------

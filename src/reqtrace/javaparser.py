@@ -76,7 +76,7 @@ MODIFIERS = frozenset(
 _NOT_IN_GENERICS = KEYWORDS - PRIMITIVE_TYPES - {"extends", "super"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseDiagnostic:
     severity: str  # "warning" | "error"
     file: str
@@ -744,10 +744,17 @@ def _match_declaration(
     return [(name, type_text + dims), *((extra, t) for _, extra, t in extras)]
 
 
+# What XML 1.0 cannot hold, and the surrogates that stand for the bytes of
+# a path that are not UTF-8.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic]]:
     """Parse every .java file under `root`, merged in sorted-path order.
 
-    A file that is not UTF-8 is decoded as ISO-8859-1, with a warning.
+    A file that is not UTF-8 is decoded as ISO-8859-1, with a warning.  The
+    provenance is the path of `root`, with U+FFFD for each character that
+    the facts XML cannot carry.
     """
     root = Path(root)
     if not root.exists():
@@ -791,5 +798,6 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
         PackageFact(name=name, classes=tuple(classes.values()))
         for name, classes in package_classes.items()
     )
-    facts = CodeFacts(packages=packages, provenance=str(root))
+    provenance = _NOT_XML_CHAR.sub("\ufffd", str(root))
+    facts = CodeFacts(packages=packages, provenance=provenance)
     return facts, diagnostics

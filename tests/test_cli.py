@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
 import uuid
 from pathlib import Path
@@ -416,6 +417,38 @@ def test_java_file_not_in_utf8_is_read_as_latin1(
     xml = (tmp_path / "facts.xml").read_text(encoding="utf-8")
     assert '<comment kind="class-level">caf\u00e9</comment>' in xml
     assert "Legacy" in traced_classes(tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "directory, provenance",
+    [(b"src\xff", "src\ufffd"), (b"src\x01x", "src\ufffdx")],
+    ids=["not UTF-8", "control character"],
+)
+def test_source_root_path_the_xml_cannot_hold(
+    tmp_path, ds_source, ds_requirements, ds_gold, directory, provenance
+):
+    src = tmp_path / os.fsdecode(directory)
+    shutil.copytree(ds_source, src)
+    facts = tmp_path / "facts.xml"
+    assert main(["extract", "--src", str(src), "--out", str(facts)]) == EXIT_OK
+    assert f'provenance="{tmp_path}/{provenance}"' in facts.read_text("utf-8")
+    args = ["--facts", str(facts), "--gold", str(ds_gold)]
+    assert trace(tmp_path / "out", ds_requirements, *args) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text("utf-8"))
+    assert report["micro_precision"] == report["micro_recall"] == 1.0
+
+
+def test_outputs_take_the_mode_of_the_umask(tmp_path, ds_source, ds_requirements):
+    facts = tmp_path / "facts.xml"
+    previous = os.umask(0o022)
+    try:
+        extracted = main(["extract", "--src", str(ds_source), "--out", str(facts)])
+        traced = trace(tmp_path / "out", ds_requirements, "--facts", str(facts))
+    finally:
+        os.umask(previous)
+    assert extracted == traced == EXIT_OK
+    assert facts.stat().st_mode & 0o777 == 0o644
+    assert (tmp_path / "out" / "links.json").stat().st_mode & 0o777 == 0o644
 
 
 def test_evaluate_reproduces_the_trace_report(ds_out, tmp_path, ds_gold):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import tracemalloc
+import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from reqtrace.errors import XmlParseError, XmlSchemaError
 from reqtrace.facts import (
+    COMMENT_KINDS,
     AttributeFact,
     ClassFact,
     CodeFacts,
@@ -18,7 +21,9 @@ from reqtrace.facts import (
     compute_metrics,
     load_facts_xml,
     save_facts_xml,
+    validate_facts,
 )
+from reqtrace.javaparser import ParseDiagnostic
 
 identifiers = st.text(
     alphabet=st.sampled_from("abcdXYZ_$123"), min_size=1, max_size=8
@@ -141,7 +146,8 @@ class TestRoundTrip:
     @settings(max_examples=120, deadline=None)
     @given(code_facts())
     def test_generated_round_trip(self, facts):
-        assert load_facts_xml(save_facts_xml(facts)) == facts
+        data = save_facts_xml(facts)
+        assert load_facts_xml(data) == facts == tree_walk_load(data)
 
     def test_escaping(self):
         facts = CodeFacts(
@@ -265,3 +271,440 @@ class TestMetrics:
             "comments", "locals", "invocations", "accesses",
         ):
             assert getattr(after, field) >= getattr(before, field)
+
+
+# --- the streaming reader against the tree walk it replaced ---------------
+
+
+def tree_walk_load(data: bytes) -> CodeFacts:
+    """The reference reader: build the whole ElementTree, then walk it."""
+    try:
+        root = ET.fromstring(data)
+    except ET.ParseError as exc:
+        line = exc.position[0] if exc.position else None
+        raise XmlParseError(str(exc), line) from exc
+    if root.tag != "codefacts":
+        raise XmlSchemaError("root element must be <codefacts>", root.tag)
+    packages = []
+    for package_el in root:
+        if package_el.tag != "package":
+            raise XmlSchemaError("expected <package>", package_el.tag)
+        packages.append(_read_package(package_el))
+    facts = CodeFacts(packages=tuple(packages), provenance=root.get("provenance", ""))
+    validate_facts(facts)
+    return facts
+
+
+def _require_name(element: ET.Element) -> str:
+    name = element.get("name")
+    if name is None:
+        raise XmlSchemaError("missing name attribute", element.tag)
+    return name
+
+
+def _read_package(package_el: ET.Element) -> PackageFact:
+    classes = []
+    for class_el in package_el:
+        if class_el.tag != "class":
+            raise XmlSchemaError("expected <class>", class_el.tag)
+        classes.append(_read_class(class_el))
+    return PackageFact(name=_require_name(package_el), classes=tuple(classes))
+
+
+def _read_class(class_el: ET.Element) -> ClassFact:
+    attributes = []
+    methods = []
+    comments = []
+    for child in class_el:
+        if child.tag == "comment":
+            comments.append(_read_comment(child))
+        elif child.tag == "attribute":
+            attributes.append(
+                AttributeFact(
+                    name=_require_name(child), declared_type=child.get("type", "")
+                )
+            )
+        elif child.tag == "method":
+            methods.append(_read_method(child))
+        else:
+            raise XmlSchemaError("unexpected element inside <class>", child.tag)
+    return ClassFact(
+        name=_require_name(class_el),
+        superclass=class_el.get("superclass"),
+        attributes=tuple(attributes),
+        methods=tuple(methods),
+        comments=tuple(comments),
+    )
+
+
+def _read_method(method_el: ET.Element) -> MethodFact:
+    parameters = []
+    local_variables = []
+    accesses = []
+    invocations = []
+    comments = []
+    for child in method_el:
+        if child.tag == "param":
+            parameters.append((_require_name(child), child.get("type", "")))
+        elif child.tag == "local":
+            local_variables.append((_require_name(child), child.get("type", "")))
+        elif child.tag == "access":
+            accesses.append(_require_name(child))
+        elif child.tag == "invoke":
+            invocations.append(_require_name(child))
+        elif child.tag == "comment":
+            comments.append(_read_comment(child))
+        else:
+            raise XmlSchemaError("unexpected element inside <method>", child.tag)
+    return MethodFact(
+        name=_require_name(method_el),
+        parameters=tuple(parameters),
+        local_variables=tuple(local_variables),
+        comments=tuple(comments),
+        attribute_accesses=tuple(accesses),
+        method_invocations=tuple(invocations),
+    )
+
+
+def _read_comment(comment_el: ET.Element) -> CommentFact:
+    kind = comment_el.get("kind")
+    if kind not in COMMENT_KINDS:
+        raise XmlSchemaError(f"comment kind must be one of {COMMENT_KINDS}", "comment")
+    return CommentFact(text=comment_el.text or "", kind=kind)
+
+
+def outcome(load, data: bytes):
+    """What `load` makes of `data`: the facts, or the error it raises."""
+    try:
+        return load(data)
+    except XmlParseError as exc:
+        return type(exc), str(exc), exc.line
+    except XmlSchemaError as exc:
+        return type(exc), str(exc), exc.element
+    except (LookupError, ValueError) as exc:  # unknown or multi-byte encodings
+        return type(exc), str(exc)
+
+
+def assert_reads_as_the_tree_walk(data: bytes) -> None:
+    assert outcome(load_facts_xml, data) == outcome(tree_walk_load, data)
+
+
+def in_class(body: str) -> bytes:
+    return (
+        '<codefacts><package name="p"><class name="C">'
+        + body
+        + "</class></package></codefacts>"
+    ).encode("utf-8")
+
+
+def in_method(body: str) -> bytes:
+    return in_class(f'<method name="m">{body}</method>')
+
+
+INTERNAL_ENTITY = '<!DOCTYPE codefacts [<!ENTITY e "&lt;b&gt; &#65;">]>\n'
+HAND_WRITTEN = {
+    "children and text in leaves": in_method(
+        '<param name="a" type="int">x<bogus><deeper/></bogus>y</param>'
+        '<access name="f"><method/></access><invoke name="g">t</invoke>'
+        '<local name="v" type="T"><class/></local>'
+    ),
+    "children of an attribute": in_class(
+        '<attribute name="a" type="int"><package/>text</attribute>'
+    ),
+    "text after a child in a comment": in_class(
+        '<comment kind="class-level">before<b>inside</b>after<c/>end</comment>'
+    ),
+    "comment with only a child": in_method(
+        '<comment kind="method-level"><b>inside</b>after</comment>'
+    ),
+    "comment text split by a comment and a PI": in_class(
+        '<comment kind="class-level">a<!-- x -->b<?pi y?>c</comment>'
+    ),
+    "CDATA": in_class(
+        '<comment kind="class-level">x <![CDATA[&e; <a> & ]]> y</comment>'
+    ),
+    "schema violation before CDATA": in_class(
+        '<bogus/><comment kind="class-level"><![CDATA[&e;]]></comment>'
+    ),
+    "character and predefined references": in_class(
+        '<comment kind="class-level">&#65;&#x42;&amp;&lt;&gt;&apos;&quot;</comment>'
+        '<attribute name="a&amp;b" type="&#x3c;T&#62;"/>'
+    ),
+    "internal entity": (
+        INTERNAL_ENTITY.encode("utf-8")
+        + in_class('<comment kind="class-level">x &e; y</comment>')
+    ),
+    "internal entity with markup": (
+        b'<!DOCTYPE codefacts [<!ENTITY m "<attribute name=\'a\' type=\'t\'/>">]>'
+        + in_class("&m;")
+    ),
+    "external entity": (
+        b'<!DOCTYPE codefacts [<!ENTITY x SYSTEM "x.xml">]>\n'
+        + in_class('<comment kind="class-level">&x;</comment>')
+    ),
+    "undeclared entity with an external subset": (
+        b'<!DOCTYPE codefacts SYSTEM "facts.dtd">\n' + in_class("<bogus/>&u;")
+    ),
+    "undeclared entity without a DTD": in_class("&u;"),
+    "long undeclared entity name": (
+        b'<!DOCTYPE codefacts SYSTEM "facts.dtd">\n'
+        + in_class("&" + "é" * 60 + ";")
+    ),
+    "DTD default attribute": (
+        b'<!DOCTYPE codefacts [<!ATTLIST package name CDATA "dflt">]>'
+        b"<codefacts><package/></codefacts>"
+    ),
+    "namespaced root": b'<f:codefacts xmlns:f="urn:facts"/>',
+    "default-namespace root": b'<codefacts xmlns="urn:facts"/>',
+    "namespaced package": (
+        b'<codefacts xmlns:f="urn:facts"><f:package name="p"/></codefacts>'
+    ),
+    "namespaced leaf": in_method('<f:param xmlns:f="urn:f" name="a"/>'),
+    "namespaced name attribute": in_method(
+        '<param xmlns:f="urn:f" f:name="a" type="t"/>'
+    ),
+    "namespace declared on an ignored child": in_method(
+        '<param name="a"><x:y xmlns:x="urn:x"/></param>'
+    ),
+    "unbound prefix": in_class("<x:y/>"),
+    "missing package name": b"<codefacts><package></package></codefacts>",
+    "missing class name": (
+        b'<codefacts><package name="p"><class/></package></codefacts>'
+    ),
+    "missing method name": in_class("<method/>"),
+    "missing attribute name": in_class('<attribute type="int"/>'),
+    "missing param name": in_method('<param type="int"/>'),
+    "missing local name": in_method('<local type="int"/>'),
+    "missing access name": in_method("<access/>"),
+    "missing invoke name": in_method("<invoke/>"),
+    "children before the container name": (
+        b"<codefacts><package><class><bogus/></class></package></codefacts>"
+    ),
+    "container name after its children": (
+        b'<codefacts><package><class name="C"/></package><bogus/></codefacts>'
+    ),
+    "method name before a later sibling": in_class("<method/><bogus/>"),
+    "bad comment kind in a method": in_method('<comment kind="other">x</comment>'),
+    "comment without a kind": in_class("<comment>x</comment>"),
+    "empty comment text": in_class('<comment kind="class-level"><b>x</b></comment>'),
+    "schema violation before a syntax error": in_class("<bogus/>")[:-12] + b"</clas>",
+    "schema violation before an undefined entity": in_class("<bogus/>&u;"),
+    "schema violation then truncation": in_class("<bogus/>")[:-20],
+    "wrong root": b'<facts><package name="p"/></facts>',
+    "text and comments everywhere": (
+        b"<?xml version='1.0'?><!-- a --><codefacts provenance='here'>t"
+        b'<package name="p">u<!-- b --><class name="C" superclass="B">v'
+        b'<method name="m">w<param name="x" type="int"/>z</method>q'
+        b"</class></package>r</codefacts><!-- end -->"
+    ),
+    "duplicate class": (
+        b'<codefacts><package name="p"><class name="C"/><class name="C"/>'
+        b"</package></codefacts>"
+    ),
+    "empty document": b"",
+    "only a declaration": b'<?xml version="1.0"?>',
+    "latin-1 declared encoding": (
+        b'<?xml version="1.0" encoding="ISO-8859-1"?>'
+        b'<codefacts provenance="caf\xe9"/>'
+    ),
+    "unknown declared encoding": b'<?xml version="1.0" encoding="x-none"?><a/>',
+    "multi-byte declared encoding": b'<?xml version="1.0" encoding="utf-7"?><a/>',
+    "two roots": b"<codefacts/><codefacts/>",
+    "NUL byte": b"<codefacts>\x00</codefacts>",
+}
+
+
+class TestStreamingReader:
+    @pytest.mark.parametrize("data", HAND_WRITTEN.values(), ids=HAND_WRITTEN.keys())
+    def test_hand_written_document(self, data):
+        assert_reads_as_the_tree_walk(data)
+
+    def test_leaf_content_and_comment_text(self):
+        facts = load_facts_xml(HAND_WRITTEN["text after a child in a comment"])
+        assert facts.packages[0].classes[0].comments == (
+            CommentFact("before", "class-level"),
+        )
+        facts = load_facts_xml(HAND_WRITTEN["internal entity"])
+        assert facts.packages[0].classes[0].comments[0].text == "x <b> A y"
+
+    def test_namespaced_tag_named_as_elementtree_names_it(self):
+        with pytest.raises(XmlSchemaError) as info:
+            load_facts_xml(HAND_WRITTEN["namespaced package"])
+        assert info.value.element == "{urn:facts}package"
+
+    def test_syntax_error_wins_over_an_earlier_schema_violation(self):
+        with pytest.raises(XmlParseError) as info:
+            load_facts_xml(HAND_WRITTEN["schema violation before a syntax error"])
+        assert "mismatched tag" in str(info.value)
+
+    @seed(10)
+    @settings(max_examples=400)
+    @given(code_facts(), st.data())
+    def test_mutated_documents(self, facts, data):
+        document = data.draw(mutated(save_facts_xml(facts)))
+        assert_reads_as_the_tree_walk(document)
+
+
+@st.composite
+def mutated(draw, document: bytes) -> bytes:
+    """`document` with an optional prologue and one to four edits.  Most
+    edits insert a whole element inside the root, so that many results
+    stay well-formed and reach the schema checks."""
+    lines = document.splitlines(keepends=True)  # declaration, root, ..., end
+    if draw(st.booleans()):
+        lines.insert(1, draw(st.sampled_from(PROLOGS)))
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(EDITS))
+        at = draw(st.integers(2 if edit == "element" else 0, len(lines) - 1))
+        line = lines[at]
+        if edit in ("element", "markup"):
+            tag = max(line.find(b"<"), 0)
+            snippet = draw(st.sampled_from(ELEMENTS if edit == "element" else MARKUP))
+            lines[at] = line[:tag] + snippet + line[tag:]
+        elif edit == "drop":
+            del lines[at]
+        elif edit == "rename":
+            old, new = draw(st.sampled_from(RENAMES))
+            lines[at] = line.replace(old, new, 1)
+        else:
+            cut = draw(st.integers(0, len(line)))
+            lines[at] = line[:cut] + line[cut + draw(st.integers(1, 12)) :]
+        if len(lines) < 3:
+            break
+    return b"".join(lines)
+
+
+EDITS = ("element",) * 5 + ("markup", "drop", "rename", "cut")
+PROLOGS = (
+    INTERNAL_ENTITY.encode("utf-8"),
+    b'<!DOCTYPE codefacts [<!ENTITY x SYSTEM "x.xml">]>\n',
+    b'<!DOCTYPE codefacts SYSTEM "facts.dtd">\n',
+    b"<!-- lead -->\n",
+)
+# Well-formed wherever an element may start, except `&e;` without its
+# declaration.
+ELEMENTS = (
+    b"<bogus/>",
+    b'<class name="Z"/>',
+    b"<class/>",
+    b'<method name="n"/>',
+    b"<method/>",
+    b'<package name="q"/>',
+    b"<attribute/>",
+    b'<attribute name="b"><x/>y</attribute>',
+    b'<param name="a" type="t">x<y/></param>',
+    b"<param/>",
+    b'<access name="f"/>',
+    b"<invoke/>",
+    b'<comment kind="class-level">t<b/>u</comment>',
+    b'<comment kind="method-level"><![CDATA[<c>]]>&amp;&#65;</comment>',
+    b'<comment kind="no">x</comment>',
+    b"<comment/>",
+    b"&e;",
+    b"<![CDATA[&e; <a>]]>",
+    b"<!-- c -->",
+    b"<?pi x?>",
+    b'<n:p xmlns:n="urn:n" name="a"/>',
+    b'<method xmlns="urn:d" name="d"/>',
+)
+# Likely to break the document.
+MARKUP = (
+    b"</class>",
+    b"</method>",
+    b"<class>",
+    b'<comment kind="method-level">',
+    b"&x;",
+    b"&u;",
+    b' name="dup"',
+    b"<",
+    b">",
+    b"/",
+    b'"',
+    b"\x00",
+    b"\xff",
+)
+RENAMES = (
+    (b"name=", b"nam="),
+    (b"<class", b"<klass"),
+    (b"<method", b"<methods"),
+    (b"<package", b"<pkg"),
+    (b"<param", b"<local"),
+    (b"<access", b"<invoke"),
+    (b"class-level", b"method-level"),
+    (b"method-level", b"other"),
+    (b"</codefacts>", b""),
+    (b"<codefacts", b"<f:codefacts xmlns:f='urn:f'"),
+)
+
+
+def large_facts(classes: int) -> CodeFacts:
+    """Facts shaped like those of `extract`: a class-level comment, four
+    attributes and six methods of about a dozen leaves per class."""
+    packages = []
+    for p in range(classes // 50):
+        class_list = []
+        for c in range(50):
+            methods = tuple(
+                MethodFact(
+                    name=f"method{m}",
+                    parameters=((f"param{m}", "int"),),
+                    local_variables=((f"local{m}", "long"),),
+                    comments=(CommentFact(f"Does step {m}.", "method-level"),),
+                    attribute_accesses=(f"field{m % 4}",),
+                    method_invocations=(f"method{(m + 1) % 6}",),
+                )
+                for m in range(6)
+            )
+            class_list.append(
+                ClassFact(
+                    name=f"Class{p}x{c}",
+                    superclass="Base",
+                    attributes=tuple(
+                        AttributeFact(f"field{a}", "int") for a in range(4)
+                    ),
+                    methods=methods,
+                    comments=(CommentFact(f"Class {c} of {p}.", "class-level"),),
+                )
+            )
+        packages.append(PackageFact(name=f"pkg{p}", classes=tuple(class_list)))
+    return CodeFacts(packages=tuple(packages), provenance="generated")
+
+
+class TestMemory:
+    def test_facts_xml_ends_are_linear_in_the_document(self):
+        facts = large_facts(600)
+        data = save_facts_xml(facts)
+        assert len(data) >= 1_000_000
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            loaded = load_facts_xml(data)
+            load_peak = tracemalloc.get_traced_memory()[1] - held
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            written = save_facts_xml(loaded)
+            save_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert loaded == facts and written == data
+        # the tree walk peaked at 11x and the joined lines at 4x
+        assert load_peak < 6 * len(data)
+        assert save_peak < 3 * len(data)
+
+    def test_fact_records_have_no_instance_dict(self):
+        facts = large_facts(50)
+        package = facts.packages[0]
+        cls = package.classes[0]
+        method = cls.methods[0]
+        records = (
+            facts,
+            package,
+            cls,
+            cls.attributes[0],
+            method,
+            method.comments[0],
+            compute_metrics(facts),
+            ParseDiagnostic("warning", "A.java", 1, "message"),
+        )
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__

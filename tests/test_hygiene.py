@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parent.parent / "src" / "reqtrace"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "reqtrace"
 
 # `__init__.py` imports only to re-export.
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -86,3 +87,16 @@ def test_checker_finds_an_unused_private_name():
 def test_every_module_level_private_name_is_read():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unused_private_names(sources) == []
+
+
+SOURCES = sorted(
+    path
+    for tree in ("src", "tests", "perfbench")
+    for path in (ROOT / tree).rglob("*.py")
+)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_source_parses_as_the_oldest_supported_python(path):
+    # pyproject.toml: requires-python = ">=3.10"
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
