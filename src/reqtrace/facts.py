@@ -315,6 +315,10 @@ class _Reader:
             parser.Parse(b"", True)
         except expat.ExpatError as exc:
             raise XmlParseError(str(exc), exc.lineno) from exc
+        except (LookupError, ValueError) as exc:
+            # expat decodes a declared encoding through Python's codecs: an
+            # unknown name raises LookupError, a multi-byte codec ValueError
+            raise XmlParseError(str(exc), parser.CurrentLineNumber) from exc
         finally:
             self.parser = None  # its handlers refer back to this reader
         if self.error is not None:

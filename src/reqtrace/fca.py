@@ -1,13 +1,15 @@
 """Formal concept analysis: contexts, closed concepts, and the AOC-poset.
 
-A formal context relates objects to attributes through a boolean incidence
-table.  Concepts are the closed (extent, intent) pairs; the AOC-poset keeps
-only object-introducing and attribute-introducing concepts, labels each
-object and attribute at exactly one concept, and orders the kept concepts
-by extent inclusion with transitively reduced edges.
+A formal context holds one bitmask per object, its attributes, so extents
+and intents are big-int ANDs.  Concepts are the closed (extent, intent)
+pairs; the AOC-poset keeps only object-introducing and attribute-introducing
+concepts, labels each object and attribute at exactly one concept, and
+orders the kept concepts by extent inclusion with transitively reduced edges.
 
 The AOC-poset is built from the object and attribute concepts alone, the
-closures of single rows and columns, so the full lattice is never needed.
+closures of single rows and columns, so the full lattice is never needed,
+and its covering edges are peeled off superset masks in O(sum of extent
+sizes + edges) big-int operations.
 `enumerate_concepts` lists every concept by lectic (NextClosure)
 iteration over attribute sets; it is the reference the AOC path is tested
 against.  Concept lists come in a fixed order: decreasing extent size, ties
@@ -31,6 +33,7 @@ __all__ = [
     "AOCConcept",
     "AOCPoset",
     "binarize",
+    "mask_names",
     "enumerate_concepts",
     "aoc_concepts",
     "build_aoc_poset",
@@ -40,20 +43,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FormalContext:
+    """Bit a of `rows[o]` is set when object o has attribute a."""
+
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
-    incidence: tuple[tuple[bool, ...], ...]  # objects x attributes
+    rows: tuple[int, ...]
 
     def __post_init__(self):
         if len(set(self.objects)) != len(self.objects):
             raise ParameterError("duplicate object names in context")
         if len(set(self.attributes)) != len(self.attributes):
             raise ParameterError("duplicate attribute names in context")
-        for row in self.incidence:
-            if len(row) != len(self.attributes):
-                raise ParameterError("incidence row width mismatch")
-        if len(self.incidence) != len(self.objects):
+        if len(self.rows) != len(self.objects):
             raise ParameterError("incidence row count mismatch")
+        limit = 1 << len(self.attributes)
+        if not all(0 <= row < limit for row in self.rows):
+            raise ParameterError("incidence row width mismatch")
+
+    @property
+    def incidence(self) -> tuple[tuple[bool, ...], ...]:
+        """The rows as booleans, objects x attributes, built on each access."""
+        table = _unpack(self.rows, len(self.attributes)).astype(bool)
+        return tuple(map(tuple, table.tolist()))
 
 
 @dataclass(frozen=True)
@@ -89,17 +100,10 @@ class _Masks:
     """Bitmask view of a context: rows over attributes, columns over objects."""
 
     def __init__(self, ctx: FormalContext):
-        self.n_objects = len(ctx.objects)
-        self.n_attributes = len(ctx.attributes)
-        self.full_objects = (1 << self.n_objects) - 1
-        self.full_attributes = (1 << self.n_attributes) - 1
-        self.rows = [0] * self.n_objects
-        self.cols = [0] * self.n_attributes
-        for o, row in enumerate(ctx.incidence):
-            for a, marked in enumerate(row):
-                if marked:
-                    self.rows[o] |= 1 << a
-                    self.cols[a] |= 1 << o
+        self.full_objects = (1 << len(ctx.objects)) - 1
+        self.full_attributes = (1 << len(ctx.attributes)) - 1
+        self.rows = ctx.rows
+        self.cols = _pack(_unpack(ctx.rows, len(ctx.attributes)).T)
 
     def intent_of(self, object_mask: int) -> int:
         result = self.full_attributes
@@ -120,18 +124,35 @@ class _Masks:
         return result
 
 
-def _mask_names(mask: int, names: tuple[str, ...]) -> tuple[str, ...]:
-    """The names of the set bits, in index order; visits only those bits."""
-    picked = []
+def _indices(mask: int):
+    """The positions of the set bits, lowest first; visits only those bits."""
     while mask:
         low = mask & -mask
-        picked.append(names[low.bit_length() - 1])
+        yield low.bit_length() - 1
         mask ^= low
-    return tuple(picked)
+
+
+def _pack(matrix: np.ndarray) -> list[int]:
+    """One mask per row of a 2-d 0/1 matrix: bit j is the row's column j."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack(masks, width: int) -> np.ndarray:
+    """The inverse of `_pack`: a len(masks) x width uint8 matrix of 0/1."""
+    size = (width + 7) // 8
+    data = b"".join(mask.to_bytes(size, "little") for mask in masks)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), size)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def mask_names(mask: int, names: tuple[str, ...]) -> tuple[str, ...]:
+    """The names at the set bits of `mask`, in index order."""
+    return tuple(names[i] for i in _indices(mask))
 
 
 def binarize(csm: SimilarityMatrix, threshold: float) -> FormalContext:
-    """Threshold a similarity matrix into an incidence relation (>= keeps).
+    """Threshold a similarity matrix into a context (>= keeps).
 
     Each cosine is compared as csm.csv shows it, rounded to
     `SIMILARITY_DECIMALS` places, so the context agrees with the printed
@@ -147,17 +168,16 @@ def binarize(csm: SimilarityMatrix, threshold: float) -> FormalContext:
     near = np.abs(values - threshold) < 10.0**-SIMILARITY_DECIMALS
     for i, j in zip(*near.nonzero()):
         keep[i, j] = float(format_similarity(values[i, j])) >= threshold
-    incidence = tuple(map(tuple, keep.tolist()))
     return FormalContext(
-        objects=csm.query_names, attributes=csm.doc_names, incidence=incidence
+        objects=csm.query_names, attributes=csm.doc_names, rows=tuple(_pack(keep))
     )
 
 
 def _sorted_concepts(pairs, ctx: FormalContext) -> list[FormalConcept]:
     concepts = [
         FormalConcept(
-            extent=_mask_names(extent, ctx.objects),
-            intent=_mask_names(intent, ctx.attributes),
+            extent=mask_names(extent, ctx.objects),
+            intent=mask_names(intent, ctx.attributes),
         )
         for extent, intent in pairs
     ]
@@ -167,7 +187,7 @@ def _sorted_concepts(pairs, ctx: FormalContext) -> list[FormalConcept]:
 
 def _closures_by_next_closure(masks: _Masks) -> set[tuple[int, int]]:
     """Lectic iteration over closed attribute sets."""
-    m = masks.n_attributes
+    m = len(masks.cols)
 
     def close(attribute_mask: int) -> int:
         return masks.intent_of(masks.extent_of(attribute_mask))
@@ -250,20 +270,26 @@ def build_aoc_poset(concepts: list[FormalConcept], ctx: FormalContext) -> AOCPos
         for p in kept_positions
     )
 
-    # Kept extents are distinct and come in decreasing size, so walking back
-    # from i visits the larger extents in increasing size: a superset is a
-    # cover unless it contains a cover found before it.
+    # Bit i of holders[o] is set when kept extent i holds object o.
     kept_extents = [extents[p] for p in kept_positions]
+    holders = _pack(_unpack(kept_extents, len(ctx.objects)).T)
+    # Kept extents are distinct and come in decreasing size, so the strict
+    # supersets of extent i sit before i and are the positions that hold all
+    # of its objects.  The highest of them is a smallest one, hence a cover;
+    # peeling it with its own supersets leaves the supersets not above it.
     edges = []
+    at_or_above = []
     for i, extent in enumerate(kept_extents):
+        above = (1 << i) - 1
+        for o in _indices(extent):
+            above &= holders[o]
+        at_or_above.append(above | 1 << i)
         covers = []
-        for j in range(i - 1, -1, -1):
-            larger = kept_extents[j]
-            if extent & larger == extent and all(
-                kept_extents[c] & larger != kept_extents[c] for c in covers
-            ):
-                covers.append(j)
-        edges.extend((i, j) for j in sorted(covers))
+        while above:
+            j = above.bit_length() - 1
+            covers.append(j)
+            above &= ~at_or_above[j]
+        edges.extend((i, j) for j in reversed(covers))
     return AOCPoset(concepts=aoc, edges=tuple(edges))
 
 
@@ -272,7 +298,8 @@ def export_context_csv(ctx: FormalContext) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["", *ctx.attributes])
-    for name, row in zip(ctx.objects, ctx.incidence):
-        writer.writerow([name, *(int(v) for v in row)])
+    table = _unpack(ctx.rows, len(ctx.attributes)).tolist()
+    for name, row in zip(ctx.objects, table):
+        writer.writerow([name, *row])
     return buffer.getvalue()
 

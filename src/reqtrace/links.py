@@ -1,9 +1,9 @@
 """Derives requirement-to-class trace links and renders DOT graphs.
 
 Links come straight from the binarized context: the classes linked to a
-requirement are exactly its incidence row.  The AOC-poset contributes the
-clustering view (each kept concept pairs a requirement set with a class
-set) and the lattice drawing; it never adds or removes links.
+requirement are exactly the set bits of its row mask.  The AOC-poset
+contributes the clustering view (each kept concept pairs a requirement set
+with a class set) and the lattice drawing; it never adds or removes links.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .fca import AOCPoset, FormalContext
+from .fca import AOCPoset, FormalContext, mask_names
 
 __all__ = [
     "TraceLinkSet",
@@ -52,22 +52,18 @@ class TraceLinkSet:
 def assemble_links(poset: AOCPoset, ctx: FormalContext) -> TraceLinkSet:
     """Read links off the context rows; take clusters from the AOC concepts."""
     links = {
-        obj: tuple(
-            attr for attr, marked in zip(ctx.attributes, row) if marked
-        )
-        for obj, row in zip(ctx.objects, ctx.incidence)
+        obj: mask_names(row, ctx.attributes) for obj, row in zip(ctx.objects, ctx.rows)
     }
-    linked_classes = set()
-    for classes in links.values():
-        linked_classes.update(classes)
+    linked = 0
+    for row in ctx.rows:
+        linked |= row
+    unlinked = ~linked & ((1 << len(ctx.attributes)) - 1)
     return TraceLinkSet(
         links=links,
         clusters=tuple(
             (concept.extent, concept.intent) for concept in poset.concepts
         ),
-        unlinked_classes=tuple(
-            attr for attr in ctx.attributes if attr not in linked_classes
-        ),
+        unlinked_classes=mask_names(unlinked, ctx.attributes),
         unlinked_requirements=tuple(
             obj for obj, classes in links.items() if not classes
         ),

@@ -4,8 +4,6 @@ Operates on lowercase alphabetic words only; anything of length <= 2 is
 returned unchanged, matching the published behaviour.
 """
 
-import functools
-
 _VOWELS = "aeiou"
 
 
@@ -178,7 +176,6 @@ def _step5b(word: str) -> str:
 _ROOT_FIXUPS = {"declar": "declare"}
 
 
-@functools.cache  # pure str -> str; the cache grows only with the vocabulary
 def stem(word: str) -> str:
     """Reduce a lowercase word to its root form."""
     if len(word) <= 2:

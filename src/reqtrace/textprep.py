@@ -4,7 +4,10 @@ A raw document becomes a bag of lowercase stems via a fixed pipeline:
 split the whole text into words in one pass (every character outside
 [A-Za-z] separates words, and so do camel-case boundaries), lowercase, drop
 stop words, stem, count.  Any stem that lands on a stop word is dropped as
-well, so no stop word can ever appear in a term bag.
+well, so no stop word can ever appear in a term bag.  Each lowercase word
+is stemmed once: the stop-word list keeps a map from the words it has met
+to their stems, or to None for a dropped word, and each token costs one
+lookup in it.
 """
 
 from __future__ import annotations
@@ -47,9 +50,14 @@ _WORD = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+")
 
 @dataclass(frozen=True)
 class StopWordList:
-    """Lowercase words excluded from term bags."""
+    """Lowercase words excluded from term bags, and the map `preprocess`
+    fills from each lowercase word to its stem, or to None where the word or
+    its stem is one of these words."""
 
     words: frozenset[str] = field(default=DEFAULT_STOP_WORDS)
+    _roots: dict[str, str | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
@@ -92,16 +100,19 @@ def split_camel_case(text: str) -> list[str]:
 
 
 def preprocess(doc: RawDocument, stops: StopWordList | None = None) -> TermBag:
-    """Normalize one document into a term bag."""
+    """Normalize one document into a term bag.  Pass one `stops` to every
+    call over a corpus: the list keeps the word map."""
     if stops is None:
         stops = StopWordList()
+    roots = stops._roots
     counts: dict[str, int] = {}
     for part in split_camel_case(doc.text):
         word = part.lower()
-        if word in stops:
-            continue
-        root = stem(word)
-        if root in stops:
-            continue
-        counts[root] = counts.get(root, 0) + 1
+        try:
+            root = roots[word]
+        except KeyError:
+            root = stem(word)
+            root = roots[word] = None if word in stops or root in stops else root
+        if root is not None:
+            counts[root] = counts.get(root, 0) + 1
     return TermBag(name=doc.name, counts=counts)

@@ -32,6 +32,27 @@ DS_POSET_DOT = r"""digraph aoc_poset {
 }
 """
 
+DS_LINKS_JSON = """{
+  "links": {
+    "Draw a line": [
+      "MyLine"
+    ],
+    "Draw oval": [
+      "MyOval"
+    ],
+    "Draw rectangle": [
+      "MyRectangle"
+    ]
+  },
+  "unlinked_classes": [
+    "DrawingShapes",
+    "PaintJPanel",
+    "MyShape"
+  ],
+  "unlinked_requirements": []
+}
+"""
+
 ARTEFACTS = {
     "links.json",
     "poset.dot",
@@ -75,6 +96,17 @@ def test_trace_reproduces_the_paper_at_default_threshold(ds_out, ds_gold):
 
 def test_poset_dot_is_pinned(ds_out):
     assert (ds_out / "poset.dot").read_text(encoding="utf-8") == DS_POSET_DOT
+
+
+def test_trace_reads_the_context_as_row_masks(
+    tmp_path, ds_source, ds_requirements, ds_gold, monkeypatch
+):
+    def dense_table(ctx):
+        raise AssertionError("trace rebuilt the dense incidence table")
+
+    monkeypatch.setattr(fca.FormalContext, "incidence", property(dense_table))
+    assert trace(tmp_path, ds_requirements, *ds_trace_args(ds_source, ds_gold)) == 0
+    assert (tmp_path / "links.json").read_text(encoding="utf-8") == DS_LINKS_JSON
 
 
 def test_rerun_is_byte_identical(
@@ -564,6 +596,22 @@ def test_stop_word_file_not_in_utf8_exits_2(
     args = ["--src", str(ds_source), "--stopwords", str(stops)]
     assert trace(out, ds_requirements, *args) == EXIT_CONFIG
     assert f"stop-word file {stops}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("encoding", ["x-none", "utf-7"])
+def test_facts_in_an_encoding_expat_cannot_decode_exits_2(
+    tmp_path, ds_requirements, capsys, encoding
+):
+    facts = tmp_path / "facts.xml"
+    facts.write_bytes(
+        f'<?xml version="1.0" encoding="{encoding}"?><codefacts/>'.encode("ascii")
+    )
+    out = tmp_path / "out"
+    assert trace(out, ds_requirements, "--facts", str(facts)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

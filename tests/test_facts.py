@@ -381,8 +381,13 @@ def outcome(load, data: bytes):
         return type(exc), str(exc), exc.line
     except XmlSchemaError as exc:
         return type(exc), str(exc), exc.element
-    except (LookupError, ValueError) as exc:  # unknown or multi-byte encodings
-        return type(exc), str(exc)
+    except (LookupError, ValueError) as exc:
+        # ElementTree lets the codec error of an unknown or multi-byte
+        # declared encoding out; `load_facts_xml` must report it as a parse
+        # error at the declaration
+        if load is not tree_walk_load:
+            raise
+        return XmlParseError, f"line 1: {exc}", 1
 
 
 def assert_reads_as_the_tree_walk(data: bytes) -> None:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import csv
+import io
 import random
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, seed, settings, strategies as st
 
 from reqtrace.errors import ParameterError
 from reqtrace.fca import (
@@ -17,19 +20,28 @@ from reqtrace.fca import (
     enumerate_concepts,
     export_context_csv,
 )
-from reqtrace.lsi import SimilarityMatrix, count_cosine_matrix
+from reqtrace.lsi import SimilarityMatrix, count_cosine_matrix, format_similarity
 
 from test_lsi import full_rank_svd_cosines, random_counts
 
 
-def context_from(objects, attributes, marks) -> FormalContext:
-    marked = {(o, a) for o, a in marks}
+def context_of(objects, attributes, table) -> FormalContext:
+    """A context from a boolean table, objects x attributes."""
     return FormalContext(
         objects=tuple(objects),
         attributes=tuple(attributes),
-        incidence=tuple(
-            tuple((o, a) in marked for a in attributes) for o in objects
+        rows=tuple(
+            sum(1 << a for a, marked in enumerate(row) if marked) for row in table
         ),
+    )
+
+
+def context_from(objects, attributes, marks) -> FormalContext:
+    marked = {(o, a) for o, a in marks}
+    return context_of(
+        objects,
+        attributes,
+        [[(o, a) in marked for a in attributes] for o in objects],
     )
 
 
@@ -124,14 +136,79 @@ def random_context(
     n_obj = rng.randint(min_side, max_side)
     n_attr = rng.randint(min_side, max_side)
     density = rng.choice([0.2, 0.4, 0.6, 0.8])
-    return FormalContext(
-        objects=tuple(f"o{i}" for i in range(n_obj)),
-        attributes=tuple(f"a{j}" for j in range(n_attr)),
-        incidence=tuple(
-            tuple(rng.random() < density for _ in range(n_attr))
-            for _ in range(n_obj)
-        ),
+    return context_of(
+        [f"o{i}" for i in range(n_obj)],
+        [f"a{j}" for j in range(n_attr)],
+        [[rng.random() < density for _ in range(n_attr)] for _ in range(n_obj)],
     )
+
+
+def reference_edges(extents: list[int]) -> list[tuple[int, int]]:
+    """The covering edges of extent masks in `build_aoc_poset` order, by the
+    O(n²) scan the peeling replaced.
+
+    The extents are distinct and come in decreasing size, so walking back
+    from i visits the larger extents in increasing size: a superset is a
+    cover unless it contains a cover found before it.
+    """
+    edges = []
+    for i, extent in enumerate(extents):
+        covers = []
+        for j in range(i - 1, -1, -1):
+            larger = extents[j]
+            if extent & larger == extent and all(
+                extents[c] & larger != extents[c] for c in covers
+            ):
+                covers.append(j)
+        edges.extend((i, j) for j in sorted(covers))
+    return edges
+
+
+def extent_masks(poset: AOCPoset, ctx: FormalContext) -> list[int]:
+    bit = {name: 1 << o for o, name in enumerate(ctx.objects)}
+    return [sum(bit[name] for name in c.extent) for c in poset.concepts]
+
+
+def rounded_table(csm: SimilarityMatrix, threshold: float) -> list[list[bool]]:
+    """Cell by cell: does the cosine, as csm.csv shows it, reach the threshold?"""
+    return [
+        [float(format_similarity(v)) >= threshold for v in row] for row in csm.values
+    ]
+
+
+def table_csv(ctx: FormalContext, table: list[list[bool]]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["", *ctx.attributes])
+    for name, row in zip(ctx.objects, table):
+        writer.writerow([name, *(int(v) for v in row)])
+    return buffer.getvalue()
+
+
+# A failing example of up to 130 x 130 cells takes tens of milliseconds to
+# check, and shrinking one means minutes: report the first one found.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+@st.composite
+def similarity_matrices(draw, max_side: int):
+    """A seeded q x d matrix of cosines and a threshold that keeps about 90%,
+    50%, 10% or 2% of the cells; a tenth of the cells sit at the threshold or
+    within rounding of it.  Sides up to 130 cross byte and 64-bit widths."""
+    q = draw(st.integers(0, max_side))
+    d = draw(st.integers(0, max_side))
+    threshold = draw(st.sampled_from([-0.8, 0.0, 0.8, 0.96]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, size=(q, d))
+    near = rng.random((q, d)) < 0.1
+    offsets = rng.choice([-6e-10, -3e-10, 0.0, 3e-10], size=(q, d))
+    values[near] = threshold + offsets[near]
+    csm = SimilarityMatrix(
+        query_names=tuple(f"q{i}" for i in range(q)),
+        doc_names=tuple(f"d{j}" for j in range(d)),
+        values=values,
+    )
+    return csm, threshold
 
 
 class TestBinarize:
@@ -185,6 +262,17 @@ class TestBinarize:
                     )
                     assert binarize(csm, threshold).incidence == expected
 
+    @seed(311)
+    @settings(max_examples=60, phases=NO_SHRINK)
+    @given(similarity_matrices(max_side=130))
+    def test_rows_are_the_rounded_comparison_across_widths(self, drawn):
+        csm, threshold = drawn
+        ctx = binarize(csm, threshold)
+        table = rounded_table(csm, threshold)
+        assert ctx == context_of(csm.query_names, csm.doc_names, table)
+        assert ctx.incidence == tuple(map(tuple, table))
+        assert export_context_csv(ctx) == table_csv(ctx, table)
+
     def test_count_cosine_and_full_rank_svd_give_one_context(self):
         rng = np.random.RandomState(22)
         for trial in range(80):
@@ -198,7 +286,7 @@ class TestBinarize:
 
 class TestEnumerateConcepts:
     def test_empty_context_single_concept(self):
-        ctx = FormalContext(objects=(), attributes=(), incidence=())
+        ctx = FormalContext(objects=(), attributes=(), rows=())
         assert enumerate_concepts(ctx) == [FormalConcept(extent=(), intent=())]
 
     def test_releases_have_shared_feature_concept(self):
@@ -238,12 +326,10 @@ class TestEnumerateConcepts:
         # many objects make a deep lattice; few attributes keep the
         # attribute-subset oracle cheap
         rng = random.Random(7)
-        ctx = FormalContext(
-            objects=tuple(f"o{i}" for i in range(21)),
-            attributes=tuple(f"a{j}" for j in range(5)),
-            incidence=tuple(
-                tuple(rng.random() < 0.5 for _ in range(5)) for _ in range(21)
-            ),
+        ctx = context_of(
+            [f"o{i}" for i in range(21)],
+            [f"a{j}" for j in range(5)],
+            [[rng.random() < 0.5 for _ in range(5)] for _ in range(21)],
         )
         assert as_pair_set(enumerate_concepts(ctx)) == (
             brute_force_concepts_via_attributes(ctx)
@@ -363,6 +449,25 @@ class TestAocPoset:
             assert poset == build_aoc_poset(full, ctx)
             self.check_labels_partition(ctx, poset)
             self.check_edges_are_covers(ctx, poset)
+
+    @seed(2307)
+    @settings(max_examples=40, phases=NO_SHRINK)
+    @given(similarity_matrices(max_side=130))
+    def test_peeled_edges_equal_the_reference_scan(self, drawn):
+        ctx = binarize(*drawn)
+        poset = build_aoc_poset(aoc_concepts(ctx), ctx)
+        self.check_labels_partition(ctx, poset)
+        assert list(poset.edges) == reference_edges(extent_masks(poset, ctx))
+        self.check_edges_are_covers(ctx, poset)
+
+    @seed(7305)
+    @settings(max_examples=150)
+    @given(similarity_matrices(max_side=10))
+    def test_aoc_concepts_and_next_closure_give_one_poset(self, drawn):
+        ctx = binarize(*drawn)
+        assert build_aoc_poset(aoc_concepts(ctx), ctx) == build_aoc_poset(
+            enumerate_concepts(ctx), ctx
+        )
 
     def test_incomplete_concept_list_rejected(self):
         concepts = enumerate_concepts(TRACE_CTX)

@@ -76,6 +76,43 @@ class TestStopWords:
         assert stops.words == {"foo", "bar", "baz"}
 
 
+def preprocess_token_by_token(text: str, stops: StopWordList) -> dict[str, int]:
+    """Reference: lowercase each word, drop a stop word, stem, drop a stem
+    that is a stop word, count."""
+    counts: dict[str, int] = {}
+    for part in split_camel_case(text):
+        word = part.lower()
+        if word in stops:
+            continue
+        root = stem(word)
+        if root in stops:
+            continue
+        counts[root] = counts.get(root, 0) + 1
+    return counts
+
+
+# Identifier-like text: words in any case, run together or split by noise.
+VOCABULARY = "draw drawing draws line lines doing do the my a XML file g".split()
+CASINGS = [str.lower, str.upper, str.capitalize]
+SEPARATORS = ["", "", " ", "_", "9", ".", "é", "\n"]
+MIXED_TEXT = st.lists(
+    st.tuples(
+        st.sampled_from(VOCABULARY),
+        st.sampled_from(CASINGS),
+        st.sampled_from(SEPARATORS),
+    ),
+    max_size=25,
+).map(lambda parts: "".join(case(word) + sep for word, case, sep in parts))
+
+# "draws" is a stop word whose stem "draw" is one too; "doing" is not a
+# stop word but stems to "do".
+STOP_LISTS = [
+    StopWordList(),
+    StopWordList(frozenset({"draws", "draw", "do", "xml"})),
+    StopWordList(frozenset()),
+]
+
+
 class TestPreprocess:
     def test_pipeline_order_and_counts(self):
         bag = bag_of("The drawLine draws drawings; a drawing!")
@@ -120,6 +157,27 @@ class TestPreprocess:
             if word not in DEFAULT_STOP_WORDS and stem(word) not in DEFAULT_STOP_WORDS:
                 expected[stem(word)] = expected.get(stem(word), 0) + 1
         assert bag_of(text).counts == expected
+
+    @given(MIXED_TEXT | TEXT, st.sampled_from(STOP_LISTS))
+    def test_word_map_gives_the_token_by_token_bag(self, text, stops):
+        bag = bag_of(text, stops)
+        expected = preprocess_token_by_token(text, stops)
+        assert bag.counts == expected
+        assert list(bag.counts) == list(expected)
+
+    def test_stop_lists_keep_their_own_word_maps(self):
+        plain = StopWordList(frozenset())
+        strict = StopWordList(frozenset({"draw"}))
+        for _ in range(2):
+            assert bag_of("drawLine draws", plain).counts == {"draw": 2, "line": 1}
+            assert bag_of("drawLine draws", strict).counts == {"line": 1}
+
+    def test_default_stop_list(self):
+        text = DS_LINE_DESCRIPTION + " doing MyLine"
+        bag = bag_of(text)
+        expected = preprocess_token_by_token(text, StopWordList(DEFAULT_STOP_WORDS))
+        assert bag.counts == expected
+        assert list(bag.counts) == list(expected)
 
     @given(st.lists(st.sampled_from("drawLine Shape X1 the myColor zone g".split()), max_size=30))
     def test_order_independence(self, tokens):
