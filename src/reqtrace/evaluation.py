@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import GoldCoverageError
-from .links import TraceLinkSet
+from .links import TraceLinkSet, class_lists
 
 __all__ = [
     "GoldLinks",
@@ -103,19 +103,10 @@ def load_gold_links(path: str | Path) -> GoldLinks:
     ``package.Class`` where more than one package declares that name.
     """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSON syntax or UTF-8 decoding
+        related = class_lists(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or shape
         raise GoldCoverageError(f"gold file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise GoldCoverageError("gold file must be a JSON object")
-    related = {}
-    for requirement, classes in payload.items():
-        if not isinstance(classes, list):
-            raise GoldCoverageError(
-                f"gold entry for {requirement!r} must be a list of class names"
-            )
-        related[requirement] = frozenset(classes)
-    return GoldLinks(related=related)
+    return GoldLinks(related={r: frozenset(c) for r, c in related.items()})
 
 
 def _render(value: float | None) -> str:

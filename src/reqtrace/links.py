@@ -21,6 +21,7 @@ __all__ = [
     "emit_dot_tracelinks",
     "links_to_json",
     "links_from_json",
+    "class_lists",
 ]
 
 _UNSAFE = re.compile(r"[^0-9A-Za-z_]")
@@ -139,12 +140,27 @@ def links_to_json(tls: TraceLinkSet) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def class_lists(payload: object) -> dict[str, tuple[str, ...]]:
+    """Check decoded JSON that maps each requirement to a list of class
+    names, and return it with tuples; ValueError on any other shape."""
+    if not isinstance(payload, dict):
+        raise ValueError("expected a JSON object of class-name lists")
+    for req, names in payload.items():
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ValueError(f"entry for {req!r} must be a list of class names")
+    return {req: tuple(names) for req, names in payload.items()}
+
+
 def links_from_json(text: str) -> TraceLinkSet:
+    """Read `links_to_json` output; ValueError if the text is not of its shape."""
     payload = json.loads(text)
-    links = {req: tuple(classes) for req, classes in payload["links"].items()}
+    if not isinstance(payload, dict):
+        raise ValueError('expected a JSON object with a "links" field')
+    keys = ("unlinked_classes", "unlinked_requirements")
+    unlinked = class_lists({key: payload.get(key, []) for key in keys})
     return TraceLinkSet(
-        links=links,
+        links=class_lists(payload.get("links")),
         clusters=(),
-        unlinked_classes=tuple(payload.get("unlinked_classes", ())),
-        unlinked_requirements=tuple(payload.get("unlinked_requirements", ())),
+        unlinked_classes=unlinked["unlinked_classes"],
+        unlinked_requirements=unlinked["unlinked_requirements"],
     )

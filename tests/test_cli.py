@@ -728,3 +728,137 @@ def test_trace_on_arbitrary_bytes_exits_0_2_or_3(
     args = ["--src", str(run / "src"), "--stopwords", str(run / "stops.txt")]
     code = trace(run / "out", run / "reqs", *args, "--dump-intermediates", *topics)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_EMPTY_CORPUS)
+
+
+DS_GOLD = {
+    "Draw a line": ["MyLine"],
+    "Draw oval": ["MyOval"],
+    "Draw rectangle": ["MyRectangle"],
+}
+
+
+@pytest.mark.parametrize(
+    "links, gold",
+    [
+        ({"links": []}, DS_GOLD),
+        ({"links": {"r": "abc"}}, {"r": ["a", "b", "c"]}),  # not the classes a, b, c
+    ],
+    ids=["links a list", "classes a string"],
+)
+def test_evaluate_links_not_a_map_of_class_lists_exits_2(
+    tmp_path, capsys, links, gold
+):
+    (tmp_path / "links.json").write_text(json.dumps(links), encoding="utf-8")
+    (tmp_path / "gold.json").write_text(json.dumps(gold), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["evaluate", "--links", str(tmp_path / "links.json")]
+    argv += ["--gold", str(tmp_path / "gold.json"), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: links file {tmp_path / 'links.json'}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entry", [["MyLine", 7], ["MyLine", ["x"]]], ids=["number", "nested list"]
+)
+@pytest.mark.parametrize("command", ["trace", "evaluate"])
+def test_gold_entry_not_a_list_of_names_exits_2(
+    ds_out, tmp_path, ds_source, ds_requirements, capsys, command, entry
+):
+    gold = tmp_path / "gold.json"
+    gold.write_text(json.dumps({**DS_GOLD, "Draw a line": entry}), encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "trace":
+        code = trace(out, ds_requirements, "--src", str(ds_source), "--gold", str(gold))
+    else:
+        argv = ["evaluate", "--links", str(ds_out / "links.json")]
+        code = main([*argv, "--gold", str(gold), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: gold file {gold}: entry for 'Draw a line'"
+        " must be a list of class names\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trace", "evaluate"])
+def test_json_nested_too_deep_to_decode_exits_2(
+    ds_out, tmp_path, ds_source, ds_requirements, ds_gold, capsys, command
+):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "trace":
+        code = trace(out, ds_requirements, "--src", str(ds_source), "--gold", str(deep))
+        prefix = f"error: gold file {deep}: "
+    else:
+        argv = ["evaluate", "--links", str(deep), "--gold", str(ds_gold)]
+        code = main([*argv, "--out", str(out)])
+        prefix = f"error: links file {deep}: "
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+DS_CLASSES = [
+    "DrawingShapes", "MyLine", "MyOval", "MyRectangle", "PaintJPanel", "MyShape"
+]
+
+
+def json_values() -> st.SearchStrategy:
+    """Any JSON value; strings and keys are often DS requirement or class names."""
+    names = st.sampled_from([*DS_GOLD, *DS_CLASSES]) | st.text(max_size=6)
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | names
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(names, inner, max_size=4),
+        max_leaves=12,
+    )
+
+
+def class_maps() -> st.SearchStrategy:
+    """A map of every DS requirement to DS class names, or such a map with
+    one entry replaced by any JSON value."""
+    classes = st.lists(st.sampled_from(DS_CLASSES), max_size=3)
+    maps = st.fixed_dictionaries({requirement: classes for requirement in DS_GOLD})
+    broken = st.builds(
+        lambda good, requirement, value: {**good, requirement: value},
+        maps,
+        st.sampled_from(list(DS_GOLD)),
+        json_values(),
+    )
+    return maps | broken
+
+
+def links_files() -> st.SearchStrategy:
+    """Any JSON value, or an object with the fields of links.json."""
+    names = st.lists(st.sampled_from(DS_CLASSES) | json_values(), max_size=4)
+    return json_values() | st.fixed_dictionaries(
+        {"links": class_maps()},
+        optional={"unlinked_classes": names, "unlinked_requirements": names},
+    )
+
+
+@seed(11)
+@settings(
+    max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(gold=json_values() | class_maps(), links=links_files())
+def test_json_inputs_exit_0_or_2(
+    tmp_path, ds_source, ds_requirements, ds_gold, gold, links
+):
+    run = tmp_path / uuid.uuid4().hex
+    run.mkdir()
+    (run / "gold.json").write_text(json.dumps(gold), encoding="utf-8")
+    (run / "links.json").write_text(json.dumps(links), encoding="utf-8")
+    args = ["--src", str(ds_source), "--gold", str(run / "gold.json")]
+    assert trace(run / "trace", ds_requirements, *args) in (EXIT_OK, EXIT_CONFIG)
+    argv = ["evaluate", "--links", str(run / "links.json")]
+    argv += ["--gold", str(ds_gold), "--out", str(run / "evaluate")]
+    assert main(argv) in (EXIT_OK, EXIT_CONFIG)

@@ -10,8 +10,7 @@ import pytest
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "reqtrace"
 
-# `__init__.py` imports only to re-export.
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
