@@ -3,10 +3,11 @@ commands.
 
 The runner calls the `pipeline` function of the command's name, which reads
 every input and computes every artifact.  It prints the parse diagnostics
-to stderr, also when a later stage fails, then writes each file atomically
-(temp file + rename, with the mode that the umask gives a new file), then
-prints the summary.  A run that fails writes nothing, and two runs over
-identical inputs produce byte-identical outputs.
+to stderr, also when a later stage fails, then writes every file to a temp
+file beside it (with the mode that the umask gives a new file) and renames
+them only once all are written, then prints the summary.  A run that fails
+writes nothing, and two runs over identical inputs produce byte-identical
+outputs.
 
 Exit codes: 0 success, 2 configuration failure, 3 empty corpus after
 preprocessing.
@@ -15,6 +16,7 @@ preprocessing.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import tempfile
@@ -28,20 +30,31 @@ EXIT_CONFIG = 2
 EXIT_EMPTY_CORPUS = 3
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+def _write_all(files: dict[Path, str | bytes]) -> None:
+    """Write each file to a temp file beside it, with the mode that `open`
+    would give it, and only then rename them all; if a step fails, unlink
+    every temp file left and raise."""
+    umask = os.umask(0)
+    os.umask(umask)
+    temps: list[tuple[str, Path]] = []
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        # mkstemp makes the file 0600; give it the mode `open` would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
-        os.replace(tmp_name, path)
+        for path, data in files.items():
+            # no rename can replace a directory: refuse it before any rename
+            if path.is_dir():
+                message = os.strerror(errno.EISDIR)
+                raise IsADirectoryError(errno.EISDIR, message, str(path))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+            temps.append((tmp_name, path))
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data.encode("utf-8") if isinstance(data, str) else data)
+            os.chmod(tmp_name, 0o666 & ~umask)  # mkstemp makes the file 0600
+        for tmp_name, path in temps:
+            os.replace(tmp_name, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        for tmp_name, _ in temps:
+            if os.path.exists(tmp_name):
+                os.unlink(tmp_name)
         raise
 
 
@@ -99,8 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             for d in run.diagnostics:
                 print(f"{d.severity}: {d.file}:{d.line}: {d.message}", file=sys.stderr)
-        for path, data in run.files.items():
-            _write_atomic(path, data.encode("utf-8") if isinstance(data, str) else data)
+        _write_all(run.files)
         print(run.summary, end="")
         return EXIT_OK
     except EmptyCorpusError as exc:

@@ -129,16 +129,11 @@ _STEP4_SUFFIXES = (
 )
 
 
-def _step2(word: str) -> str:
-    for suffix, replacement in _STEP2_RULES:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            return stem + replacement if _measure(stem) > 0 else word
-    return word
-
-
-def _step3(word: str) -> str:
-    for suffix, replacement in _STEP3_RULES:
+def _step2or3(word: str, rules: tuple[tuple[str, str], ...]) -> str:
+    """Steps 2 and 3, which differ only in their rules: replace the first
+    suffix of `rules` that `word` ends with, when what precedes it has a
+    measure above 0."""
+    for suffix, replacement in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             return stem + replacement if _measure(stem) > 0 else word
@@ -183,8 +178,8 @@ def stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _step2(word)
-    word = _step3(word)
+    word = _step2or3(word, _STEP2_RULES)
+    word = _step2or3(word, _STEP3_RULES)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

@@ -615,6 +615,20 @@ def test_facts_in_an_encoding_expat_cannot_decode_exits_2(
     assert not out.exists()
 
 
+def test_facts_that_break_a_model_invariant_exit_2(tmp_path, ds_requirements, capsys):
+    facts = tmp_path / "facts.xml"
+    facts.write_bytes(
+        b'<codefacts><package name="p"><class name="C">'
+        b'<attribute name="a" type="int"/><attribute name="a" type="long"/>'
+        b"</class></package></codefacts>"
+    )
+    out = tmp_path / "out"
+    assert trace(out, ds_requirements, "--facts", str(facts)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: <attribute>: duplicate attribute 'a' in class 'C'\n"
+    assert not out.exists()
+
+
 @pytest.fixture()
 def misspelt_gold(tmp_path) -> Path:
     gold = tmp_path / "gold.json"
@@ -653,6 +667,26 @@ def test_failed_trace_writes_nothing(
     args += ["--dump-intermediates"]
     assert trace(out, ds_requirements, *args) == EXIT_CONFIG
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "earlier", [None, b"an earlier run\n"], ids=["no links.json", "links.json"]
+)
+def test_failed_write_leaves_every_file_as_it_was(
+    tmp_path, ds_source, ds_requirements, capsys, earlier
+):
+    out = tmp_path / "out"
+    (out / "poset.dot").mkdir(parents=True)  # the rename target is a directory
+    if earlier is not None:
+        (out / "links.json").write_bytes(earlier)
+    args = ["--src", str(ds_source), "--threshold", "0.7"]
+    assert trace(out, ds_requirements, *args) == EXIT_CONFIG
+    assert "Is a directory" in capsys.readouterr().err
+    left = {"poset.dot"} if earlier is None else {"poset.dot", "links.json"}
+    assert {path.name for path in out.iterdir()} == left
+    assert list((out / "poset.dot").iterdir()) == []
+    if earlier is not None:
+        assert (out / "links.json").read_bytes() == earlier
 
 
 def test_gold_that_is_not_json_exits_2_before_parsing(

@@ -9,6 +9,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from reqtrace.errors import XmlParseError, XmlSchemaError
 from reqtrace.facts import (
+    _SLICE,
     COMMENT_KINDS,
     AttributeFact,
     ClassFact,
@@ -549,18 +550,112 @@ class TestStreamingReader:
         document = data.draw(mutated(save_facts_xml(facts)))
         assert_reads_as_the_tree_walk(document)
 
+    def test_document_of_several_slices(self):
+        assert len(SLICED) > 2 * _SLICE
+        assert SLICED[_SLICE - 1 : _SLICE + 2].decode("utf-8") == "✓"
+        assert load_facts_xml(SLICED) == tree_walk_load(SLICED)
+
+    @seed(13)
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_edits_past_the_first_slice(self, data):
+        document = data.draw(mutated(SLICED, after=_SLICE + 2))
+        assert document[: _SLICE + 2] == SLICED[: _SLICE + 2]
+        assert_reads_as_the_tree_walk(document)
+
+
+def one_class(cls: ClassFact) -> CodeFacts:
+    return CodeFacts(packages=(PackageFact(name="p", classes=(cls,)),))
+
+
+MODEL_VIOLATIONS = {
+    "empty class name": (
+        one_class(ClassFact(name="")),
+        b'<codefacts><package name="p"><class name=""/></package></codefacts>',
+        "<class>: class with empty name",
+    ),
+    "empty attribute name": (
+        one_class(ClassFact(name="C", attributes=(AttributeFact("", "int"),))),
+        in_class('<attribute name="" type="int"/>'),
+        "<attribute>: attribute with empty name",
+    ),
+    "duplicate attribute": (
+        one_class(
+            ClassFact(
+                name="C",
+                attributes=(AttributeFact("a", "int"), AttributeFact("a", "long")),
+            )
+        ),
+        in_class('<attribute name="a" type="int"/><attribute name="a" type="long"/>'),
+        "<attribute>: duplicate attribute 'a' in class 'C'",
+    ),
+    "duplicate method signature": (
+        one_class(
+            ClassFact(
+                name="C",
+                methods=(
+                    MethodFact(name="m", parameters=(("a", "int"),)),
+                    MethodFact(name="m", parameters=(("b", "long"),)),
+                ),
+            )
+        ),
+        in_class(
+            '<method name="m"><param name="a" type="int"/></method>'
+            '<method name="m"><param name="b" type="long"/></method>'
+        ),
+        "<method>: duplicate method signature 'm'/1 in class 'C'",
+    ),
+    "duplicate parameter": (
+        one_class(
+            ClassFact(
+                name="C",
+                methods=(
+                    MethodFact(name="m", parameters=(("a", "int"), ("a", "long"))),
+                ),
+            )
+        ),
+        in_method('<param name="a" type="int"/><param name="a" type="long"/>'),
+        "<param>: duplicate parameter 'a' in method 'm'",
+    ),
+    # the reader rejects the kind before the model check, so no document
+    "unknown comment kind": (
+        one_class(ClassFact(name="C", comments=(CommentFact("x", "other"),))),
+        None,
+        "<comment>: unknown comment kind 'other'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "facts, document, message", MODEL_VIOLATIONS.values(), ids=MODEL_VIOLATIONS.keys()
+)
+def test_model_violation_is_neither_written_nor_read(facts, document, message):
+    with pytest.raises(XmlSchemaError) as info:
+        save_facts_xml(facts)
+    assert str(info.value) == message
+    if document is not None:
+        with pytest.raises(XmlSchemaError) as info:
+            load_facts_xml(document)
+        assert str(info.value) == message
+        assert_reads_as_the_tree_walk(document)
+
 
 @st.composite
-def mutated(draw, document: bytes) -> bytes:
+def mutated(draw, document: bytes, after: int = 0) -> bytes:
     """`document` with an optional prologue and one to four edits.  Most
     edits insert a whole element inside the root, so that many results
-    stay well-formed and reach the schema checks."""
+    stay well-formed and reach the schema checks.  With `after`, there is
+    no prologue and the edits touch only lines that start past that byte."""
     lines = document.splitlines(keepends=True)  # declaration, root, ..., end
-    if draw(st.booleans()):
+    first = 0  # the first line an edit may touch
+    if after:
+        first = document.count(b"\n", 0, after) + 1
+    elif draw(st.booleans()):
         lines.insert(1, draw(st.sampled_from(PROLOGS)))
     for _ in range(draw(st.integers(1, 4))):
         edit = draw(st.sampled_from(EDITS))
-        at = draw(st.integers(2 if edit == "element" else 0, len(lines) - 1))
+        lowest = max(first, 2) if edit == "element" else first
+        at = draw(st.integers(lowest, len(lines) - 1))
         line = lines[at]
         if edit in ("element", "markup"):
             tag = max(line.find(b"<"), 0)
@@ -673,6 +768,19 @@ def large_facts(classes: int) -> CodeFacts:
             )
         packages.append(PackageFact(name=f"pkg{p}", classes=tuple(class_list)))
     return CodeFacts(packages=tuple(packages), provenance="generated")
+
+
+def sliced_document() -> bytes:
+    """`large_facts(100)` with multibyte comment text: more than two
+    slices, and the end of the first splits a "✓"."""
+    check = "✓".encode("utf-8")
+    data = save_facts_xml(large_facts(100))
+    data = data.replace(b"Does step", "Étape ✓".encode("utf-8"))
+    pad = _SLICE - 1 - data.rfind(check, 0, _SLICE)
+    return data.replace(b'"generated"', b'"generated' + b"-" * pad + b'"', 1)
+
+
+SLICED = sliced_document()
 
 
 class TestMemory:

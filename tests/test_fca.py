@@ -211,6 +211,23 @@ def similarity_matrices(draw, max_side: int):
     return csm, threshold
 
 
+class TestFormalContext:
+    @pytest.mark.parametrize(
+        "objects, attributes, rows, message",
+        [
+            (("o", "o"), ("a",), (0, 1), "duplicate object names"),
+            (("o",), ("a", "a"), (0,), "duplicate attribute names"),
+            (("o", "p"), ("a",), (1,), "row count mismatch"),
+            (("o",), ("a", "b"), (0b100,), "row width mismatch"),
+            (("o",), ("a",), (-1,), "row width mismatch"),
+        ],
+        ids=["objects", "attributes", "row count", "row too wide", "negative row"],
+    )
+    def test_inconsistent_context_rejected(self, objects, attributes, rows, message):
+        with pytest.raises(ParameterError, match=message):
+            FormalContext(objects=objects, attributes=attributes, rows=rows)
+
+
 class TestBinarize:
     def csm(self):
         return SimilarityMatrix(

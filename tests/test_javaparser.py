@@ -8,7 +8,15 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reqtrace.facts import compute_metrics, load_facts_xml, save_facts_xml, validate_facts
+from reqtrace.facts import (
+    AttributeFact,
+    ClassFact,
+    MethodFact,
+    compute_metrics,
+    load_facts_xml,
+    save_facts_xml,
+    validate_facts,
+)
 from reqtrace.javaparser import (
     ParseDiagnostic,
     _is_comment,
@@ -531,6 +539,69 @@ class TestUnterminatedBodies:
         ]
 
 
+def method_fact(name: str, *parameters: tuple[str, str]) -> MethodFact:
+    return MethodFact(name=name, parameters=parameters)
+
+
+SKIPPED_AND_IGNORED = {
+    "duplicate field": (
+        "class A { int x; String x; }",
+        [ClassFact("A", attributes=(AttributeFact("x", "int"),))],
+        [("warning", "duplicate field 'x' skipped")],
+    ),
+    "duplicate method signature": (
+        "class A { void f(int a) {} void f(long b) {} }",
+        [ClassFact("A", methods=(method_fact("f", ("a", "int")),))],
+        [("warning", "duplicate method signature 'f'/1 skipped")],
+    ),
+    "duplicate parameter": (
+        "class A { void f(int a, int a) {} }",
+        [ClassFact("A", methods=(method_fact("f", ("a", "int")),))],
+        [("warning", "duplicate parameter 'a' skipped")],
+    ),
+    "implements clause": (
+        "class A implements B, C { }",
+        [ClassFact("A")],
+        [("warning", "implements clause ignored")],
+    ),
+    "class without a body": (
+        "class A extends B",
+        [],
+        [("error", "class A has no body")],
+    ),
+    "class without a name": (
+        "class { }",
+        [],
+        [
+            ("error", "class keyword without a name"),
+            ("warning", "unrecognized top-level token '{'"),
+            ("warning", "unrecognized top-level token '}'"),
+        ],
+    ),
+    "annotation on a method": (
+        'class A { @SuppressWarnings("x") void f() {} }',
+        [ClassFact("A", methods=(method_fact("f"),))],
+        [("warning", "annotation @SuppressWarnings ignored")],
+    ),
+    "interface without a body": (
+        "interface I; class A {}",
+        [ClassFact("A")],
+        [("warning", "interface declaration skipped")],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "source, classes, diagnostics",
+    SKIPPED_AND_IGNORED.values(),
+    ids=SKIPPED_AND_IGNORED.keys(),
+)
+def test_what_is_skipped_or_ignored_is_reported(source, classes, diagnostics):
+    package, found = parse_compilation_unit(source, "A.java")
+    assert list(package.classes) == classes
+    assert [(d.severity, d.message) for d in found] == diagnostics
+
+
 class TestLexer:
     @settings(max_examples=400, deadline=None)
     @given(st.text() | st.text(java_dense_chars, max_size=80))
@@ -577,6 +648,12 @@ class TestSourceTree:
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(OSError):
             parse_source_tree(tmp_path / "nowhere")
+
+    def test_file_as_root_raises(self, tmp_path):
+        root = tmp_path / "A.java"
+        root.write_text("class A { }")
+        with pytest.raises(OSError, match="source root is not a directory"):
+            parse_source_tree(root)
 
     def test_empty_directory(self, tmp_path):
         facts, diagnostics = parse_source_tree(tmp_path)

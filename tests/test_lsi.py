@@ -237,6 +237,10 @@ class TestVocabulary:
         with pytest.raises(EmptyCorpusError):
             build_vocabulary(bags({"a": {}, "b": {}}))
 
+    def test_no_bags_is_error(self):
+        with pytest.raises(EmptyCorpusError, match="no term bags"):
+            build_vocabulary([])
+
 
 class TestCountMatrices:
     def test_tdm_cells(self):

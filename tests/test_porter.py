@@ -111,3 +111,9 @@ IDEMPOTENCE_DICTIONARY = (
 def test_idempotent_on_test_dictionary(word):
     once = stem(word)
     assert stem(once) == once
+
+
+def test_ion_is_kept_after_a_letter_other_than_s_or_t():
+    # step 4 would otherwise leave "opin", whose measure is 2
+    assert stem("opinion") == "opinion"
+    assert stem("adoption") == "adopt"
