@@ -6,14 +6,16 @@ pairs; the AOC-poset keeps only object-introducing and attribute-introducing
 concepts, labels each object and attribute at exactly one concept, and
 orders the kept concepts by extent inclusion with transitively reduced edges.
 
-The AOC-poset is built from the object and attribute concepts alone, the
-closures of single rows and columns, so the full lattice is never needed,
-and its covering edges are peeled off superset masks in O(sum of extent
-sizes + edges) big-int operations.
-`enumerate_concepts` lists every concept by lectic (NextClosure)
-iteration over attribute sets; it is the reference the AOC path is tested
-against.  Concept lists come in a fixed order: decreasing extent size, ties
-broken by the extent's object names.
+`aoc_poset` is the one builder.  It works on masks from the object and
+attribute concepts alone, the closures of single rows and columns, so the
+full lattice is never needed; its covering edges are peeled off superset
+masks in O(sum of extent sizes + edges) big-int operations, and names are
+made once at the end, in one batch per list of masks (`names_of`).
+`enumerate_concepts` lists every concept by lectic (NextClosure) iteration
+over attribute sets.  Concept lists come in a fixed order: decreasing extent
+size, ties broken by the extent's object names.  `build_aoc_poset` checks a
+concept list against `aoc_poset` and returns it; only the benchmark's traced
+replay, which passes the full lattice, still calls it.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ __all__ = [
     "AOCConcept",
     "AOCPoset",
     "binarize",
-    "mask_names",
+    "names_of",
     "enumerate_concepts",
-    "aoc_concepts",
+    "aoc_poset",
     "build_aoc_poset",
     "export_context_csv",
 ]
@@ -146,9 +148,13 @@ def _unpack(masks, width: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
-def mask_names(mask: int, names: tuple[str, ...]) -> tuple[str, ...]:
-    """The names at the set bits of `mask`, in index order."""
-    return tuple(names[i] for i in _indices(mask))
+def names_of(masks, names: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """For each mask, the names at its set bits in index order; one unpack
+    and one `np.nonzero` serve the whole list."""
+    table = _unpack(masks, len(names))
+    picked = [names[i] for i in np.nonzero(table)[1].tolist()]
+    ends = np.cumsum(np.count_nonzero(table, axis=1)).tolist()
+    return [tuple(picked[start:end]) for start, end in zip([0, *ends], ends)]
 
 
 def binarize(csm: SimilarityMatrix, threshold: float) -> FormalContext:
@@ -173,16 +179,17 @@ def binarize(csm: SimilarityMatrix, threshold: float) -> FormalContext:
     )
 
 
+def _concept_order(extent: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    """The sort key of every concept list: larger extents first, ties by names."""
+    return -len(extent), extent
+
+
 def _sorted_concepts(pairs, ctx: FormalContext) -> list[FormalConcept]:
-    concepts = [
-        FormalConcept(
-            extent=mask_names(extent, ctx.objects),
-            intent=mask_names(intent, ctx.attributes),
-        )
-        for extent, intent in pairs
-    ]
-    concepts.sort(key=lambda c: (-len(c.extent), c.extent))
-    return concepts
+    extents, intents = zip(*pairs)
+    named = map(
+        FormalConcept, names_of(extents, ctx.objects), names_of(intents, ctx.attributes)
+    )
+    return sorted(named, key=lambda c: _concept_order(c.extent))
 
 
 def _closures_by_next_closure(masks: _Masks) -> set[tuple[int, int]]:
@@ -216,70 +223,43 @@ def enumerate_concepts(ctx: FormalContext) -> list[FormalConcept]:
     return _sorted_concepts(_closures_by_next_closure(_Masks(ctx)), ctx)
 
 
-def aoc_concepts(ctx: FormalContext) -> list[FormalConcept]:
-    """The object and attribute concepts, in `enumerate_concepts` order.
+def aoc_poset(ctx: FormalContext) -> AOCPoset:
+    """The AOC-poset of `ctx`, its concepts in `enumerate_concepts` order.
 
-    These are the closures of single rows and single columns, deduplicated
-    by extent: exactly the concepts an AOC-poset keeps.
+    Object o is introduced at the concept its row generates, whose extent is
+    the objects holding the whole row; attribute a at the concept its column
+    generates, whose extent is the column.  These extents are exactly the
+    kept concepts.  An object with an empty row lands on the top concept, an
+    attribute with an empty column on the bottom one.
     """
     masks = _Masks(ctx)
-    extents = {masks.extent_of(row) for row in masks.rows} | set(masks.cols)
-    return _sorted_concepts(((e, masks.intent_of(e)) for e in extents), ctx)
-
-
-def build_aoc_poset(concepts: list[FormalConcept], ctx: FormalContext) -> AOCPoset:
-    """Reduce a concept list to its AOC-poset with reduced labels.
-
-    The list must come in `enumerate_concepts` order and contain every
-    object and attribute concept of `ctx`: `aoc_concepts(ctx)` or the
-    complete set both qualify.  Other concepts are dropped and the kept
-    ones keep their list order.
-    Object o is introduced at the concept its row generates; attribute a at
-    the concept its column generates.  An object with an empty row lands on
-    the top concept, an attribute with an empty column on the bottom one.
-    """
-    masks = _Masks(ctx)
-    bit = {name: 1 << o for o, name in enumerate(ctx.objects)}
-    extents = [sum(bit[name] for name in c.extent) for c in concepts]
-    by_extent = {extent: position for position, extent in enumerate(extents)}
-
-    def locate(extent_mask: int) -> int:
-        try:
-            return by_extent[extent_mask]
-        except KeyError:
-            raise ParameterError(
-                "concept list lacks an object or attribute concept of the context"
-            ) from None
-
-    introduced: dict[int, tuple[list[str], list[str]]] = {}
-    for o, name in enumerate(ctx.objects):
-        position = locate(masks.extent_of(masks.rows[o]))
-        introduced.setdefault(position, ([], []))[0].append(name)
-    for a, name in enumerate(ctx.attributes):
-        position = locate(masks.cols[a])
-        introduced.setdefault(position, ([], []))[1].append(name)
-
-    kept_positions = sorted(introduced)
-    aoc = tuple(
-        AOCConcept(
-            extent=concepts[p].extent,
-            intent=concepts[p].intent,
-            introduced_objects=tuple(introduced[p][0]),
-            introduced_attributes=tuple(introduced[p][1]),
-        )
-        for p in kept_positions
+    object_extents = [masks.extent_of(row) for row in masks.rows]
+    distinct = list(dict.fromkeys(object_extents + masks.cols))
+    extent_names = dict(zip(distinct, names_of(distinct, ctx.objects)))
+    introduced = {
+        extent: ([], [])
+        for extent in sorted(distinct, key=lambda e: _concept_order(extent_names[e]))
+    }
+    for name, extent in zip(ctx.objects, object_extents):
+        introduced[extent][0].append(name)
+    for name, extent in zip(ctx.attributes, masks.cols):
+        introduced[extent][1].append(name)
+    extents = list(introduced)
+    intents = names_of([masks.intent_of(extent) for extent in extents], ctx.attributes)
+    concepts = tuple(
+        AOCConcept(extent_names[extent], intent, tuple(objects), tuple(attributes))
+        for (extent, (objects, attributes)), intent in zip(introduced.items(), intents)
     )
 
-    # Bit i of holders[o] is set when kept extent i holds object o.
-    kept_extents = [extents[p] for p in kept_positions]
-    holders = _pack(_unpack(kept_extents, len(ctx.objects)).T)
-    # Kept extents are distinct and come in decreasing size, so the strict
+    # Bit i of holders[o] is set when extent i holds object o.
+    holders = _pack(_unpack(extents, len(ctx.objects)).T)
+    # The extents are distinct and come in decreasing size, so the strict
     # supersets of extent i sit before i and are the positions that hold all
     # of its objects.  The highest of them is a smallest one, hence a cover;
     # peeling it with its own supersets leaves the supersets not above it.
     edges = []
     at_or_above = []
-    for i, extent in enumerate(kept_extents):
+    for i, extent in enumerate(extents):
         above = (1 << i) - 1
         for o in _indices(extent):
             above &= holders[o]
@@ -290,7 +270,21 @@ def build_aoc_poset(concepts: list[FormalConcept], ctx: FormalContext) -> AOCPos
             covers.append(j)
             above &= ~at_or_above[j]
         edges.extend((i, j) for j in reversed(covers))
-    return AOCPoset(concepts=aoc, edges=tuple(edges))
+    return AOCPoset(concepts=concepts, edges=tuple(edges))
+
+
+def build_aoc_poset(concepts: list[FormalConcept], ctx: FormalContext) -> AOCPoset:
+    """`aoc_poset(ctx)`, once `concepts` is checked to hold each of its concepts.
+
+    Only the benchmark's traced replay calls this, with the full lattice.
+    """
+    poset = aoc_poset(ctx)
+    listed = {concept.extent for concept in concepts}
+    if not all(concept.extent in listed for concept in poset.concepts):
+        raise ParameterError(
+            "concept list lacks an object or attribute concept of the context"
+        )
+    return poset
 
 
 def export_context_csv(ctx: FormalContext) -> str:

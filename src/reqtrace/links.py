@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .fca import AOCPoset, FormalContext, mask_names
+from .fca import AOCPoset, FormalContext, names_of
 
 __all__ = [
     "TraceLinkSet",
@@ -52,19 +52,18 @@ class TraceLinkSet:
 
 def assemble_links(poset: AOCPoset, ctx: FormalContext) -> TraceLinkSet:
     """Read links off the context rows; take clusters from the AOC concepts."""
-    links = {
-        obj: mask_names(row, ctx.attributes) for obj, row in zip(ctx.objects, ctx.rows)
-    }
     linked = 0
     for row in ctx.rows:
         linked |= row
     unlinked = ~linked & ((1 << len(ctx.attributes)) - 1)
+    *rows, unlinked_classes = names_of([*ctx.rows, unlinked], ctx.attributes)
+    links = dict(zip(ctx.objects, rows))
     return TraceLinkSet(
         links=links,
         clusters=tuple(
             (concept.extent, concept.intent) for concept in poset.concepts
         ),
-        unlinked_classes=mask_names(unlinked, ctx.attributes),
+        unlinked_classes=unlinked_classes,
         unlinked_requirements=tuple(
             obj for obj, classes in links.items() if not classes
         ),

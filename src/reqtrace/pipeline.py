@@ -140,7 +140,7 @@ def trace(args: argparse.Namespace, run: Run) -> Run:
         ctx = fca.binarize(csm, args.threshold)
         sizes["incidences"] = sum(row.bit_count() for row in ctx.rows)
     with run.stage("fca.aoc") as sizes:
-        poset = fca.build_aoc_poset(fca.aoc_concepts(ctx), ctx)
+        poset = fca.aoc_poset(ctx)
         sizes.update(concepts=len(poset.concepts), edges=len(poset.edges))
     with run.stage("links.assemble") as sizes:
         tls = links.assemble_links(poset, ctx)

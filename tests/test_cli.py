@@ -104,7 +104,12 @@ def test_trace_reads_the_context_as_row_masks(
     def dense_table(ctx):
         raise AssertionError("trace rebuilt the dense incidence table")
 
+    def lattice(*args):
+        raise AssertionError("trace went through the concept lattice")
+
     monkeypatch.setattr(fca.FormalContext, "incidence", property(dense_table))
+    monkeypatch.setattr(fca, "enumerate_concepts", lattice)
+    monkeypatch.setattr(fca, "build_aoc_poset", lattice)
     assert trace(tmp_path, ds_requirements, *ds_trace_args(ds_source, ds_gold)) == 0
     assert (tmp_path / "links.json").read_text(encoding="utf-8") == DS_LINKS_JSON
 

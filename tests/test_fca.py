@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import random
 from itertools import combinations
@@ -11,14 +12,16 @@ from hypothesis import Phase, given, seed, settings, strategies as st
 
 from reqtrace.errors import ParameterError
 from reqtrace.fca import (
+    AOCConcept,
     AOCPoset,
     FormalConcept,
     FormalContext,
-    aoc_concepts,
+    aoc_poset,
     binarize,
     build_aoc_poset,
     enumerate_concepts,
     export_context_csv,
+    names_of,
 )
 from reqtrace.lsi import SimilarityMatrix, count_cosine_matrix, format_similarity
 
@@ -95,24 +98,25 @@ TRACE_CTX = context_from(
 )
 
 
+@functools.lru_cache(maxsize=4)
+def attribute_sets(ctx: FormalContext) -> dict[str, frozenset[str]]:
+    """Each object's attributes, read off the boolean incidence table."""
+    return {
+        o: frozenset(a for a, marked in zip(ctx.attributes, row) if marked)
+        for o, row in zip(ctx.objects, ctx.incidence)
+    }
+
+
 def intent_of(objects, ctx: FormalContext) -> set[str]:
     """Attributes shared by every given object; all attributes for none."""
-    rows = dict(zip(ctx.objects, ctx.incidence))
-    return {
-        a
-        for i, a in enumerate(ctx.attributes)
-        if all(rows[o][i] for o in objects)
-    }
+    has = attribute_sets(ctx)
+    return set(ctx.attributes).intersection(*(has[o] for o in objects))
 
 
 def extent_of(attributes, ctx: FormalContext) -> set[str]:
     """Objects having every given attribute; all objects for none."""
-    columns = {a: i for i, a in enumerate(ctx.attributes)}
-    return {
-        o
-        for o, row in zip(ctx.objects, ctx.incidence)
-        if all(row[columns[a]] for a in attributes)
-    }
+    has = attribute_sets(ctx)
+    return {o for o in ctx.objects if has[o] >= set(attributes)}
 
 
 def brute_force_concepts_via_attributes(ctx: FormalContext) -> set:
@@ -144,8 +148,8 @@ def random_context(
 
 
 def reference_edges(extents: list[int]) -> list[tuple[int, int]]:
-    """The covering edges of extent masks in `build_aoc_poset` order, by the
-    O(n²) scan the peeling replaced.
+    """The covering edges of extent masks in `aoc_poset` order, by the O(n²)
+    scan the peeling replaced.
 
     The extents are distinct and come in decreasing size, so walking back
     from i visits the larger extents in increasing size: a superset is a
@@ -164,9 +168,37 @@ def reference_edges(extents: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def extent_masks(poset: AOCPoset, ctx: FormalContext) -> list[int]:
+def extent_masks(concepts, ctx: FormalContext) -> list[int]:
     bit = {name: 1 << o for o, name in enumerate(ctx.objects)}
-    return [sum(bit[name] for name in c.extent) for c in poset.concepts]
+    return [sum(bit[name] for name in c.extent) for c in concepts]
+
+
+def reference_aoc_poset(ctx: FormalContext) -> AOCPoset:
+    """The AOC-poset by the set oracles alone: object o sits at the concept
+    whose extent is extent_of(intent_of({o})), attribute a at extent_of({a});
+    concepts go by decreasing extent size, ties by the extent's names."""
+    labels: dict[frozenset[str], tuple[list[str], list[str]]] = {}
+    for o in ctx.objects:
+        extent = frozenset(extent_of(intent_of({o}, ctx), ctx))
+        labels.setdefault(extent, ([], []))[0].append(o)
+    for a in ctx.attributes:
+        labels.setdefault(frozenset(extent_of({a}, ctx)), ([], []))[1].append(a)
+
+    def in_context_order(names, universe):
+        return tuple(name for name in universe if name in names)
+
+    concepts = [
+        AOCConcept(
+            extent=in_context_order(extent, ctx.objects),
+            intent=in_context_order(intent_of(extent, ctx), ctx.attributes),
+            introduced_objects=tuple(objects),
+            introduced_attributes=tuple(attributes),
+        )
+        for extent, (objects, attributes) in labels.items()
+    ]
+    concepts.sort(key=lambda c: (-len(c.extent), c.extent))
+    edges = reference_edges(extent_masks(concepts, ctx))
+    return AOCPoset(concepts=tuple(concepts), edges=tuple(edges))
 
 
 def rounded_table(csm: SimilarityMatrix, threshold: float) -> list[list[bool]]:
@@ -355,7 +387,7 @@ class TestEnumerateConcepts:
 
 class TestAocPoset:
     def test_trace_context_has_four_concepts(self):
-        poset = build_aoc_poset(enumerate_concepts(TRACE_CTX), TRACE_CTX)
+        poset = aoc_poset(TRACE_CTX)
         assert len(poset.concepts) == 4
         diagonal = [
             c for c in poset.concepts
@@ -374,9 +406,7 @@ class TestAocPoset:
         }
 
     def test_requirement_a_and_class_f_introduced_together(self):
-        poset = build_aoc_poset(
-            enumerate_concepts(REQUIREMENTS_CTX), REQUIREMENTS_CTX
-        )
+        poset = aoc_poset(REQUIREMENTS_CTX)
         assert any(
             "requirement A" in c.introduced_objects
             and "class F" in c.introduced_attributes
@@ -384,7 +414,7 @@ class TestAocPoset:
         )
 
     def test_releases_poset_top_concept(self):
-        poset = build_aoc_poset(enumerate_concepts(RELEASES_CTX), RELEASES_CTX)
+        poset = aoc_poset(RELEASES_CTX)
         assert len(poset.concepts) == 5
         top = poset.concepts[0]
         assert top.extent == tuple(RELEASES)
@@ -397,7 +427,7 @@ class TestAocPoset:
             ["a1", "a2", "a3"],
             [("o1", "a1"), ("o2", "a2"), ("o3", "a3")],
         )
-        poset = build_aoc_poset(enumerate_concepts(ctx), ctx)
+        poset = aoc_poset(ctx)
         pairs = [
             c for c in poset.concepts
             if len(c.introduced_objects) == 1 and len(c.introduced_attributes) == 1
@@ -406,14 +436,14 @@ class TestAocPoset:
 
     def test_empty_row_object_lands_on_top_concept(self):
         ctx = context_from(["busy", "idle"], ["a"], [("busy", "a")])
-        poset = build_aoc_poset(enumerate_concepts(ctx), ctx)
+        poset = aoc_poset(ctx)
         top = max(poset.concepts, key=lambda c: len(c.extent))
         assert "idle" in top.introduced_objects
         assert set(top.extent) == {"busy", "idle"}
 
     def test_empty_column_attribute_lands_on_bottom_concept(self):
         ctx = context_from(["o"], ["used", "unused"], [("o", "used")])
-        poset = build_aoc_poset(enumerate_concepts(ctx), ctx)
+        poset = aoc_poset(ctx)
         bottom = min(poset.concepts, key=lambda c: len(c.extent))
         assert "unused" in bottom.introduced_attributes
 
@@ -450,7 +480,7 @@ class TestAocPoset:
         rng = random.Random(99)
         for _ in range(40):
             ctx = random_context(rng, max_side=6)
-            poset = build_aoc_poset(enumerate_concepts(ctx), ctx)
+            poset = aoc_poset(ctx)
             self.check_labels_partition(ctx, poset)
             self.check_edges_are_covers(ctx, poset)
 
@@ -458,12 +488,13 @@ class TestAocPoset:
         rng = random.Random(2307)
         for _ in range(250):
             ctx = random_context(rng, max_side=8, min_side=0)
-            full = enumerate_concepts(ctx)
-            kept = aoc_concepts(ctx)
-            remaining = iter(full)
-            assert all(concept in remaining for concept in kept)  # subsequence
-            poset = build_aoc_poset(kept, ctx)
-            assert poset == build_aoc_poset(full, ctx)
+            poset = aoc_poset(ctx)
+            assert poset == reference_aoc_poset(ctx)
+            # the kept concepts are lattice concepts, in the lattice's order
+            lattice = iter(enumerate_concepts(ctx))
+            assert all(
+                FormalConcept(c.extent, c.intent) in lattice for c in poset.concepts
+            )
             self.check_labels_partition(ctx, poset)
             self.check_edges_are_covers(ctx, poset)
 
@@ -472,9 +503,9 @@ class TestAocPoset:
     @given(similarity_matrices(max_side=130))
     def test_peeled_edges_equal_the_reference_scan(self, drawn):
         ctx = binarize(*drawn)
-        poset = build_aoc_poset(aoc_concepts(ctx), ctx)
+        poset = aoc_poset(ctx)
+        assert poset == reference_aoc_poset(ctx)
         self.check_labels_partition(ctx, poset)
-        assert list(poset.edges) == reference_edges(extent_masks(poset, ctx))
         self.check_edges_are_covers(ctx, poset)
 
     @seed(7305)
@@ -482,14 +513,35 @@ class TestAocPoset:
     @given(similarity_matrices(max_side=10))
     def test_aoc_concepts_and_next_closure_give_one_poset(self, drawn):
         ctx = binarize(*drawn)
-        assert build_aoc_poset(aoc_concepts(ctx), ctx) == build_aoc_poset(
-            enumerate_concepts(ctx), ctx
-        )
+        poset = aoc_poset(ctx)
+        assert poset == reference_aoc_poset(ctx)
+        assert build_aoc_poset(enumerate_concepts(ctx), ctx) == poset
 
     def test_incomplete_concept_list_rejected(self):
         concepts = enumerate_concepts(TRACE_CTX)
         with pytest.raises(ParameterError):
             build_aoc_poset(concepts[:-1], TRACE_CTX)
+
+
+def bit_by_bit(mask: int, names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(names[i] for i in range(len(names)) if mask >> i & 1)
+
+
+class TestNamesOf:
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 65, 600, 3000])
+    def test_matches_the_bit_by_bit_oracle(self, width):
+        rng = random.Random(width)
+        names = tuple(f"n{i}" for i in range(width))
+        masks = [0, (1 << width) - 1] + [
+            sum(1 << i for i in range(width) if rng.random() < density)
+            for density in (0.01, 0.05, 0.5, 0.95)  # sparse to dense rows
+            for _ in range(3)
+        ]
+        assert names_of(masks, names) == [bit_by_bit(m, names) for m in masks]
+
+    @pytest.mark.parametrize("width", [0, 9])
+    def test_empty_mask_list(self, width):
+        assert names_of([], tuple(f"n{i}" for i in range(width))) == []
 
 
 class TestContextCsv:

@@ -42,6 +42,17 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name loaded, or read as an attribute, anywhere in the tree."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
 def unused_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level private functions, classes and constants of a package
     (file name -> source) that no module of it reads."""
@@ -62,11 +73,7 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
                 for name in names
                 if name.startswith("_") and not name.startswith("__")
             ]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        read |= names_read(tree)
     return [f"{file} line {line}: {name}" for file, line, name in defined if name not in read]
 
 
@@ -86,6 +93,47 @@ def test_checker_finds_an_unused_private_name():
 def test_every_module_level_private_name_is_read():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unused_private_names(sources) == []
+
+
+def unread_exports(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Entries of `__all__` in a package (file name -> source) that neither
+    the package, their own module included, nor the `readers` sources read."""
+    exported = []
+    read = set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                exported += [(file, entry.lineno, entry.value) for entry in node.value.elts]
+        read |= names_read(tree)
+    for source in readers.values():
+        read |= names_read(ast.parse(source))
+    return [f"{file} line {line}: {name}" for file, line, name in exported if name not in read]
+
+
+def test_checker_finds_an_export_nothing_outside_the_tests_reads():
+    sources = {
+        "a.py": "__all__ = [\n    'f',\n    'g',\n    'h',\n    'k',\n]\n"
+        "def f(): return g()\ndef g(): pass\ndef h(): pass\ndef k(): pass\n",
+        "b.py": "from . import a\nprint(a.h)\n",
+    }
+    readers = {"child.py": "from pkg.a import k\nk()\n"}
+    assert unread_exports(sources, readers) == ["a.py line 2: f"]
+    assert unread_exports(sources, {}) == ["a.py line 2: f", "a.py line 5: k"]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # The benchmark drives the package through these two files; tests/ do
+    # not count, so an export kept alive only by its tests fails here.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    readers = {
+        name: (ROOT / "perfbench" / name).read_text(encoding="utf-8")
+        for name in ("child.py", "run.py")
+    }
+    assert unread_exports(sources, readers) == []
 
 
 SOURCES = sorted(

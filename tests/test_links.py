@@ -5,7 +5,7 @@ import random
 from dotreader import parse_dot
 from test_fca import RELEASES_CTX, TRACE_CTX, context_from, random_context
 
-from reqtrace.fca import AOCPoset, build_aoc_poset, enumerate_concepts
+from reqtrace.fca import AOCPoset, aoc_poset
 from reqtrace.links import (
     assemble_links,
     emit_dot_poset,
@@ -15,12 +15,8 @@ from reqtrace.links import (
 )
 
 
-def poset_of(ctx):
-    return build_aoc_poset(enumerate_concepts(ctx), ctx)
-
-
 def trace_links(ctx):
-    return assemble_links(poset_of(ctx), ctx)
+    return assemble_links(aoc_poset(ctx), ctx)
 
 
 SHARED_CTX = context_from(
@@ -94,7 +90,7 @@ class TestAssembleLinks:
 
 class TestPosetDot:
     def test_trace_poset_has_four_nodes(self):
-        graph = parse_dot(emit_dot_poset(poset_of(TRACE_CTX)))
+        graph = parse_dot(emit_dot_poset(aoc_poset(TRACE_CTX)))
         assert len(graph.nodes) == 4
         labels = [attrs["label"] for attrs in graph.nodes.values()]
         assert any("Concept_0" in label for label in labels)
@@ -103,14 +99,14 @@ class TestPosetDot:
     def test_concept_numbering_follows_extent_order(self):
         # numbering: three one-requirement concepts first (sorted by name),
         # then the bottom concept holding the unlinked classes
-        graph = parse_dot(emit_dot_poset(poset_of(TRACE_CTX)))
+        graph = parse_dot(emit_dot_poset(aoc_poset(TRACE_CTX)))
         label_by_node = {n: attrs["label"] for n, attrs in graph.nodes.items()}
         assert "Draw a line" in label_by_node["c0"]
         assert "Draw rectangle" in label_by_node["c2"]
         assert "DrawingShapes" in label_by_node["c3"]
 
     def test_releases_poset_has_five_nodes(self):
-        graph = parse_dot(emit_dot_poset(poset_of(RELEASES_CTX)))
+        graph = parse_dot(emit_dot_poset(aoc_poset(RELEASES_CTX)))
         assert len(graph.nodes) == 5
 
     def test_empty_poset(self):
@@ -119,15 +115,15 @@ class TestPosetDot:
         assert graph.edges == []
 
     def test_edges_match_poset(self):
-        poset = poset_of(RELEASES_CTX)
+        poset = aoc_poset(RELEASES_CTX)
         graph = parse_dot(emit_dot_poset(poset))
         assert sorted(graph.edges) == sorted(
             (f"c{sub}", f"c{sup}") for sub, sup in poset.edges
         )
 
     def test_deterministic_bytes(self):
-        first = emit_dot_poset(poset_of(RELEASES_CTX))
-        second = emit_dot_poset(poset_of(RELEASES_CTX))
+        first = emit_dot_poset(aoc_poset(RELEASES_CTX))
+        second = emit_dot_poset(aoc_poset(RELEASES_CTX))
         assert first == second
 
 
