@@ -82,23 +82,46 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--reqs", type=Path, required=True, help="directory of requirement .txt files"
     )
-    trace.add_argument("--threshold", type=float, default=0.70)
+    trace.add_argument(
+        "--threshold",
+        type=float,
+        default=0.70,
+        help="cosine at or above which a class is linked (default: 0.70)",
+    )
     trace.add_argument(
         "--topics",
         type=int,
         default=None,
         help="LSI topics k (default: full rank, plain count cosine)",
     )
-    trace.add_argument("--stopwords", type=Path, default=None)
+    trace.add_argument(
+        "--stopwords",
+        type=Path,
+        default=None,
+        help="stop-word file, one word per line (default: the built-in list)",
+    )
     trace.add_argument("--out", type=Path, required=True, help="output directory")
-    trace.add_argument("--gold", type=Path, default=None)
-    trace.add_argument("--dump-intermediates", action="store_true")
+    trace.add_argument(
+        "--gold",
+        type=Path,
+        default=None,
+        help="gold-links JSON file; also writes report.json and report.csv",
+    )
+    trace.add_argument(
+        "--dump-intermediates",
+        action="store_true",
+        help="also write tdm.csv, tqm.csv, csm.csv and context.csv",
+    )
 
     evaluate = commands.add_parser(
         "evaluate", help="score a links.json against a gold-links file"
     )
-    evaluate.add_argument("--links", type=Path, required=True)
-    evaluate.add_argument("--gold", type=Path, required=True)
+    evaluate.add_argument(
+        "--links", type=Path, required=True, help="links.json written by trace"
+    )
+    evaluate.add_argument(
+        "--gold", type=Path, required=True, help="gold-links JSON file"
+    )
     evaluate.add_argument("--out", type=Path, required=True, help="output directory")
     return parser
 

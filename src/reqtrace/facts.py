@@ -10,8 +10,12 @@ Neither end copies the whole document into another form.  The writer
 encodes the lines of each class when the class is done and joins the bytes
 once.  The reader is the target of ElementTree's own parser, so it accepts
 and rejects what a walk over the ElementTree of the document would, with
-the same messages, but builds the records as their tags open and close,
-with no element tree.  The parser is fed the document in 64 KiB slices,
+the same messages, but builds no element tree.  The schema is one table,
+`_CONTAINERS`: for each container, the child tags it may hold, the message
+for any other, and how its record is made.  The reader keeps one frame per
+open container, with a list of records per allowed child tag, and makes
+the container's record from it when the container closes; a leaf is read
+from its start tag.  The parser is fed the document in 64 KiB slices,
 because its memory grows with what one `feed` call hands it: on a 1.1 MB
 document, fed whole, it peaked at 5.5 times the document size under
 tracemalloc, and in slices at 3.8 times.  A well-formedness error takes
@@ -255,56 +259,74 @@ def _comment_line(comment: CommentFact) -> str:
 # How much of the document `_Reader.read` feeds the parser at a time
 _SLICE = 64 * 1024
 
+# The schema, stated once.  For each container: the child tags it may hold,
+# in the order its record takes their tuples; the message for any other
+# child; and its record, made from its attributes and those tuples when it
+# closes.  Every container below the root needs a `name` attribute.  The
+# document ("") holds the root.  Every other tag is a leaf.
+_CONTAINERS = {
+    "": (("codefacts",), "root element must be <codefacts>", None),
+    "codefacts": (
+        ("package",),
+        "expected <package>",
+        lambda attrs, packages: CodeFacts(packages, attrs.get("provenance", "")),
+    ),
+    "package": (
+        ("class",),
+        "expected <class>",
+        lambda attrs, classes: PackageFact(attrs["name"], classes),
+    ),
+    "class": (
+        ("attribute", "method", "comment"),
+        "unexpected element inside <class>",
+        lambda attrs, *lists: ClassFact(attrs["name"], attrs.get("superclass"), *lists),
+    ),
+    "method": (
+        ("param", "local", "comment", "access", "invoke"),
+        "unexpected element inside <method>",
+        lambda attrs, *lists: MethodFact(attrs["name"], *lists),
+    ),
+}
+
 
 def load_facts_xml(data: bytes) -> CodeFacts:
     """Parse a code-facts document, checking the schema and model invariants."""
-    reader = _Reader()
-    reader.read(data)
-    facts = CodeFacts(packages=tuple(reader.packages), provenance=reader.provenance)
+    facts = _Reader().read(data)
     validate_facts(facts)
     return facts
 
 
 class _Reader:
-    """Builds the facts of one document from the events of ElementTree's
-    parser, whose target it is.
+    """Builds the facts of one document as the target of ElementTree's
+    parser, with one frame per open container.
 
-    The containers (codefacts, package, class, method) are read as they
-    open and close.  A leaf (attribute, param, local, access, invoke,
-    comment) is read from its start tag, and what it holds is skipped,
-    except that a comment's text is the character data before its first
-    child.  The checks run in the order of a walk over the element tree:
-    tags, comment kinds and leaf names at start tags, and the names of
-    containers at their end tags, after their children.  The first
-    violation is kept, and the events that follow are only parsed.
+    A frame holds a container's tag, its attributes and, for each child tag
+    that `_CONTAINERS` allows it, the records read so far.  A container's
+    record is made from its frame when it closes, and added to its parent's
+    frame.  A leaf is read from its start tag, and one count skips all it
+    holds.  Checks run in the order of a walk over the element tree: tags,
+    comment kinds and leaf names at start tags, and the names of containers
+    at their end tags, after their children.  The first violation is kept,
+    and the events that follow are only parsed.
 
-    `read` feeds the parser `_SLICE` bytes at a time, so that its buffers
-    stay the size of a slice, not of the document (see the module
-    docstring for the figures).
+    The parser hands each run of character data to `text.append` itself,
+    with no Python call in between, and every start tag empties `text`.  So
+    at a comment's first child or end tag, `text` holds the character data
+    before its first child: the comment's text.  (A `data` method would be
+    called for every run of indentation, at about 5% of the load time.)
     """
 
     def __init__(self) -> None:
         self.error: XmlSchemaError | None = None
-        self.level = 0  # open containers
+        self.frames = [("", {}, {"codefacts": []})]
         self.skip = 0  # open elements inside or at a leaf
-        self.provenance = ""
-        self.packages: list[PackageFact] = []
-        self.classes: list[ClassFact] = []
-        self.attributes: list[AttributeFact] = []
-        self.methods: list[MethodFact] = []
-        self.class_comments: list[CommentFact] = []
-        self.parameters: list[tuple[str, str]] = []
-        self.local_variables: list[tuple[str, str]] = []
-        self.accesses: list[str] = []
-        self.invocations: list[str] = []
-        self.method_comments: list[CommentFact] = []
-        self.names: list[str | None] = []  # of the open containers
-        self.superclass: str | None = None
-        self.comment_kind = ""
         self.text: list[str] = []
-        self.in_text = False
+        self.data = self.text.append
+        # the records and kind of the comment whose text is being read (not
+        # `comment`: the parser would call a target's `comment` on <!-- -->)
+        self.pending: tuple[list[CommentFact], str] | None = None
 
-    def read(self, data: bytes) -> None:
+    def read(self, data: bytes) -> CodeFacts:
         """Parse `data`; raise its first well-formedness error, else its
         first schema error."""
         parser = XMLParser(target=self)
@@ -321,142 +343,65 @@ class _Reader:
             raise XmlParseError(str(exc), 1) from exc
         if self.error is not None:
             raise self.error
-
-    def fail(self, message: str, element: str) -> None:
-        self.error = XmlSchemaError(message, element)
-        self.in_text = False
-
-    def leaf_name(self, tag: str, attrs: dict[str, str]) -> str:
-        name = attrs.get("name")
-        if name is None:
-            self.fail("missing name attribute", tag)
-            return ""
-        return name
+        return self.frames[0][2]["codefacts"][0]
 
     def start(self, tag: str, attrs: dict[str, str]) -> None:
+        if self.pending is not None:
+            self.finish_comment()
+        self.text.clear()
         if self.error is not None:
             return
         if self.skip:
             self.skip += 1
-            self.in_text = False
             return
-        level = self.level
-        if level == 4:
-            self.skip = 1
-            if tag == "param":
-                name = self.leaf_name(tag, attrs)
-                self.parameters.append((name, attrs.get("type", "")))
-            elif tag == "local":
-                name = self.leaf_name(tag, attrs)
-                self.local_variables.append((name, attrs.get("type", "")))
-            elif tag == "access":
-                self.accesses.append(self.leaf_name(tag, attrs))
-            elif tag == "invoke":
-                self.invocations.append(self.leaf_name(tag, attrs))
-            elif tag == "comment":
-                self.open_comment(attrs)
-            else:
-                self.fail("unexpected element inside <method>", tag)
-        elif level == 3:
-            if tag == "method":
-                self.names.append(attrs.get("name"))
-                self.level = 4
-                return
-            self.skip = 1
-            if tag == "attribute":
-                self.attributes.append(
-                    AttributeFact(self.leaf_name(tag, attrs), attrs.get("type", ""))
-                )
-            elif tag == "comment":
-                self.open_comment(attrs)
-            else:
-                self.fail("unexpected element inside <class>", tag)
-        elif level == 2:
-            if tag != "class":
-                self.fail("expected <class>", tag)
-                return
-            self.names.append(attrs.get("name"))
-            self.superclass = attrs.get("superclass")
-            self.level = 3
-        elif level == 1:
-            if tag != "package":
-                self.fail("expected <package>", tag)
-                return
-            self.names.append(attrs.get("name"))
-            self.level = 2
-        else:
-            if tag != "codefacts":
-                self.fail("root element must be <codefacts>", tag)
-                return
-            self.provenance = attrs.get("provenance", "")
-            self.level = 1
-
-    def open_comment(self, attrs: dict[str, str]) -> None:
-        kind = attrs.get("kind")
-        if kind not in COMMENT_KINDS:
-            self.fail(f"comment kind must be one of {COMMENT_KINDS}", "comment")
+        parent, _, lists = self.frames[-1]
+        try:
+            records = lists[tag]
+        except KeyError:
+            self.error = XmlSchemaError(_CONTAINERS[parent][1], tag)
             return
-        self.comment_kind = kind
-        self.text = []
-        self.in_text = True
+        if tag in _CONTAINERS:
+            children = _CONTAINERS[tag][0]
+            self.frames.append((tag, attrs, {child: [] for child in children}))
+            return
+        self.skip = 1
+        if tag == "comment":
+            kind = attrs.get("kind")
+            if kind in COMMENT_KINDS:
+                self.pending = (records, kind)
+            else:
+                message = f"comment kind must be one of {COMMENT_KINDS}"
+                self.error = XmlSchemaError(message, tag)
+            return
+        name = attrs.get("name")
+        if name is None:
+            self.error = XmlSchemaError("missing name attribute", tag)
+        elif tag == "attribute":
+            records.append(AttributeFact(name, attrs.get("type", "")))
+        elif tag in ("param", "local"):
+            records.append((name, attrs.get("type", "")))
+        else:  # access, invoke
+            records.append(name)
 
-    def data(self, text: str) -> None:
-        if self.in_text:
-            self.text.append(text)
+    def finish_comment(self) -> None:
+        records, kind = self.pending
+        records.append(CommentFact("".join(self.text), kind))
+        self.pending = None
 
     def end(self, tag: str) -> None:
         if self.error is not None:
             return
         if self.skip:
+            if self.pending is not None:
+                self.finish_comment()
             self.skip -= 1
-            if not self.skip and tag == "comment":
-                self.in_text = False
-                comment = CommentFact("".join(self.text), self.comment_kind)
-                if self.level == 4:
-                    self.method_comments.append(comment)
-                else:
-                    self.class_comments.append(comment)
             return
-        level = self.level
-        if level == 1:
+        _, attrs, lists = self.frames.pop()
+        if tag != "codefacts" and "name" not in attrs:
+            self.error = XmlSchemaError("missing name attribute", tag)
             return
-        name = self.names.pop()
-        if name is None:
-            self.fail("missing name attribute", tag)
-            return
-        if level == 4:
-            self.methods.append(
-                MethodFact(
-                    name=name,
-                    parameters=tuple(self.parameters),
-                    local_variables=tuple(self.local_variables),
-                    comments=tuple(self.method_comments),
-                    attribute_accesses=tuple(self.accesses),
-                    method_invocations=tuple(self.invocations),
-                )
-            )
-            self.parameters = []
-            self.local_variables = []
-            self.accesses = []
-            self.invocations = []
-            self.method_comments = []
-        elif level == 3:
-            self.classes.append(
-                ClassFact(
-                    name=name,
-                    superclass=self.superclass,
-                    attributes=tuple(self.attributes),
-                    methods=tuple(self.methods),
-                    comments=tuple(self.class_comments),
-                )
-            )
-            self.attributes = []
-            self.methods = []
-            self.class_comments = []
-        else:
-            self.packages.append(PackageFact(name, tuple(self.classes)))
-            self.classes = []
-        self.level = level - 1
+        record = _CONTAINERS[tag][2](attrs, *map(tuple, lists.values()))
+        self.frames[-1][2][tag].append(record)
 
 
 # --- metrics -------------------------------------------------------------

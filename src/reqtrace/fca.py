@@ -245,7 +245,13 @@ def aoc_poset(ctx: FormalContext) -> AOCPoset:
     for name, extent in zip(ctx.attributes, masks.cols):
         introduced[extent][1].append(name)
     extents = list(introduced)
-    intents = names_of([masks.intent_of(extent) for extent in extents], ctx.attributes)
+    # an object concept's intent is its object's row (o''' = o'), so only
+    # the concepts that introduce attributes alone need the AND over rows
+    rows = dict(zip(object_extents, masks.rows))
+    intents = names_of(
+        [rows[e] if e in rows else masks.intent_of(e) for e in extents],
+        ctx.attributes,
+    )
     concepts = tuple(
         AOCConcept(extent_names[extent], intent, tuple(objects), tuple(attributes))
         for (extent, (objects, attributes)), intent in zip(introduced.items(), intents)

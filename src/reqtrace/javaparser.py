@@ -6,11 +6,11 @@ local variable declarations (plain statements and `for` headers), line and
 block comments, plus token-level attribute accesses and method
 invocations inside bodies.  Imports and `throws` clauses are read and
 deliberately not modeled.  Annotations (on parameters too), generic type
-parameters of classes and methods, interfaces, enums, inner classes, and
-initializer blocks are skipped with a warning diagnostic; a class or
-method body that runs to the end of the file is an error.  Nothing is
-dropped silently.  A file that is not UTF-8 is read as ISO-8859-1 with a
-warning.
+parameters of classes and methods, interfaces, enums, annotation type
+declarations (`@interface`), inner classes, and initializer blocks are
+skipped with a warning diagnostic; a class or method body that runs to the
+end of the file is an error.  Nothing is dropped silently.  A file that is
+not UTF-8 is read as ISO-8859-1 with a warning.
 
 Fields, parameters and locals read a declared type the same way: a dotted
 name, its generic arguments (kept in the type text, with a warning on
@@ -338,9 +338,10 @@ def parse_compilation_unit(
             pending = []
             if cls is not None:
                 classes.append(cls)
-        elif token in ("interface", "enum"):
-            cursor.warn(cursor.line(), f"{token} declaration skipped")
-            _skip_type_declaration(cursor)
+        elif token in ("interface", "enum") or (
+            token == "@" and cursor.peek(1) == "interface"
+        ):
+            _skip_type_declaration(cursor, "{} declaration skipped")
             pending = []
         elif token == "@":
             _skip_annotation(cursor)
@@ -361,12 +362,17 @@ def _skip_annotation(cursor: _Cursor) -> None:
     cursor.warn(line, f"annotation @{name} ignored")
 
 
-def _skip_type_declaration(cursor: _Cursor) -> None:
-    """Skip a declaration headed by `class`, `interface` or `enum`.
+def _skip_type_declaration(cursor: _Cursor, warning: str) -> None:
+    """Skip a declaration headed by `class`, `interface`, `enum` or
+    `@interface`, with the warning `warning` formatted with that keyword.
 
     A body that runs to the end of the file is an error at its `{` line.
     """
+    line = cursor.line()
     keyword = cursor.take()
+    if keyword == "@":
+        keyword += cursor.take()
+    cursor.warn(line, warning.format(keyword))
     name = cursor.peek() if cursor.at_name() else "?"
     while not cursor.eof() and cursor.peek() != "{":
         if cursor.take() == ";":
@@ -479,6 +485,11 @@ def _parse_class_body(cursor: _Cursor, builder: _ClassBuilder) -> None:
         if token == ";" or token in MODIFIERS:
             cursor.take()
             continue
+        if token in ("class", "interface", "enum") or (
+            token == "@" and cursor.peek(1) == "interface"
+        ):
+            _skip_type_declaration(cursor, "nested {} skipped")
+            continue
         if token == "@":
             _skip_annotation(cursor)
             continue
@@ -488,10 +499,6 @@ def _parse_class_body(cursor: _Cursor, builder: _ClassBuilder) -> None:
             continue
         if token == "<" and cursor.generic() is not None:  # of a generic method
             cursor.warn(line, "generic type parameters ignored")
-            continue
-        if token in ("class", "interface", "enum"):
-            cursor.warn(line, f"nested {token} skipped")
-            _skip_type_declaration(cursor)
             continue
         if _is_ident(token):
             pending = _parse_member(cursor, builder, pending)

@@ -99,11 +99,9 @@ def split_camel_case(text: str) -> list[str]:
     return _WORD.findall(text)
 
 
-def preprocess(doc: RawDocument, stops: StopWordList | None = None) -> TermBag:
+def preprocess(doc: RawDocument, stops: StopWordList) -> TermBag:
     """Normalize one document into a term bag.  Pass one `stops` to every
     call over a corpus: the list keeps the word map."""
-    if stops is None:
-        stops = StopWordList()
     roots = stops._roots
     counts: dict[str, int] = {}
     for part in split_camel_case(doc.text):

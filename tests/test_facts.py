@@ -497,6 +497,15 @@ HAND_WRITTEN = {
     "schema violation before an undefined entity": in_class("<bogus/>&u;"),
     "schema violation then truncation": in_class("<bogus/>")[:-20],
     "wrong root": b'<facts><package name="p"/></facts>',
+    # tags that are valid one level away, each in the wrong container
+    "class in codefacts": b'<codefacts><class name="C"/></codefacts>',
+    "method in a package": (
+        b'<codefacts><package name="p"><method name="m"/></package></codefacts>'
+    ),
+    "param in a class": in_class('<param name="a" type="int"/>'),
+    "attribute in a method": in_method('<attribute name="a" type="int"/>'),
+    "method in a method": in_method('<method name="n"/>'),
+    "codefacts in a class": in_class("<codefacts/>"),
     "text and comments everywhere": (
         b"<?xml version='1.0'?><!-- a --><codefacts provenance='here'>t"
         b'<package name="p">u<!-- b --><class name="C" superclass="B">v'

@@ -588,6 +588,16 @@ SKIPPED_AND_IGNORED = {
         [ClassFact("A")],
         [("warning", "interface declaration skipped")],
     ),
+    "nested annotation type": (
+        "class A { @interface Ann { int v() default 1; } void keep() { helper(); } }",
+        [ClassFact("A", methods=(MethodFact("keep", method_invocations=("helper",)),))],
+        [("warning", "nested @interface skipped")],
+    ),
+    "top-level annotation type": (
+        "public @interface Ann { String value(); }",
+        [],
+        [("warning", "@interface declaration skipped")],
+    ),
 }
 
 

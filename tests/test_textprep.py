@@ -20,6 +20,8 @@ from conftest import DS_LINE_DESCRIPTION
 
 
 def bag_of(text: str, stops: StopWordList | None = None) -> TermBag:
+    if stops is None:
+        stops = StopWordList()
     return preprocess(RawDocument(name="t", text=text), stops)
 
 
