@@ -9,8 +9,19 @@ deliberately not modeled.  Annotations (on parameters too), generic type
 parameters of classes and methods, interfaces, enums, annotation type
 declarations (`@interface`), inner classes, and initializer blocks are
 skipped with a warning diagnostic; a class or method body that runs to the
-end of the file is an error.  Nothing is dropped silently.  A file that is
-not UTF-8 is read as ISO-8859-1 with a warning.
+end of the file is an error.  Nothing is dropped silently, except from the
+Java 16-17 forms that the scanner does not know yet: records, `sealed`,
+`non-sealed` and `permits`, and `yield` in a switch expression.  A file
+that is not UTF-8 is read as ISO-8859-1 with a warning.
+
+Comments never reach the token list: the lexer sets each nonempty one
+aside with the index of the token after it, and the cursor hands them out
+in order, each declaration taking its own where it is read.  A class takes
+as class-level those before its `{`, and at its `}` whatever no method
+took.  A method takes as method-level every comment up to the end of its
+body, so also those before the fields since the previous method; a body
+that runs to the end of the file ends there.  A skipped type declaration
+or initializer block drops its comments, as does the end of the file.
 
 Fields, parameters and locals read a declared type the same way: a dotted
 name, its generic arguments (kept in the type text, with a warning on
@@ -30,15 +41,15 @@ as the tokens, with a parallel list of their line numbers.  The pass counts
 lines, reports unterminated comments and literals, and cleans comment text.
 A token's kind is read from its first character: `str.isalpha`, `_` or `$`
 starts an identifier, a digit or a quote a literal, and anything else is
-punctuation.  A comment keeps its `//` or `/*` marker in front of its
-cleaned text, so it never equals a punctuation token such as `}`.  A run
-that starts outside ASCII is split by the `str` predicates, because the
-regex word and digit classes draw them differently.
+punctuation.  A run that starts outside ASCII is split by the `str`
+predicates, because the regex word and digit classes draw them
+differently.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -114,11 +125,6 @@ def _is_ident(token: str) -> bool:
     return first.isalpha() or first in ("_", "$")
 
 
-def _is_comment(token: str) -> bool:
-    """A comment: its `//` or `/*` marker, then its cleaned text."""
-    return token.startswith(("//", "/*"))
-
-
 def _clean_comment(text: str) -> str:
     """Collapse control characters to spaces; comment text feeds XML and docs."""
     if text.isprintable():
@@ -134,11 +140,15 @@ def _literal_terminated(token: str) -> bool:
     return (len(body) - len(body.rstrip("\\"))) % 2 == 0
 
 
-def _lex(text: str) -> tuple[list[str], list[int], list[tuple[int, str]]]:
-    """The tokens, the line of each, and the (line, message) of each
+def _lex(
+    text: str,
+) -> tuple[list[str], list[int], list[tuple[int, str]], list[tuple[int, str]]]:
+    """The code tokens, the line of each, the (index of the next token,
+    cleaned text) of each nonempty comment, and the (line, message) of each
     unterminated comment or literal."""
     tokens: list[str] = []
     lines: list[int] = []
+    comments: list[tuple[int, str]] = []
     errors: list[tuple[int, str]] = []
     line = 1
     for tok in _TOKEN.findall(text):
@@ -161,8 +171,8 @@ def _lex(text: str) -> tuple[list[str], list[int], list[tuple[int, str]]]:
                     _clean_comment(part.lstrip(" \t").lstrip("*"))
                     for part in body.splitlines()
                 ).strip()
-            tokens.append(tok[:2] + cleaned)
-            lines.append(line)
+            if cleaned:
+                comments.append((len(tokens), cleaned))
             line += tok.count("\n")
         elif first == '"' or first == "'":
             if not _literal_terminated(tok):
@@ -192,20 +202,26 @@ def _lex(text: str) -> tuple[list[str], list[int], list[tuple[int, str]]]:
                 tokens.append(tok[:end])
                 lines.append(line)
                 tok = tok[end:]
-    return tokens, lines, errors
+    return tokens, lines, comments, errors
 
 
 class _Cursor:
-    """Linear token walker: balanced skips, the parts of a type, and the
-    file's diagnostics."""
+    """Linear token walker: balanced skips, the parts of a type, the file's
+    comments and its diagnostics."""
 
     def __init__(
-        self, tokens: list[str], lines: Sequence[int] = (), file: str = "<memory>"
+        self,
+        tokens: list[str],
+        lines: Sequence[int] = (),
+        comments: Sequence[tuple[int, str]] = (),
+        file: str = "<memory>",
     ):
         self.tokens = tokens
         self.lines = lines
         self.n = len(tokens)
         self.i = 0
+        self.comments = comments
+        self.taken = 0  # comments handed out
         self.file = file
         self.diagnostics: list[ParseDiagnostic] = []
 
@@ -230,6 +246,14 @@ class _Cursor:
         token = self.tokens[self.i]
         self.i += 1
         return token
+
+    def take_comments(self) -> list[str]:
+        """The texts of the comments not yet taken that lie before the
+        cursor, or of every one left once the tokens are all read."""
+        start = self.taken
+        end = self.i if self.i < self.n else self.n + 1
+        self.taken = bisect_left(self.comments, (end,), start)
+        return [text for _, text in self.comments[start : self.taken]]
 
     def at_name(self, offset: int = 0) -> bool:
         """An identifier that is not a keyword."""
@@ -310,21 +334,16 @@ def parse_compilation_unit(
     text: str, file: str = "<memory>"
 ) -> tuple[PackageFact, list[ParseDiagnostic]]:
     """Extract one file's package fragment; never raises on source content."""
-    tokens, lines, errors = _lex(text)
-    cursor = _Cursor(tokens, lines, file)
+    tokens, lines, comments, errors = _lex(text)
+    cursor = _Cursor(tokens, lines, comments, file)
     for line, message in errors:
         cursor.error(line, message)
     package_name = ""
     classes: list[ClassFact] = []
-    pending: list[str] = []  # comment texts
 
     while not cursor.eof():
         token = cursor.peek()
-        if _is_comment(token):
-            if len(token) > 2:
-                pending.append(token[2:])
-            cursor.take()
-        elif token == "package":
+        if token == "package":
             cursor.take()
             package_name = _dotted_name(cursor)
             cursor.skip_past_semicolon()
@@ -334,15 +353,13 @@ def parse_compilation_unit(
         elif token in MODIFIERS or token == ";":
             cursor.take()
         elif token == "class":
-            cls = _parse_class(cursor, pending)
-            pending = []
+            cls = _parse_class(cursor)
             if cls is not None:
                 classes.append(cls)
         elif token in ("interface", "enum") or (
             token == "@" and cursor.peek(1) == "interface"
         ):
             _skip_type_declaration(cursor, "{} declaration skipped")
-            pending = []
         elif token == "@":
             _skip_annotation(cursor)
         else:
@@ -350,6 +367,7 @@ def parse_compilation_unit(
             cursor.warn(cursor.line(), f"unrecognized top-level {what} {token!r}")
             cursor.take()
 
+    # comments after the last declaration are dropped
     return PackageFact(name=package_name, classes=tuple(classes)), cursor.diagnostics
 
 
@@ -364,7 +382,8 @@ def _skip_annotation(cursor: _Cursor) -> None:
 
 def _skip_type_declaration(cursor: _Cursor, warning: str) -> None:
     """Skip a declaration headed by `class`, `interface`, `enum` or
-    `@interface`, with the warning `warning` formatted with that keyword.
+    `@interface`, with the warning `warning` formatted with that keyword,
+    and drop the comments not yet taken up to its end.
 
     A body that runs to the end of the file is an error at its `{` line.
     """
@@ -374,16 +393,18 @@ def _skip_type_declaration(cursor: _Cursor, warning: str) -> None:
         keyword += cursor.take()
     cursor.warn(line, warning.format(keyword))
     name = cursor.peek() if cursor.at_name() else "?"
-    while not cursor.eof() and cursor.peek() != "{":
-        if cursor.take() == ";":
-            return
-    if cursor.peek() == "{":
+    while not cursor.eof() and cursor.peek() not in ("{", ";"):
+        cursor.take()
+    if cursor.peek() == ";":
+        cursor.take()
+    elif cursor.peek() == "{":
         line = cursor.line()
         if not cursor.skip_balanced("{", "}"):
             cursor.error(line, f"unterminated body of {keyword} {name!r}")
+    cursor.take_comments()
 
 
-def _parse_class(cursor: _Cursor, pending: list[str]) -> ClassFact | None:
+def _parse_class(cursor: _Cursor) -> ClassFact | None:
     class_line = cursor.line()
     cursor.take()  # "class"
     if not _is_ident(cursor.peek()):
@@ -391,7 +412,6 @@ def _parse_class(cursor: _Cursor, pending: list[str]) -> ClassFact | None:
         return None
     name_line = cursor.line()
     builder = _ClassBuilder(cursor.take(), cursor)
-    builder.comments.extend(CommentFact(text=c, kind="class-level") for c in pending)
 
     if cursor.generic() is not None:
         cursor.warn(name_line, "generic type parameters ignored")
@@ -409,7 +429,43 @@ def _parse_class(cursor: _Cursor, pending: list[str]) -> ClassFact | None:
     if cursor.peek() != "{":
         cursor.error(class_line, f"class {builder.name} has no body")
         return None
-    _parse_class_body(cursor, builder)
+    open_line = cursor.line()
+    cursor.take()  # "{"
+    builder.comments += cursor.take_comments()  # those of the header
+    while True:
+        if cursor.eof():
+            cursor.error(open_line, f"unterminated body of class {builder.name!r}")
+            break
+        token = cursor.peek()
+        line = cursor.line()
+        if token == "}":
+            cursor.take()
+            break
+        if token == ";" or token in MODIFIERS:
+            cursor.take()
+            continue
+        if token in ("class", "interface", "enum") or (
+            token == "@" and cursor.peek(1) == "interface"
+        ):
+            _skip_type_declaration(cursor, "nested {} skipped")
+            continue
+        if token == "@":
+            _skip_annotation(cursor)
+            continue
+        if token == "{":
+            cursor.warn(line, "initializer block skipped")
+            cursor.skip_balanced("{", "}")
+            cursor.take_comments()  # dropped with the block
+            continue
+        if token == "<" and cursor.generic() is not None:  # of a generic method
+            cursor.warn(line, "generic type parameters ignored")
+            continue
+        if _is_ident(token):
+            _parse_member(cursor, builder)
+            continue
+        cursor.warn(line, f"unrecognized token {token!r} in class body")
+        cursor.take()
+    builder.comments += cursor.take_comments()  # those no method took
     return builder.finish()
 
 
@@ -418,7 +474,7 @@ class _PendingMethod:
     name: str
     parameters: list[tuple[str, str]]
     body: list[str]
-    leading_comments: list[str]
+    comments: list[str]
     line: int
 
 
@@ -427,7 +483,7 @@ class _ClassBuilder:
         self.name = name
         self.cursor = cursor
         self.superclass: str | None = None
-        self.comments: list[CommentFact] = []
+        self.comments: list[str] = []  # class-level
         self.attributes: list[AttributeFact] = []
         self.methods: list[_PendingMethod] = []
 
@@ -460,53 +516,10 @@ class _ClassBuilder:
             superclass=self.superclass,
             attributes=tuple(self.attributes),
             methods=methods,
-            comments=tuple(self.comments),
+            comments=tuple(
+                CommentFact(text=text, kind="class-level") for text in self.comments
+            ),
         )
-
-
-def _parse_class_body(cursor: _Cursor, builder: _ClassBuilder) -> None:
-    open_line = cursor.line()
-    cursor.take()  # "{"
-    pending: list[str] = []
-    while True:
-        if cursor.eof():
-            cursor.error(open_line, f"unterminated body of class {builder.name!r}")
-            break
-        token = cursor.peek()
-        line = cursor.line()
-        if token == "}":
-            cursor.take()
-            break
-        if _is_comment(token):
-            if len(token) > 2:
-                pending.append(token[2:])
-            cursor.take()
-            continue
-        if token == ";" or token in MODIFIERS:
-            cursor.take()
-            continue
-        if token in ("class", "interface", "enum") or (
-            token == "@" and cursor.peek(1) == "interface"
-        ):
-            _skip_type_declaration(cursor, "nested {} skipped")
-            continue
-        if token == "@":
-            _skip_annotation(cursor)
-            continue
-        if token == "{":
-            cursor.warn(line, "initializer block skipped")
-            cursor.skip_balanced("{", "}")
-            continue
-        if token == "<" and cursor.generic() is not None:  # of a generic method
-            cursor.warn(line, "generic type parameters ignored")
-            continue
-        if _is_ident(token):
-            pending = _parse_member(cursor, builder, pending)
-            continue
-        cursor.warn(line, f"unrecognized token {token!r} in class body")
-        cursor.take()
-    # trailing comments with no following member belong to the class
-    builder.comments.extend(CommentFact(text=c, kind="class-level") for c in pending)
 
 
 def _read_type_text(cursor: _Cursor, warn: bool) -> str | None:
@@ -527,37 +540,34 @@ def _read_type_text(cursor: _Cursor, warn: bool) -> str | None:
     return text + cursor.dims()
 
 
-def _parse_member(
-    cursor: _Cursor, builder: _ClassBuilder, pending: list[str]
-) -> list[str]:
+def _parse_member(cursor: _Cursor, builder: _ClassBuilder) -> None:
     start_line = cursor.line()
     type_text = _read_type_text(cursor, warn=True)
     if type_text is None:
         cursor.warn(start_line, "unrecognized member skipped")
         cursor.take()
-        return pending
+        return
 
     if cursor.peek() == "(" and type_text == builder.name:
-        _parse_callable(cursor, builder, builder.name, pending, start_line)
-        return []
+        _parse_callable(cursor, builder, builder.name, start_line)
+        return
 
     if not cursor.at_name():
         cursor.warn(start_line, f"unrecognized member after type {type_text!r}")
         if cursor.peek() not in ("", "}"):  # `}` ends the class
             cursor.take()
-        return pending
+        return
     member_name = cursor.take()
 
     if cursor.peek() == "(":
-        _parse_callable(cursor, builder, member_name, pending, start_line)
-        return []
+        _parse_callable(cursor, builder, member_name, start_line)
+        return
 
     # field declaration, possibly with several declarators
     builder.add_field(member_name, type_text + cursor.dims(), start_line)
     extras, cursor.i = _more_declarators(cursor.tokens, cursor.i, type_text)
     for _, name, declared_type in extras:
         builder.add_field(name, declared_type, start_line)
-    return pending
 
 
 def _more_declarators(
@@ -600,11 +610,7 @@ def _more_declarators(
 
 
 def _parse_callable(
-    cursor: _Cursor,
-    builder: _ClassBuilder,
-    name: str,
-    pending: list[str],
-    line: int,
+    cursor: _Cursor, builder: _ClassBuilder, name: str, line: int
 ) -> None:
     parameters = _parse_parameters(cursor)
     while not cursor.eof() and cursor.peek() not in ("{", ";"):
@@ -619,15 +625,8 @@ def _parse_callable(
             cursor.error(cursor.lines[start], f"unterminated body of method {name!r}")
     elif cursor.peek() == ";":
         cursor.take()
-    builder.add_method(
-        _PendingMethod(
-            name=name,
-            parameters=parameters,
-            body=body,
-            leading_comments=pending,
-            line=line,
-        )
-    )
+    comments = cursor.take_comments()  # up to the end of its body
+    builder.add_method(_PendingMethod(name, parameters, body, comments, line))
 
 
 def _parse_parameters(cursor: _Cursor) -> list[tuple[str, str]]:
@@ -665,13 +664,10 @@ def _parse_parameters(cursor: _Cursor) -> list[tuple[str, str]]:
 
 
 def _scan_method_body(pending: _PendingMethod, field_names: set[str]) -> MethodFact:
-    """Token scan for locals, accesses, invocations, and in-body comments."""
+    """Token scan for locals, accesses and invocations."""
     locals_found: list[tuple[str, str]] = []
     accesses: list[str] = []
     invocations: list[str] = []
-    comments = [
-        CommentFact(text=text, kind="method-level") for text in pending.leading_comments
-    ]
 
     tokens = pending.body
     cursor = _Cursor(tokens)
@@ -682,8 +678,6 @@ def _scan_method_body(pending: _PendingMethod, field_names: set[str]) -> MethodF
     while j < n:
         token = tokens[j]
         if not _is_ident(token) or j in consumed:
-            if len(token) > 2 and _is_comment(token):
-                comments.append(CommentFact(text=token[2:], kind="method-level"))
             j += 1
             continue
         if token == "this":
@@ -720,7 +714,9 @@ def _scan_method_body(pending: _PendingMethod, field_names: set[str]) -> MethodF
         name=pending.name,
         parameters=tuple(pending.parameters),
         local_variables=tuple(locals_found),
-        comments=tuple(comments),
+        comments=tuple(
+            CommentFact(text=text, kind="method-level") for text in pending.comments
+        ),
         attribute_accesses=tuple(accesses),
         method_invocations=tuple(invocations),
     )

@@ -166,7 +166,7 @@ class LsiSpace:
     left_vectors: np.ndarray
     singular_values: np.ndarray
     doc_coords: np.ndarray
-    doc_names: tuple[str, ...] = ()
+    doc_names: tuple[str, ...]
 
 
 @dataclass(frozen=True, eq=False)

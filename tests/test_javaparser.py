@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from reqtrace.facts import (
     AttributeFact,
     ClassFact,
+    CommentFact,
     MethodFact,
     compute_metrics,
     load_facts_xml,
@@ -19,7 +21,6 @@ from reqtrace.facts import (
 )
 from reqtrace.javaparser import (
     ParseDiagnostic,
-    _is_comment,
     _is_ident,
     _lex,
     parse_compilation_unit,
@@ -598,6 +599,20 @@ SKIPPED_AND_IGNORED = {
         [],
         [("warning", "@interface declaration skipped")],
     ),
+    "keyword as a member": (
+        "class A { return; void keep() {} }",
+        [ClassFact("A", methods=(method_fact("keep"),))],
+        [("warning", "unrecognized member skipped")],
+    ),
+    "generic type to the end of the file": (
+        "class A { List<String",
+        [ClassFact("A")],
+        [
+            ("warning", "unrecognized member after type 'List'"),
+            ("warning", "unrecognized member after type 'String'"),
+            ("error", "unterminated body of class 'A'"),
+        ],
+    ),
 }
 
 
@@ -610,6 +625,154 @@ def test_what_is_skipped_or_ignored_is_reported(source, classes, diagnostics):
     package, found = parse_compilation_unit(source, "A.java")
     assert list(package.classes) == classes
     assert [(d.severity, d.message) for d in found] == diagnostics
+
+
+def comment(text: str, kind: str = "method-level") -> CommentFact:
+    return CommentFact(text=text, kind=kind)
+
+
+# Which declaration owns a comment, and that a comment hides no code.  The
+# rows marked "lost" lost the fact or the comment named while comments were
+# tokens that every walker had to step over.
+COMMENTS_BESIDE_CODE = {
+    "doc comment of a skipped nested type": (  # lost: `m` took it
+        "class A { /** doc of I */ interface I { } void m() {} }",
+        [ClassFact("A", methods=(method_fact("m"),))],
+        [("warning", "nested interface skipped")],
+    ),
+    "comment between field declarators": (  # lost: `b` and "c"
+        "class A { int a, /* c */ b; void m() {} }",
+        [
+            ClassFact(
+                "A",
+                attributes=(AttributeFact("a", "int"), AttributeFact("b", "int")),
+                methods=(MethodFact("m", comments=(comment("c"),)),),
+            )
+        ],
+        [],
+    ),
+    "comment inside a local declaration": (  # lost: the local `x`
+        "class A { void m() { int /* c */ x = 1; } }",
+        [
+            ClassFact(
+                "A",
+                methods=(
+                    MethodFact(
+                        "m", local_variables=(("x", "int"),), comments=(comment("c"),)
+                    ),
+                ),
+            )
+        ],
+        [],
+    ),
+    "comment in a parameter list": (  # lost: "c"
+        "class A { void f(int a /* c */, int b) {} }",
+        [
+            ClassFact(
+                "A",
+                methods=(
+                    MethodFact(
+                        "f",
+                        parameters=(("a", "int"), ("b", "int")),
+                        comments=(comment("c"),),
+                    ),
+                ),
+            )
+        ],
+        [],
+    ),
+    "comment in the extends clause": (  # lost: the superclass
+        "class A extends /* h */ B { }",
+        [ClassFact("A", superclass="B", comments=(comment("h", "class-level"),))],
+        [],
+    ),
+    "comment in an import": (  # lost: "c"
+        "import a.b /* c */; class A {}",
+        [ClassFact("A", comments=(comment("c", "class-level"),))],
+        [],
+    ),
+    "comment in an initializer block": (
+        "class A { static { /* init */ } void m() {} }",
+        [ClassFact("A", methods=(method_fact("m"),))],
+        [("warning", "initializer block skipped")],
+    ),
+    "comment ending an unterminated method body": (
+        "class A { void m() { run(); // tail",
+        [
+            ClassFact(
+                "A",
+                methods=(
+                    MethodFact(
+                        "m", comments=(comment("tail"),), method_invocations=("run",)
+                    ),
+                ),
+            )
+        ],
+        [
+            ("error", "unterminated body of method 'm'"),
+            ("error", "unterminated body of class 'A'"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "source, classes, diagnostics",
+    COMMENTS_BESIDE_CODE.values(),
+    ids=COMMENTS_BESIDE_CODE.keys(),
+)
+def test_each_comment_goes_to_its_declaration(source, classes, diagnostics):
+    package, found = parse_compilation_unit(source, "A.java")
+    assert list(package.classes) == classes
+    assert [(d.severity, d.message) for d in found] == diagnostics
+
+
+# Comments, literals, numbers and words: a comment inserted strictly inside
+# one of these would change a token, not sit between two.
+_ATOM = re.compile(
+    r"//[^\n]*|/\*.*?\*/|\"(?:\\.|[^\"\\])*\"|'(?:\\.|[^'\\])*'|[0-9][\w.]*|[\w$]+",
+    re.DOTALL,
+)
+
+
+@st.composite
+def sources_with_a_comment(draw):
+    """A DS or skipped-construct source, and the same source with `/* c */`
+    inserted at a token boundary outside comments and literals."""
+    text = draw(
+        st.sampled_from(
+            DS_SOURCES + [source for source, _, _ in SKIPPED_AND_IGNORED.values()]
+        )
+    )
+    inside = {
+        at
+        for match in _ATOM.finditer(text)
+        for at in range(match.start() + 1, match.end())
+    }
+    at = draw(st.sampled_from([at for at in range(len(text) + 1) if at not in inside]))
+    return text, text[:at] + " /* c */ " + text[at:]
+
+
+def without_comments(package):
+    return [
+        replace(
+            cls,
+            comments=(),
+            methods=tuple(replace(method, comments=()) for method in cls.methods),
+        )
+        for cls in package.classes
+    ]
+
+
+@seed(16)
+@settings(max_examples=200, deadline=None)
+@given(sources_with_a_comment())
+def test_a_comment_changes_only_comments(texts):
+    (plain, plain_diagnostics), (commented, diagnostics) = (
+        parse_compilation_unit(text, "A.java") for text in texts
+    )
+    assert diagnostics == plain_diagnostics
+    assert without_comments(commented) == without_comments(plain)
 
 
 class TestLexer:
@@ -625,17 +788,23 @@ class TestLexer:
     def test_equals_char_by_char_lexer(self, text):
         expected_diagnostics: list[ParseDiagnostic] = []
         expected = lex_char_by_char(text, "F.java", expected_diagnostics)
-        tokens, lines, errors = _lex(text)
+        tokens, lines, comments, errors = _lex(text)
         assert len(lines) == len(tokens)
-        assert [(*kind_text(t), line) for t, line in zip(tokens, lines)] == expected
+        code: list[_Token] = []
+        expected_comments: list[tuple[int, str]] = []
+        for token in expected:
+            if token.kind != "comment":
+                code.append(token)
+            elif token.text:  # with the index of the code token after it
+                expected_comments.append((len(code), token.text))
+        assert [(*kind_text(t), line) for t, line in zip(tokens, lines)] == code
+        assert comments == expected_comments
         diagnostics = [ParseDiagnostic("error", "F.java", *error) for error in errors]
         assert diagnostics == expected_diagnostics
 
 
 def kind_text(token: str) -> tuple[str, str]:
     """The (kind, text) of a lexer token, read from its first character."""
-    if _is_comment(token):
-        return "comment", token[2:]
     if _is_ident(token):
         return "ident", token
     if token[0].isdigit() or token[0] in "\"'":

@@ -113,6 +113,11 @@ def test_idempotent_on_test_dictionary(word):
     assert stem(once) == once
 
 
+def test_a_two_letter_stem_never_ends_consonant_vowel_consonant():
+    # step 5a drops the "e" of a measure-1 stem that does not end cvc
+    assert stem("ate") == "at"
+
+
 def test_ion_is_kept_after_a_letter_other_than_s_or_t():
     # step 4 would otherwise leave "opin", whose measure is 2
     assert stem("opinion") == "opinion"
