@@ -181,6 +181,8 @@ _TEXT_SPECIAL = re.compile(r"[&<>]")
 
 def _quote(value: str) -> str:
     """Equal to `saxutils.quoteattr(value)`."""
+    if value.isidentifier():  # most names: nothing to escape, no search
+        return '"' + value + '"'
     if _ATTR_SPECIAL.search(value):
         return quoteattr(value)
     return '"' + value + '"'

@@ -28,6 +28,8 @@ name, its generic arguments (kept in the type text, with a warning on
 fields and parameters; `List<String> xs` is a local too) and `[]` pairs.
 A declarator's own `[]` pairs after its name join its type, and each
 extra declarator of `int a, b[];` gets the base type plus its own pairs.
+A member whose generic arguments do not close is skipped to the end of
+its declaration, with one warning.
 
 Detection rules inside a method body are intentionally token-level: any
 `name(` occurrence that is not a keyword counts as an invocation, and an
@@ -37,19 +39,22 @@ precision here; the facts feed a text corpus, not a call graph.
 
 Lexing is one compiled regular expression: `findall` returns every token
 string in C, skipping whitespace, and one Python pass keeps those strings
-as the tokens, with a parallel list of their line numbers.  The pass counts
-lines, reports unterminated comments and literals, and cleans comment text.
-A token's kind is read from its first character: `str.isalpha`, `_` or `$`
-starts an identifier, a digit or a quote a literal, and anything else is
-punctuation.  A run that starts outside ASCII is split by the `str`
-predicates, because the regex word and digit classes draw them
-differently.
+as the tokens.  No token carries a line number: the pass records, for each
+newline, the index of the token after it, and a diagnostic's line is found
+from that list only when the diagnostic is made.  The pass also reports
+unterminated comments and literals and cleans comment text.  A token's
+kind is read from its first character: an ASCII letter, `_`, `$` or a
+non-ASCII `str.isalpha` character starts an identifier, a digit or a quote
+a literal, and anything else is punctuation.  A run that starts outside
+ASCII is split by the `str` predicates, because the regex word and digit
+classes draw them differently.
 """
 
 from __future__ import annotations
 
+import gc
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -82,9 +87,12 @@ MODIFIERS = frozenset(
     transient volatile strictfp""".split()
 )
 
+# Keywords that cannot start a type.
+_NON_TYPE_KEYWORDS = KEYWORDS - PRIMITIVE_TYPES
+
 # Keywords that end a generic argument list: primitives and the bounds
 # `extends` and `super` may appear inside one.
-_NOT_IN_GENERICS = KEYWORDS - PRIMITIVE_TYPES - {"extends", "super"}
+_NOT_IN_GENERICS = _NON_TYPE_KEYWORDS - {"extends", "super"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,34 +103,49 @@ class ParseDiagnostic:
     message: str
 
 
-# One token string per match, in C.  Whitespace matches no alternative, so
-# findall skips it; regex \s is exactly str.isspace and \w is exactly
+# One token string per match, in C: the group, after the whitespace that
+# precedes it.  Regex \s is exactly str.isspace and \w is exactly
 # str.isalnum plus "_".  A newline is its own token so lines can be
 # counted.  Comments and string or char literals may run unterminated to
 # the end of the text.  A run that starts with a non-ASCII character is
 # matched as broadly as any token it can begin, then split in `_lex`.
+# Whitespace at the end of the text matches the second branch, as one
+# empty string: left unmatched, it would be rescanned from each of its
+# positions, in time quadratic in its length.
 _TOKEN = re.compile(
-    "|".join(
+    r"[^\S\n]*("
+    + "|".join(
         (
             r"\n",
             r"[A-Za-z_$][\w$]*",  # identifier
             r"//[^\n]*",
-            r"/\*.*?(?:\*/|\Z)",
+            r"/\*[^*]*\*+(?:[^/*][^*]*\*+)*/|/\*.*",
             r"[0-9][\w.]*",  # number
             r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)',
             r"'[^'\\]*(?:\\.[^'\\]*)*(?:'|\\?\Z)",
             r"[^\x00-\x7f\s][\w$.]*",
             r"[^\s]",  # one punctuation character
         )
-    ),
+    )
+    + r")|[^\S\n]+\Z",
     re.DOTALL,
 )
+
+# The first characters of an ASCII identifier or keyword.
+_IDENT_STARTS = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$"
+)
+
+# The first characters of the ASCII tokens after which an identifier in a
+# method body may be a type: another identifier, or `.`, `<` or `[`, each a
+# token of its own.
+_TYPE_GOES_ON = _IDENT_STARTS | {".", "<", "["}
 
 
 def _is_ident(token: str) -> bool:
     """An identifier or keyword: it starts with a letter, `_` or `$`."""
     first = token[:1]
-    return first.isalpha() or first in ("_", "$")
+    return first in _IDENT_STARTS or first > "\x7f" and first.isalpha()
 
 
 def _clean_comment(text: str) -> str:
@@ -143,21 +166,28 @@ def _literal_terminated(token: str) -> bool:
 def _lex(
     text: str,
 ) -> tuple[list[str], list[int], list[tuple[int, str]], list[tuple[int, str]]]:
-    """The code tokens, the line of each, the (index of the next token,
+    """The code tokens, the line breaks, the (index of the next token,
     cleaned text) of each nonempty comment, and the (line, message) of each
-    unterminated comment or literal."""
+    unterminated comment or literal.
+
+    The line breaks hold one entry per newline of the text, also for those
+    inside comments and literals: the index of the first token that starts
+    after it.  A token's line is one more than the number of entries up to
+    its index (`_Cursor.line`).
+    """
     tokens: list[str] = []
-    lines: list[int] = []
+    breaks: list[int] = []
     comments: list[tuple[int, str]] = []
     errors: list[tuple[int, str]] = []
-    line = 1
-    for tok in _TOKEN.findall(text):
+    found = _TOKEN.findall(text)
+    if found and not found[-1]:  # the whitespace at the end
+        found.pop()
+    for tok in found:
         first = tok[0]
         if "/" < first < "\x80":  # ASCII after "/": opens no comment or literal
             tokens.append(tok)
-            lines.append(line)
         elif first == "\n":
-            line += 1
+            breaks.append(len(tokens))
         elif first == "/" and tok != "/":
             if tok[1] == "/":
                 cleaned = _clean_comment(tok[2:])
@@ -165,24 +195,22 @@ def _lex(
                 if len(tok) >= 4 and tok.endswith("*/"):
                     body = tok[2:-2]
                 else:
-                    errors.append((line, "unterminated block comment"))
+                    errors.append((len(breaks) + 1, "unterminated block comment"))
                     body = tok[2:]
                 cleaned = " ".join(
                     _clean_comment(part.lstrip(" \t").lstrip("*"))
                     for part in body.splitlines()
                 ).strip()
+                breaks += [len(tokens)] * tok.count("\n")
             if cleaned:
                 comments.append((len(tokens), cleaned))
-            line += tok.count("\n")
         elif first == '"' or first == "'":
             if not _literal_terminated(tok):
-                errors.append((line, "unterminated string or char literal"))
+                errors.append((len(breaks) + 1, "unterminated string or char literal"))
             tokens.append(tok)
-            lines.append(line)
-            line += tok.count("\n")
+            breaks += [len(tokens)] * tok.count("\n")
         elif first < "\x80":  # punctuation before "/", and "/" itself
             tokens.append(tok)
-            lines.append(line)
         else:
             # A run that starts outside ASCII.  Identifiers start where
             # str.isalpha holds and numbers where str.isdigit does, which
@@ -200,9 +228,8 @@ def _lex(
                 if end < 0:
                     end = len(tok)
                 tokens.append(tok[:end])
-                lines.append(line)
                 tok = tok[end:]
-    return tokens, lines, comments, errors
+    return tokens, breaks, comments, errors
 
 
 class _Cursor:
@@ -212,12 +239,12 @@ class _Cursor:
     def __init__(
         self,
         tokens: list[str],
-        lines: Sequence[int] = (),
+        breaks: Sequence[int] = (),
         comments: Sequence[tuple[int, str]] = (),
         file: str = "<memory>",
     ):
         self.tokens = tokens
-        self.lines = lines
+        self.breaks = breaks
         self.n = len(tokens)
         self.i = 0
         self.comments = comments
@@ -225,11 +252,21 @@ class _Cursor:
         self.file = file
         self.diagnostics: list[ParseDiagnostic] = []
 
-    def warn(self, line: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic("warning", self.file, line, message))
+    def line(self, index: int) -> int:
+        """The line of the token at `index`."""
+        return bisect_right(self.breaks, index) + 1
 
-    def error(self, line: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic("error", self.file, line, message))
+    def warn(self, index: int, message: str) -> None:
+        """A warning at the line of the token at `index`."""
+        self.diagnostics.append(
+            ParseDiagnostic("warning", self.file, self.line(index), message)
+        )
+
+    def error(self, index: int, message: str) -> None:
+        """An error at the line of the token at `index`."""
+        self.diagnostics.append(
+            ParseDiagnostic("error", self.file, self.line(index), message)
+        )
 
     def eof(self) -> bool:
         return self.i >= self.n
@@ -238,9 +275,6 @@ class _Cursor:
         """The token at `offset`, or "" past the end."""
         j = self.i + offset
         return self.tokens[j] if j < self.n else ""
-
-    def line(self) -> int:
-        return self.lines[self.i]
 
     def take(self) -> str:
         token = self.tokens[self.i]
@@ -257,13 +291,21 @@ class _Cursor:
 
     def at_name(self, offset: int = 0) -> bool:
         """An identifier that is not a keyword."""
-        token = self.peek(offset)
+        j = self.i + offset
+        if j >= self.n:
+            return False
+        token = self.tokens[j]
         return _is_ident(token) and token not in KEYWORDS
 
     def dims(self) -> str:
         """Consume `[]` pairs and return their text."""
+        tokens = self.tokens
         text = ""
-        while self.peek() == "[" and self.peek(1) == "]":
+        while (
+            self.i + 1 < self.n
+            and tokens[self.i] == "["
+            and tokens[self.i + 1] == "]"
+        ):
             self.i += 2
             text += "[]"
         return text
@@ -273,9 +315,9 @@ class _Cursor:
 
         Anything else inside, or no closing `>`, consumes nothing: None.
         """
-        if self.peek() != "<":
-            return None
         tokens = self.tokens
+        if self.i >= self.n or tokens[self.i] != "<":
+            return None
         depth = 0
         for j in range(self.i, self.n):
             token = tokens[j]
@@ -294,24 +336,22 @@ class _Cursor:
         return None
 
     def skip_balanced(self, opener: str, closer: str) -> bool:
-        """Consume from the opener through its matching closer; False when
-        the tokens end first."""
+        """Consume from the opener at the cursor through its matching
+        closer; False when the tokens end first."""
         tokens = self.tokens
-        n = self.n
-        i = self.i
         depth = 0
-        while i < n:
-            token = tokens[i]
-            i += 1
-            if token == opener:
-                depth += 1
-            elif token == closer:
-                depth -= 1
-                if depth == 0:
-                    self.i = i
-                    return True
-        self.i = i
-        return False
+        i = self.i  # the opener, counted by the first slice
+        while True:
+            try:
+                j = tokens.index(closer, i + 1)
+            except ValueError:
+                self.i = self.n
+                return False
+            depth += tokens[i:j].count(opener) - 1
+            i = j
+            if depth == 0:
+                self.i = j + 1
+                return True
 
     def skip_past_semicolon(self) -> None:
         try:
@@ -321,23 +361,26 @@ class _Cursor:
 
 
 def _dotted_name(cursor: _Cursor) -> str:
-    parts = []
-    while _is_ident(cursor.peek()):
-        parts.append(cursor.take())
-        if not (cursor.peek() == "." and cursor.at_name(1)):
-            break
-        cursor.take()
-    return ".".join(parts)
+    """Consume an identifier and each `.name` after it; "" at anything else."""
+    tokens = cursor.tokens
+    start = cursor.i
+    if start == cursor.n or not _is_ident(tokens[start]):
+        return ""
+    cursor.i += 1
+    while cursor.i < cursor.n and tokens[cursor.i] == "." and cursor.at_name(1):
+        cursor.i += 2
+    return "".join(tokens[start : cursor.i])
 
 
 def parse_compilation_unit(
     text: str, file: str = "<memory>"
 ) -> tuple[PackageFact, list[ParseDiagnostic]]:
     """Extract one file's package fragment; never raises on source content."""
-    tokens, lines, comments, errors = _lex(text)
-    cursor = _Cursor(tokens, lines, comments, file)
-    for line, message in errors:
-        cursor.error(line, message)
+    tokens, breaks, comments, errors = _lex(text)
+    cursor = _Cursor(tokens, breaks, comments, file)
+    cursor.diagnostics.extend(
+        ParseDiagnostic("error", file, line, message) for line, message in errors
+    )
     package_name = ""
     classes: list[ClassFact] = []
 
@@ -364,7 +407,7 @@ def parse_compilation_unit(
             _skip_annotation(cursor)
         else:
             what = "construct near" if _is_ident(token) else "token"
-            cursor.warn(cursor.line(), f"unrecognized top-level {what} {token!r}")
+            cursor.warn(cursor.i, f"unrecognized top-level {what} {token!r}")
             cursor.take()
 
     # comments after the last declaration are dropped
@@ -372,12 +415,12 @@ def parse_compilation_unit(
 
 
 def _skip_annotation(cursor: _Cursor) -> None:
-    line = cursor.line()
+    start = cursor.i
     cursor.take()  # "@"
     name = _dotted_name(cursor) or "?"
     if cursor.peek() == "(":
         cursor.skip_balanced("(", ")")
-    cursor.warn(line, f"annotation @{name} ignored")
+    cursor.warn(start, f"annotation @{name} ignored")
 
 
 def _skip_type_declaration(cursor: _Cursor, warning: str) -> None:
@@ -387,62 +430,62 @@ def _skip_type_declaration(cursor: _Cursor, warning: str) -> None:
 
     A body that runs to the end of the file is an error at its `{` line.
     """
-    line = cursor.line()
+    start = cursor.i
     keyword = cursor.take()
     if keyword == "@":
         keyword += cursor.take()
-    cursor.warn(line, warning.format(keyword))
+    cursor.warn(start, warning.format(keyword))
     name = cursor.peek() if cursor.at_name() else "?"
     while not cursor.eof() and cursor.peek() not in ("{", ";"):
         cursor.take()
     if cursor.peek() == ";":
         cursor.take()
     elif cursor.peek() == "{":
-        line = cursor.line()
+        open_brace = cursor.i
         if not cursor.skip_balanced("{", "}"):
-            cursor.error(line, f"unterminated body of {keyword} {name!r}")
+            cursor.error(open_brace, f"unterminated body of {keyword} {name!r}")
     cursor.take_comments()
 
 
 def _parse_class(cursor: _Cursor) -> ClassFact | None:
-    class_line = cursor.line()
+    start = cursor.i
     cursor.take()  # "class"
     if not _is_ident(cursor.peek()):
-        cursor.error(class_line, "class keyword without a name")
+        cursor.error(start, "class keyword without a name")
         return None
-    name_line = cursor.line()
+    name_at = cursor.i
     builder = _ClassBuilder(cursor.take(), cursor)
 
     if cursor.generic() is not None:
-        cursor.warn(name_line, "generic type parameters ignored")
+        cursor.warn(name_at, "generic type parameters ignored")
     while not cursor.eof() and cursor.peek() != "{":
-        line = cursor.line()
+        at = cursor.i
         token = cursor.take()
         if token == "extends":
             builder.superclass = _dotted_name(cursor) or None
             if cursor.generic() is not None:
-                cursor.warn(line, "generic superclass arguments ignored")
+                cursor.warn(at, "generic superclass arguments ignored")
         elif token == "implements":
-            cursor.warn(line, "implements clause ignored")
+            cursor.warn(at, "implements clause ignored")
             while not cursor.eof() and cursor.peek() != "{":
                 cursor.take()
     if cursor.peek() != "{":
-        cursor.error(class_line, f"class {builder.name} has no body")
+        cursor.error(start, f"class {builder.name} has no body")
         return None
-    open_line = cursor.line()
+    open_brace = cursor.i
     cursor.take()  # "{"
     builder.comments += cursor.take_comments()  # those of the header
+    tokens = cursor.tokens
     while True:
-        if cursor.eof():
-            cursor.error(open_line, f"unterminated body of class {builder.name!r}")
+        if cursor.i >= cursor.n:
+            cursor.error(open_brace, f"unterminated body of class {builder.name!r}")
             break
-        token = cursor.peek()
-        line = cursor.line()
+        token = tokens[cursor.i]
         if token == "}":
-            cursor.take()
+            cursor.i += 1
             break
         if token == ";" or token in MODIFIERS:
-            cursor.take()
+            cursor.i += 1
             continue
         if token in ("class", "interface", "enum") or (
             token == "@" and cursor.peek(1) == "interface"
@@ -453,18 +496,21 @@ def _parse_class(cursor: _Cursor) -> ClassFact | None:
             _skip_annotation(cursor)
             continue
         if token == "{":
-            cursor.warn(line, "initializer block skipped")
+            cursor.warn(cursor.i, "initializer block skipped")
             cursor.skip_balanced("{", "}")
             cursor.take_comments()  # dropped with the block
             continue
-        if token == "<" and cursor.generic() is not None:  # of a generic method
-            cursor.warn(line, "generic type parameters ignored")
-            continue
-        if _is_ident(token):
+        if token == "<":  # type parameters of a generic method
+            at = cursor.i
+            if cursor.generic() is not None:
+                cursor.warn(at, "generic type parameters ignored")
+                continue
+        first = token[0]
+        if first in _IDENT_STARTS or first > "\x7f" and first.isalpha():
             _parse_member(cursor, builder)
             continue
-        cursor.warn(line, f"unrecognized token {token!r} in class body")
-        cursor.take()
+        cursor.warn(cursor.i, f"unrecognized token {token!r} in class body")
+        cursor.i += 1
     builder.comments += cursor.take_comments()  # those no method took
     return builder.finish()
 
@@ -475,7 +521,7 @@ class _PendingMethod:
     parameters: list[tuple[str, str]]
     body: list[str]
     comments: list[str]
-    line: int
+    start: int  # index of the member's first token
 
 
 class _ClassBuilder:
@@ -487,9 +533,9 @@ class _ClassBuilder:
         self.attributes: list[AttributeFact] = []
         self.methods: list[_PendingMethod] = []
 
-    def add_field(self, name: str, declared_type: str, line: int) -> None:
+    def add_field(self, name: str, declared_type: str, start: int) -> None:
         if any(a.name == name for a in self.attributes):
-            self.cursor.warn(line, f"duplicate field {name!r} skipped")
+            self.cursor.warn(start, f"duplicate field {name!r} skipped")
             return
         self.attributes.append(AttributeFact(name=name, declared_type=declared_type))
 
@@ -499,7 +545,7 @@ class _ClassBuilder:
             (m.name, len(m.parameters)) == signature for m in self.methods
         ):
             self.cursor.warn(
-                method.line,
+                method.start,
                 f"duplicate method signature {method.name!r}"
                 f"/{len(method.parameters)} skipped",
             )
@@ -527,47 +573,72 @@ def _read_type_text(cursor: _Cursor, warn: bool) -> str | None:
 
     A generic suffix is warned about when `warn` is set.
     """
-    token = cursor.peek()
-    if not _is_ident(token) or (token in KEYWORDS and token not in PRIMITIVE_TYPES):
-        return None
     start = cursor.i
+    token = cursor.peek()
+    if not _is_ident(token) or token in _NON_TYPE_KEYWORDS:
+        return None
     text = _dotted_name(cursor)
     generic = cursor.generic()
     if generic is not None:
         if warn:
-            cursor.warn(cursor.lines[start], "generic type arguments ignored")
+            cursor.warn(start, "generic type arguments ignored")
         text += generic
     return text + cursor.dims()
 
 
 def _parse_member(cursor: _Cursor, builder: _ClassBuilder) -> None:
-    start_line = cursor.line()
+    start = cursor.i
     type_text = _read_type_text(cursor, warn=True)
     if type_text is None:
-        cursor.warn(start_line, "unrecognized member skipped")
+        cursor.warn(start, "unrecognized member skipped")
         cursor.take()
         return
 
     if cursor.peek() == "(" and type_text == builder.name:
-        _parse_callable(cursor, builder, builder.name, start_line)
+        _parse_callable(cursor, builder, builder.name, start)
         return
 
     if not cursor.at_name():
-        cursor.warn(start_line, f"unrecognized member after type {type_text!r}")
-        if cursor.peek() not in ("", "}"):  # `}` ends the class
+        cursor.warn(start, f"unrecognized member after type {type_text!r}")
+        if cursor.peek() == "<":  # generic arguments that do not close
+            _skip_declaration(cursor)
+        elif cursor.peek() not in ("", "}"):  # `}` ends the class
             cursor.take()
         return
     member_name = cursor.take()
 
     if cursor.peek() == "(":
-        _parse_callable(cursor, builder, member_name, start_line)
+        _parse_callable(cursor, builder, member_name, start)
         return
 
     # field declaration, possibly with several declarators
-    builder.add_field(member_name, type_text + cursor.dims(), start_line)
+    builder.add_field(member_name, type_text + cursor.dims(), start)
     extras, cursor.i = _more_declarators(cursor.tokens, cursor.i, type_text)
     for _, name, declared_type in extras:
-        builder.add_field(name, declared_type, start_line)
+        builder.add_field(name, declared_type, start)
+
+
+def _skip_declaration(cursor: _Cursor) -> None:
+    """Skip the rest of a member declaration: through the `;` or the `}`
+    of a body that ends it at bracket depth 0, or up to the unbalanced
+    closer (the `}` of the class) or the end of the tokens."""
+    tokens = cursor.tokens
+    depth = 0
+    while cursor.i < cursor.n:
+        token = tokens[cursor.i]
+        if token in ("(", "[", "{"):
+            depth += 1
+        elif token in (")", "]", "}"):
+            if depth == 0:
+                return
+            depth -= 1
+            if depth == 0 and token == "}":
+                cursor.i += 1
+                return
+        elif depth == 0 and token == ";":
+            cursor.i += 1
+            return
+        cursor.i += 1
 
 
 def _more_declarators(
@@ -610,28 +681,28 @@ def _more_declarators(
 
 
 def _parse_callable(
-    cursor: _Cursor, builder: _ClassBuilder, name: str, line: int
+    cursor: _Cursor, builder: _ClassBuilder, name: str, start: int
 ) -> None:
     parameters = _parse_parameters(cursor)
     while not cursor.eof() and cursor.peek() not in ("{", ";"):
         cursor.take()  # a `throws` clause, not modeled
     body: list[str] = []
     if cursor.peek() == "{":
-        start = cursor.i
+        open_brace = cursor.i
         if cursor.skip_balanced("{", "}"):
-            body = cursor.tokens[start + 1 : cursor.i - 1]
+            body = cursor.tokens[open_brace + 1 : cursor.i - 1]
         else:
-            body = cursor.tokens[start + 1 :]
-            cursor.error(cursor.lines[start], f"unterminated body of method {name!r}")
+            body = cursor.tokens[open_brace + 1 :]
+            cursor.error(open_brace, f"unterminated body of method {name!r}")
     elif cursor.peek() == ";":
         cursor.take()
     comments = cursor.take_comments()  # up to the end of its body
-    builder.add_method(_PendingMethod(name, parameters, body, comments, line))
+    builder.add_method(_PendingMethod(name, parameters, body, comments, start))
 
 
 def _parse_parameters(cursor: _Cursor) -> list[tuple[str, str]]:
     parameters: list[tuple[str, str]] = []
-    open_line = cursor.line()
+    open_paren = cursor.i
     cursor.take()  # "("
     while not cursor.eof() and cursor.peek() != ")":
         if cursor.peek() == "@":
@@ -646,14 +717,14 @@ def _parse_parameters(cursor: _Cursor) -> list[tuple[str, str]]:
             cursor.take()
             dots += 1
         if dots == 3:
-            cursor.warn(open_line, "varargs parameter treated as array")
+            cursor.warn(open_paren, "varargs parameter treated as array")
             type_text += "[]"
         if cursor.at_name():
-            name_line = cursor.line()
+            name_at = cursor.i
             name = cursor.take()
             type_text += cursor.dims()
             if any(existing == name for existing, _ in parameters):
-                cursor.warn(name_line, f"duplicate parameter {name!r} skipped")
+                cursor.warn(name_at, f"duplicate parameter {name!r} skipped")
             else:
                 parameters.append((name, type_text))
         if cursor.peek() == ",":
@@ -670,18 +741,26 @@ def _scan_method_body(pending: _PendingMethod, field_names: set[str]) -> MethodF
     invocations: list[str] = []
 
     tokens = pending.body
-    cursor = _Cursor(tokens)
+    cursor: _Cursor | None = None  # made for the first declaration tried
     consumed: set[int] = set()
     n = len(tokens)
 
     j = 0
     while j < n:
         token = tokens[j]
-        if not _is_ident(token) or j in consumed:
+        first = token[0]
+        if not (first in _IDENT_STARTS or first > "\x7f" and first.isalpha()) or (
+            consumed and j in consumed
+        ):
             j += 1
             continue
-        if token == "this":
-            if j + 2 < n and tokens[j + 1] == "." and _is_ident(tokens[j + 2]):
+        if token in _NON_TYPE_KEYWORDS:
+            if (
+                token == "this"
+                and j + 2 < n
+                and tokens[j + 1] == "."
+                and _is_ident(tokens[j + 2])
+            ):
                 target = tokens[j + 2]
                 if j + 3 < n and tokens[j + 3] == "(":
                     invocations.append(target)
@@ -690,23 +769,24 @@ def _scan_method_body(pending: _PendingMethod, field_names: set[str]) -> MethodF
                 consumed.add(j + 2)
             j += 1
             continue
-        if token in KEYWORDS and token not in PRIMITIVE_TYPES:
-            j += 1
-            continue
-        nxt = tokens[j + 1] if j + 1 < n else ""
-        if nxt == "(":
-            if token not in PRIMITIVE_TYPES:
-                invocations.append(token)
-            j += 1
-            continue
-        # a type goes on with `.`, `<` or `[`, or is followed by the name
-        if nxt in (".", "<", "[") or _is_ident(nxt):
-            cursor.i = j
-            declared = _match_declaration(cursor, consumed)
-            if declared is not None:
-                locals_found.extend(declared)
-                j = cursor.i
+        if j + 1 < n:
+            nxt = tokens[j + 1]
+            if nxt == "(":
+                if token not in PRIMITIVE_TYPES:
+                    invocations.append(token)
+                j += 1
                 continue
+            # a type goes on with `.`, `<` or `[`, or is followed by the name
+            second = nxt[0]
+            if second in _TYPE_GOES_ON or second > "\x7f" and second.isalpha():
+                if cursor is None:
+                    cursor = _Cursor(tokens)
+                cursor.i = j
+                declared = _match_declaration(cursor, consumed)
+                if declared is not None:
+                    locals_found.extend(declared)
+                    j = cursor.i
+                    continue
         if token in field_names:
             accesses.append(token)
         j += 1
@@ -767,36 +847,46 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
     diagnostics: list[ParseDiagnostic] = []
     # package name -> class name -> class, both in first-seen order
     package_classes: dict[str, dict[str, ClassFact]] = {}
-    for path in sorted(root.rglob("*.java")):
-        file = str(path)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            text = path.read_text(encoding="iso-8859-1")
-            diagnostics.append(
-                ParseDiagnostic("warning", file, 1, "not UTF-8; decoded as ISO-8859-1")
-            )
-        except OSError as exc:
-            diagnostics.append(
-                ParseDiagnostic("error", file, 1, f"unreadable file: {exc}")
-            )
-            continue
-        fragment, file_diagnostics = parse_compilation_unit(text, file)
-        diagnostics.extend(file_diagnostics)
-        kept = package_classes.setdefault(fragment.name, {})
-        for cls in fragment.classes:
-            if cls.name in kept:
+    # The parse makes many objects that live to the end and no reference
+    # cycles; the cyclic collector would only walk them again and again.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for path in sorted(root.rglob("*.java")):
+            file = str(path)
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                text = path.read_text(encoding="iso-8859-1")
                 diagnostics.append(
                     ParseDiagnostic(
-                        "warning",
-                        file,
-                        1,
-                        f"duplicate class {cls.name!r} in package"
-                        f" {fragment.name!r} skipped",
+                        "warning", file, 1, "not UTF-8; decoded as ISO-8859-1"
                     )
                 )
+            except OSError as exc:
+                diagnostics.append(
+                    ParseDiagnostic("error", file, 1, f"unreadable file: {exc}")
+                )
                 continue
-            kept[cls.name] = cls
+            fragment, file_diagnostics = parse_compilation_unit(text, file)
+            diagnostics.extend(file_diagnostics)
+            kept = package_classes.setdefault(fragment.name, {})
+            for cls in fragment.classes:
+                if cls.name in kept:
+                    diagnostics.append(
+                        ParseDiagnostic(
+                            "warning",
+                            file,
+                            1,
+                            f"duplicate class {cls.name!r} in package"
+                            f" {fragment.name!r} skipped",
+                        )
+                    )
+                    continue
+                kept[cls.name] = cls
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     packages = tuple(
         PackageFact(name=name, classes=tuple(classes.values()))
         for name, classes in package_classes.items()

@@ -168,7 +168,11 @@ class TestRoundTrip:
         assert load_facts_xml(save_facts_xml(facts)) == facts
 
     @settings(max_examples=300)
-    @given(st.text() | st.text(alphabet=st.sampled_from("ab '&<>\"\n\r\t\x0b")))
+    @given(
+        st.text()
+        | st.text(alphabet=st.sampled_from("ab '&<>\"\n\r\t\x0b"))
+        | st.text(alphabet=st.sampled_from("aZ_9$\u00e9\u4e00\u0301<"))  # names
+    )
     def test_quoting_equals_saxutils(self, value):
         assert _quote(value) == quoteattr(value)
         assert _escape(value) == escape(value)

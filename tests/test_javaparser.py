@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import re
 import tempfile
 from dataclasses import replace
@@ -19,8 +20,10 @@ from reqtrace.facts import (
     save_facts_xml,
     validate_facts,
 )
+from reqtrace import javaparser
 from reqtrace.javaparser import (
     ParseDiagnostic,
+    _Cursor,
     _is_ident,
     _lex,
     parse_compilation_unit,
@@ -379,6 +382,17 @@ class TestCompilationUnit:
             (5, "annotation @Deprecated ignored")
         ]
 
+    def test_lines_after_a_text_block_and_a_block_comment(self):
+        source = (
+            'class A {\n  String s = """\n    x\n    """;\n'
+            "  /* a\n     b */ @Override void m() {}\n  List<String> t;\n}\n"
+        )
+        _, diagnostics = parse_compilation_unit(source, "A.java")
+        assert [(d.line, d.message) for d in diagnostics] == [
+            (6, "annotation @Override ignored"),
+            (7, "generic type arguments ignored"),
+        ]
+
 
 ARRAYS_AND_GENERICS = """class Box<T> extends Base<T> {
     String c[][];
@@ -609,9 +623,35 @@ SKIPPED_AND_IGNORED = {
         [ClassFact("A")],
         [
             ("warning", "unrecognized member after type 'List'"),
-            ("warning", "unrecognized member after type 'String'"),
             ("error", "unterminated body of class 'A'"),
         ],
+    ),
+    "generic arguments that do not close": (
+        "class A { List<String x; void keep() {} }",
+        [ClassFact("A", methods=(method_fact("keep"),))],
+        [("warning", "unrecognized member after type 'List'")],
+    ),
+    "generic arguments that do not close, then a field": (
+        "class A { Map<K, V m; int y; void keep() {} }",
+        [
+            ClassFact(
+                "A",
+                attributes=(AttributeFact("y", "int"),),
+                methods=(method_fact("keep"),),
+            )
+        ],
+        [("warning", "unrecognized member after type 'Map'")],
+    ),
+    "generic return type that does not close": (
+        "class A { List<String f() { return null; } int y; void keep() {} }",
+        [
+            ClassFact(
+                "A",
+                attributes=(AttributeFact("y", "int"),),
+                methods=(method_fact("keep"),),
+            )
+        ],
+        [("warning", "unrecognized member after type 'List'")],
     ),
 }
 
@@ -784,12 +824,15 @@ class TestLexer:
     @example('"a\\"')
     @example('"a\\\\"')
     @example("/*/ x")
+    @example("x \t\x0b")
     @example("/* a\n * b\x85c\r\n */ d // e\x00f\rg")
     def test_equals_char_by_char_lexer(self, text):
         expected_diagnostics: list[ParseDiagnostic] = []
         expected = lex_char_by_char(text, "F.java", expected_diagnostics)
-        tokens, lines, comments, errors = _lex(text)
-        assert len(lines) == len(tokens)
+        tokens, breaks, comments, errors = _lex(text)
+        assert len(breaks) == text.count("\n")
+        cursor = _Cursor(tokens, breaks)
+        lines = [cursor.line(index) for index in range(len(tokens))]
         code: list[_Token] = []
         expected_comments: list[tuple[int, str]] = []
         for token in expected:
@@ -821,6 +864,15 @@ class TestMutatedSources:
             Path(root, "Fuzz.java").write_text(text, encoding="utf-8")
             facts, _ = parse_source_tree(root)
         assert load_facts_xml(save_facts_xml(facts)) == facts
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    """Run the test with cyclic GC enabled or disabled; restore the state after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
 
 
 class TestSourceTree:
@@ -877,6 +929,36 @@ class TestSourceTree:
             ("warning", 4, "unrecognized top-level token '\\x00'"),
             ("warning", 4, "unrecognized top-level construct near 'bogus'"),
         ]
+
+    def test_crlf_lines_after_a_block_comment(self, tmp_path):
+        (tmp_path / "A.java").write_bytes(
+            b"class A {\r\n  /* x\r\n     y */\r\n  @Override void m() {}\r\n}\r\n"
+        )
+        _, diagnostics = parse_source_tree(tmp_path)
+        assert [(d.line, d.message) for d in diagnostics] == [
+            (4, "annotation @Override ignored")
+        ]
+
+    def test_cyclic_gc_state_is_restored(self, tmp_path, gc_state):
+        (tmp_path / "A.java").write_text("class A { int x; }")
+        parse_source_tree(tmp_path)
+        assert gc.isenabled() is gc_state
+
+    def test_cyclic_gc_state_is_restored_when_the_parse_raises(
+        self, tmp_path, monkeypatch, gc_state
+    ):
+        (tmp_path / "A.java").write_text("class A { int x; }")
+        enabled_during_the_parse = []
+
+        def fail(text, file):
+            enabled_during_the_parse.append(gc.isenabled())
+            raise RuntimeError("parse failed")
+
+        monkeypatch.setattr(javaparser, "parse_compilation_unit", fail)
+        with pytest.raises(RuntimeError, match="parse failed"):
+            parse_source_tree(tmp_path)
+        assert enabled_during_the_parse == [False]
+        assert gc.isenabled() is gc_state
 
     def test_ds_tree(self, ds_source):
         facts, diagnostics = parse_source_tree(ds_source)
