@@ -29,7 +29,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from xml.etree.ElementTree import ParseError, XMLParser
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import XmlParseError, XmlSchemaError
 
@@ -173,25 +172,35 @@ def _validate_comment(comment: CommentFact) -> None:
 
 # --- XML writing ---------------------------------------------------------
 
-# The characters that `quoteattr` and `escape` rewrite.  Most names and
-# comments contain none, so they are quoted without calling saxutils.
+# The characters that `_quote` and `_escape` rewrite.  Most names and
+# comments contain none, so they are quoted with no `replace` at all.
 _ATTR_SPECIAL = re.compile(r'[&<>"\n\r\t]')
 _TEXT_SPECIAL = re.compile(r"[&<>]")
 
 
 def _quote(value: str) -> str:
-    """Equal to `saxutils.quoteattr(value)`."""
-    if value.isidentifier():  # most names: nothing to escape, no search
+    """Equal to `xml.sax.saxutils.quoteattr(value)`.
+
+    The value is escaped as by `_escape`, with newline, carriage return and
+    tab as character references.  It is quoted with `'` if it holds `"` but
+    no `'`, else with `"`, and then any `"` in it becomes `&quot;`.
+    """
+    # most names are identifiers: nothing to escape, and no search
+    if value.isidentifier() or not _ATTR_SPECIAL.search(value):
         return '"' + value + '"'
-    if _ATTR_SPECIAL.search(value):
-        return quoteattr(value)
-    return '"' + value + '"'
+    value = _escape(value).replace("\n", "&#10;").replace("\r", "&#13;")
+    value = value.replace("\t", "&#9;")
+    if '"' not in value:
+        return '"' + value + '"'
+    if "'" not in value:
+        return "'" + value + "'"
+    return '"' + value.replace('"', "&quot;") + '"'
 
 
 def _escape(text: str) -> str:
-    """Equal to `saxutils.escape(text)`."""
+    """Equal to `xml.sax.saxutils.escape(text)`: `&`, then `>` and `<`."""
     if _TEXT_SPECIAL.search(text):
-        return escape(text)
+        return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
     return text
 
 

@@ -1,8 +1,11 @@
-"""Static checks on the package source."""
+"""Static checks on the package source, and what importing it loads."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,3 +150,18 @@ SOURCES = sorted(
 def test_source_parses_as_the_oldest_supported_python(path):
     # pyproject.toml: requires-python = ">=3.10"
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+# Standard-library packages that no command uses.  `xml.sax.saxutils` alone
+# once loaded all of them, 42 modules in all.
+UNUSED_PACKAGES = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
+
+
+def test_importing_the_cli_loads_no_package_a_run_does_not_use():
+    code = "import sys, reqtrace.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "reqtrace.cli" in loaded
+    assert [name for name in UNUSED_PACKAGES if name in loaded] == []

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import re
 import tempfile
 from dataclasses import replace
@@ -20,8 +19,8 @@ from reqtrace.facts import (
     save_facts_xml,
     validate_facts,
 )
-from reqtrace import javaparser
 from reqtrace.javaparser import (
+    _NOT_XML_CHAR,
     ParseDiagnostic,
     _Cursor,
     _is_ident,
@@ -866,15 +865,6 @@ class TestMutatedSources:
         assert load_facts_xml(save_facts_xml(facts)) == facts
 
 
-@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
-def gc_state(request):
-    """Run the test with cyclic GC enabled or disabled; restore the state after."""
-    was_enabled = gc.isenabled()
-    (gc.enable if request.param else gc.disable)()
-    yield request.param
-    (gc.enable if was_enabled else gc.disable)()
-
-
 class TestSourceTree:
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -939,26 +929,15 @@ class TestSourceTree:
             (4, "annotation @Override ignored")
         ]
 
-    def test_cyclic_gc_state_is_restored(self, tmp_path, gc_state):
-        (tmp_path / "A.java").write_text("class A { int x; }")
-        parse_source_tree(tmp_path)
-        assert gc.isenabled() is gc_state
-
-    def test_cyclic_gc_state_is_restored_when_the_parse_raises(
-        self, tmp_path, monkeypatch, gc_state
-    ):
-        (tmp_path / "A.java").write_text("class A { int x; }")
-        enabled_during_the_parse = []
-
-        def fail(text, file):
-            enabled_during_the_parse.append(gc.isenabled())
-            raise RuntimeError("parse failed")
-
-        monkeypatch.setattr(javaparser, "parse_compilation_unit", fail)
-        with pytest.raises(RuntimeError, match="parse failed"):
-            parse_source_tree(tmp_path)
-        assert enabled_during_the_parse == [False]
-        assert gc.isenabled() is gc_state
+    def test_what_xml_cannot_hold_is_matched_at_every_code_point(self):
+        # the negated class of the characters of XML 1.0
+        not_xml_char = re.compile(
+            "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]"
+        )
+        every_code_point = "".join(map(chr, range(0x110000)))
+        assert [m.start() for m in _NOT_XML_CHAR.finditer(every_code_point)] == [
+            m.start() for m in not_xml_char.finditer(every_code_point)
+        ]
 
     def test_ds_tree(self, ds_source):
         facts, diagnostics = parse_source_tree(ds_source)

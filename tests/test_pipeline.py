@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 from pathlib import Path
+from traceback import walk_stack
 
 import pytest
 
@@ -167,3 +169,80 @@ def test_source_tree_of_one_interface_prints_its_diagnostic_and_exits_3(
         pipeline.trace(_build_parser().parse_args(argv), run)
     assert [d.message for d in run.diagnostics] == ["interface declaration skipped"]
     assert run.files == {}
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    """Run the test with cyclic GC enabled or disabled; restore the state after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def command_argvs(out: Path, ds_source, ds_requirements, ds_gold) -> list[list[str]]:
+    """The argv of an `extract`, a `trace` and an `evaluate` on DS, writing
+    under `out`; the trace is run once first, so that `evaluate` has links."""
+    trace = ["trace", "--src", str(ds_source), "--reqs", str(ds_requirements)]
+    assert main(trace + ["--out", str(out / "trace")]) == EXIT_OK
+    return [
+        ["extract", "--src", str(ds_source), "--out", str(out / "facts.xml")],
+        trace + ["--out", str(out / "trace")],
+        ["evaluate", "--links", str(out / "trace" / "links.json")]
+        + ["--gold", str(ds_gold), "--out", str(out / "evaluate")],
+    ]
+
+
+def test_cyclic_gc_state_is_restored(
+    tmp_path, ds_source, ds_requirements, ds_gold, gc_state
+):
+    for argv in command_argvs(tmp_path, ds_source, ds_requirements, ds_gold):
+        run_command(argv)
+        assert gc.isenabled() is gc_state
+
+
+def test_cyclic_gc_state_is_restored_when_the_parse_raises(
+    tmp_path, monkeypatch, ds_source, gc_state
+):
+    enabled_during_the_parse = []
+
+    def fail(src):
+        enabled_during_the_parse.append(gc.isenabled())
+        raise RuntimeError("parse failed")
+
+    monkeypatch.setattr(pipeline, "parse_source_tree", fail)
+    with pytest.raises(RuntimeError, match="parse failed"):
+        run_command(["extract", "--src", str(ds_source), "--out", str(tmp_path)])
+    assert enabled_during_the_parse == [False]
+    assert gc.isenabled() is gc_state
+
+
+def test_no_collection_runs_during_a_command(
+    tmp_path, ds_source, ds_requirements, ds_gold
+):
+    parser = _build_parser()
+    argvs = command_argvs(tmp_path, ds_source, ds_requirements, ds_gold)
+    commands = [
+        (getattr(pipeline, args.command), args, pipeline.Run())
+        for args in map(parser.parse_args, argvs)
+    ]
+    collections = []
+
+    def record(phase, info):
+        # a collection that starts inside a command has its frames on the stack
+        modules = [frame.f_globals["__name__"] for frame, _ in walk_stack(None)]
+        if phase == "start" and "reqtrace.pipeline" in modules:
+            collections.append(modules)
+
+    threshold, was_enabled = gc.get_threshold(), gc.isenabled()
+    gc.set_threshold(1)  # on, the collector would run at every allocation
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        for command, args, run in commands:
+            command(args, run)
+    finally:
+        gc.callbacks.remove(record)
+        gc.set_threshold(*threshold)
+        (gc.enable if was_enabled else gc.disable)()
+    assert collections == []
