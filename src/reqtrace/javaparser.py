@@ -517,7 +517,7 @@ def _parse_class(cursor: _Cursor) -> ClassFact | None:
 @dataclass
 class _PendingMethod:
     name: str
-    parameters: list[tuple[str, str]]
+    parameters: dict[str, str]  # name -> type
     body: list[str]
     comments: list[str]
     start: int  # index of the member's first token
@@ -529,38 +529,35 @@ class _ClassBuilder:
         self.cursor = cursor
         self.superclass: str | None = None
         self.comments: list[str] = []  # class-level
-        self.attributes: list[AttributeFact] = []
-        self.methods: list[_PendingMethod] = []
+        self.attributes: dict[str, AttributeFact] = {}  # by name
+        self.methods: dict[tuple[str, int], _PendingMethod] = {}  # by name, arity
 
     def add_field(self, name: str, declared_type: str, start: int) -> None:
-        if any(a.name == name for a in self.attributes):
+        if name in self.attributes:
             self.cursor.warn(start, f"duplicate field {name!r} skipped")
             return
-        self.attributes.append(AttributeFact(name=name, declared_type=declared_type))
+        self.attributes[name] = AttributeFact(name=name, declared_type=declared_type)
 
     def add_method(self, method: _PendingMethod) -> None:
         signature = (method.name, len(method.parameters))
-        if any(
-            (m.name, len(m.parameters)) == signature for m in self.methods
-        ):
+        if signature in self.methods:
             self.cursor.warn(
                 method.start,
                 f"duplicate method signature {method.name!r}"
                 f"/{len(method.parameters)} skipped",
             )
             return
-        self.methods.append(method)
+        self.methods[signature] = method
 
     def finish(self) -> ClassFact:
-        field_names = {a.name for a in self.attributes}
-        methods = tuple(
-            _scan_method_body(pending, field_names) for pending in self.methods
-        )
         return ClassFact(
             name=self.name,
             superclass=self.superclass,
-            attributes=tuple(self.attributes),
-            methods=methods,
+            attributes=tuple(self.attributes.values()),
+            methods=tuple(
+                _scan_method_body(pending, self.attributes)
+                for pending in self.methods.values()
+            ),
             comments=tuple(
                 CommentFact(text=text, kind="class-level") for text in self.comments
             ),
@@ -699,8 +696,8 @@ def _parse_callable(
     builder.add_method(_PendingMethod(name, parameters, body, comments, start))
 
 
-def _parse_parameters(cursor: _Cursor) -> list[tuple[str, str]]:
-    parameters: list[tuple[str, str]] = []
+def _parse_parameters(cursor: _Cursor) -> dict[str, str]:
+    parameters: dict[str, str] = {}  # name -> type, in order
     open_paren = cursor.i
     cursor.take()  # "("
     while not cursor.eof() and cursor.peek() != ")":
@@ -722,10 +719,10 @@ def _parse_parameters(cursor: _Cursor) -> list[tuple[str, str]]:
             name_at = cursor.i
             name = cursor.take()
             type_text += cursor.dims()
-            if any(existing == name for existing, _ in parameters):
+            if name in parameters:
                 cursor.warn(name_at, f"duplicate parameter {name!r} skipped")
             else:
-                parameters.append((name, type_text))
+                parameters[name] = type_text
         if cursor.peek() == ",":
             cursor.take()
     if cursor.peek() == ")":
@@ -733,8 +730,9 @@ def _parse_parameters(cursor: _Cursor) -> list[tuple[str, str]]:
     return parameters
 
 
-def _scan_method_body(pending: _PendingMethod, field_names: set[str]) -> MethodFact:
-    """Token scan for locals, accesses and invocations."""
+def _scan_method_body(pending: _PendingMethod, fields: dict[str, object]) -> MethodFact:
+    """Token scan for locals, accesses and invocations; `fields` is keyed
+    by the class's field names."""
     locals_found: list[tuple[str, str]] = []
     accesses: list[str] = []
     invocations: list[str] = []
@@ -786,12 +784,12 @@ def _scan_method_body(pending: _PendingMethod, field_names: set[str]) -> MethodF
                     locals_found.extend(declared)
                     j = cursor.i
                     continue
-        if token in field_names:
+        if token in fields:
             accesses.append(token)
         j += 1
     return MethodFact(
         name=pending.name,
-        parameters=tuple(pending.parameters),
+        parameters=tuple(pending.parameters.items()),
         local_variables=tuple(locals_found),
         comments=tuple(
             CommentFact(text=text, kind="method-level") for text in pending.comments
@@ -836,9 +834,9 @@ _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff
 def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic]]:
     """Parse every .java file under `root`, merged in sorted-path order.
 
-    A file that is not UTF-8 is decoded as ISO-8859-1, with a warning.  The
-    provenance is the path of `root`, with U+FFFD for each character that
-    the facts XML cannot carry.
+    A file is read as UTF-8, less a leading byte-order mark, or else decoded
+    as ISO-8859-1, with a warning.  The provenance is the path of `root`,
+    with U+FFFD for each character that the facts XML cannot carry.
     """
     root = Path(root)
     if not root.exists():
@@ -851,7 +849,7 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
     for path in sorted(root.rglob("*.java")):
         file = str(path)
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError:
             text = path.read_text(encoding="iso-8859-1")
             diagnostics.append(

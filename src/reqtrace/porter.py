@@ -7,49 +7,35 @@ returned unchanged, matching the published behaviour.
 _VOWELS = "aeiou"
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _pattern(stem: str) -> str:
+    """One mark per letter of `stem`: "v" for a vowel, "c" for a consonant.
+    A "y" is a vowel after a consonant, and a consonant first or after a
+    vowel."""
+    marks = []
+    after_consonant = False
+    for ch in stem:
+        vowel = ch in _VOWELS or (ch == "y" and after_consonant)
+        marks.append("v" if vowel else "c")
+        after_consonant = not vowel
+    return "".join(marks)
 
 
 def _measure(stem: str) -> int:
     """Count VC alternations: <C>(VC){m}<V>."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        vowel = not _is_consonant(stem, i)
-        if prev_vowel and not vowel:
-            m += 1
-        prev_vowel = vowel
-    return m
+    return _pattern(stem).count("vc")
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _pattern(stem)
 
 
 def _ends_double_consonant(stem: str) -> bool:
-    return (
-        len(stem) >= 2
-        and stem[-1] == stem[-2]
-        and _is_consonant(stem, len(stem) - 1)
-    )
+    return len(stem) >= 2 and stem[-1] == stem[-2] and _pattern(stem)[-1] == "c"
 
 
 def _ends_cvc(stem: str) -> bool:
     """*o condition: ends consonant-vowel-consonant, final not w, x, or y."""
-    if len(stem) < 3:
-        return False
-    return (
-        _is_consonant(stem, len(stem) - 3)
-        and not _is_consonant(stem, len(stem) - 2)
-        and _is_consonant(stem, len(stem) - 1)
-        and stem[-1] not in "wxy"
-    )
+    return _pattern(stem).endswith("cvc") and stem[-1] not in "wxy"
 
 
 def _step1a(word: str) -> str:

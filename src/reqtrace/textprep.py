@@ -75,9 +75,10 @@ class TermBag:
 
 
 def load_stop_words(path: str | Path) -> StopWordList:
-    """Read a UTF-8 stop-word file: one lowercase word per line, # comments."""
+    """Read a UTF-8 stop-word file, with or without a byte-order mark: one
+    lowercase word per line, # comments."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read stop-word file {path}: {exc}") from exc
     words = set()

@@ -456,6 +456,29 @@ def test_java_file_not_in_utf8_is_read_as_latin1(
     assert "Legacy" in traced_classes(tmp_path / "out")
 
 
+def test_java_file_with_a_byte_order_mark_reads_as_without(
+    tmp_path, ds_source, ds_requirements, capsys
+):
+    bom = "\ufeffpackage marked;\nclass Marked { void m() {} }\n".encode("utf-8")
+    _, extracted, traced = extract_and_trace(
+        tmp_path, ds_source, ds_requirements, capsys, "Marked.java", bom
+    )
+    assert extracted == traced == (EXIT_OK, "")
+    assert "Marked" in traced_classes(tmp_path / "out")
+
+
+def test_comment_of_2000_ys_does_not_abort_trace(
+    tmp_path, ds_source, ds_requirements, capsys
+):
+    # each "y" after a consonant is a vowel; the stemmer must not recurse per letter
+    text = f"/** {'y' * 2000}ed */\nclass Why {{ void m() {{}} }}\n".encode("utf-8")
+    _, extracted, traced = extract_and_trace(
+        tmp_path, ds_source, ds_requirements, capsys, "Why.java", text
+    )
+    assert extracted == traced == (EXIT_OK, "")
+    assert "Why" in traced_classes(tmp_path / "out")
+
+
 @pytest.mark.parametrize(
     "directory, provenance",
     [(b"src\xff", "src\ufffd"), (b"src\x01x", "src\ufffdx")],

@@ -24,7 +24,6 @@ def tls_of(links: dict[str, tuple[str, ...]], classes=()) -> TraceLinkSet:
     linked = {c for linked_classes in links.values() for c in linked_classes}
     return TraceLinkSet(
         links=links,
-        clusters=(),
         unlinked_classes=tuple(c for c in classes if c not in linked),
         unlinked_requirements=tuple(r for r, c in links.items() if not c),
     )

@@ -139,6 +139,38 @@ def test_every_public_name_is_read_outside_the_tests():
     assert unread_exports(sources, readers) == []
 
 
+def self_calls(source: str) -> list[str]:
+    """Module-level functions that call themselves by name."""
+    return [
+        f"line {node.lineno}: {node.name}"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == node.name
+            for call in ast.walk(node)
+        )
+    ]
+
+
+def test_checker_finds_a_function_that_calls_itself():
+    source = (
+        "def f(n):\n    return f(n - 1) if n else 0\n"
+        "def g(): return h()\ndef h(): return g\n"
+        "class C:\n    def m(self): return self.m()\n"
+        "def k(items):\n    return [k(item) for item in items]\n"
+    )
+    assert self_calls(source) == ["line 1: f", "line 7: k"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_function_calls_itself(path):
+    # Input size must not set the recursion depth: a long enough input
+    # would raise RecursionError.
+    assert self_calls(path.read_text(encoding="utf-8")) == []
+
+
 SOURCES = sorted(
     path
     for tree in ("src", "tests", "perfbench")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -863,6 +864,32 @@ class TestMutatedSources:
             Path(root, "Fuzz.java").write_text(text, encoding="utf-8")
             facts, _ = parse_source_tree(root)
         assert load_facts_xml(save_facts_xml(facts)) == facts
+
+
+class TestLargeClasses:
+    # Members are checked for duplicates by key, not against every earlier
+    # member; a generated class such as Android's R.java holds thousands.
+    def parse_in_under(self, seconds: float, text: str) -> ClassFact:
+        start = time.perf_counter()
+        fragment, diagnostics = parse_compilation_unit(text, "R.java")
+        assert time.perf_counter() - start < seconds
+        assert diagnostics == []
+        return fragment.classes[0]
+
+    def test_20000_fields_parse_in_under_2_s(self):
+        fields = " ".join(f"int f{i};" for i in range(20000))
+        text = f"class R {{ {fields} void m() {{ f7 = f19999; }} }}"
+        cls = self.parse_in_under(2.0, text)
+        assert len(cls.attributes) == 20000
+        assert cls.methods[0].attribute_accesses == ("f7", "f19999")
+
+    def test_10000_methods_parse_in_under_2_s(self):
+        methods = " ".join(
+            f"void m{i}(int a, int b) {{ m{i - 1}(a, b); }}" for i in range(10000)
+        )
+        cls = self.parse_in_under(2.0, f"class R {{ {methods} }}")
+        assert [m.name for m in cls.methods] == [f"m{i}" for i in range(10000)]
+        assert cls.methods[-1].method_invocations == ("m9998",)
 
 
 class TestSourceTree:

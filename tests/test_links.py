@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import random
+import re
+import time
 
 from dotreader import parse_dot
+from hypothesis import example, given, seed, settings, strategies as st
 from test_fca import RELEASES_CTX, TRACE_CTX, context_from, random_context
 
 from reqtrace.fca import AOCPoset, aoc_poset
 from reqtrace.links import (
+    TraceLinkSet,
+    _identifier_map,
     assemble_links,
     emit_dot_poset,
     emit_dot_tracelinks,
@@ -47,17 +52,10 @@ class TestAssembleLinks:
         assert set(tls.unlinked_requirements) == {"r1", "r2"}
         assert set(tls.unlinked_classes) == {"c1", "c2"}
 
-    def test_shared_class_in_both_link_sets_and_shared_cluster(self):
+    def test_shared_class_in_both_link_sets(self):
         tls = trace_links(SHARED_CTX)
         assert "Common" in tls.links["first need"]
         assert "Common" in tls.links["second need"]
-        shared = [
-            (reqs, classes)
-            for reqs, classes in tls.clusters
-            if set(reqs) == {"first need", "second need"}
-        ]
-        assert len(shared) == 1
-        assert "Common" in shared[0][1]
 
     def test_links_equal_incidence_rows(self):
         rng = random.Random(5)
@@ -78,6 +76,14 @@ class TestAssembleLinks:
             linked = {c for classes in tls.links.values() for c in classes}
             assert linked | set(tls.unlinked_classes) == set(ctx.attributes)
             assert not linked & set(tls.unlinked_classes)
+
+    def test_class_names_linked_first_in_requirement_order_then_unlinked(self):
+        tls = TraceLinkSet(
+            links={"r1": ("B", "A"), "r2": (), "r3": ("C", "B")},
+            unlinked_classes=("E", "D"),
+            unlinked_requirements=("r2",),
+        )
+        assert tls.class_names() == ["B", "A", "C", "E", "D"]
 
     def test_json_round_trip(self):
         tls = trace_links(TRACE_CTX)
@@ -161,3 +167,41 @@ class TestTraceLinksDot:
         assert emit_dot_tracelinks(trace_links(TRACE_CTX)) == emit_dot_tracelinks(
             trace_links(TRACE_CTX)
         )
+
+
+def identifier_map_by_retry(names: list[str], prefix: str) -> dict[str, str]:
+    """The oracle: retry every serial from 2 on each collision."""
+    mapping: dict[str, str] = {}
+    used = set()
+    for name in names:
+        base = prefix + (re.sub(r"[^0-9A-Za-z_]", "_", name) or "x")
+        candidate = base
+        serial = 2
+        while candidate in used:
+            candidate = f"{base}_{serial}"
+            serial += 1
+        used.add(candidate)
+        mapping[name] = candidate
+    return mapping
+
+
+class TestIdentifierMap:
+    # Names that sanitize alike, and literal names such as `x_2` that take
+    # the spelling a serial would give.
+    @seed(19)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text("x_2.3-", max_size=5), unique=True, max_size=40))
+    @example(["x", "x.", "x-", "x_2", "x_3", "x._2", "x_2_2", "x.2"])
+    @example(["", ".", "x", "-"])
+    def test_equals_retrying_every_serial(self, names):
+        assert _identifier_map(names, "c_") == identifier_map_by_retry(names, "c_")
+
+    def test_8000_names_that_sanitize_alike_emit_in_under_a_second(self):
+        names = tuple(f"A{chr(0x100 + i)}" for i in range(8000))
+        tls = TraceLinkSet(
+            links={"r": names[:10]}, unlinked_classes=names[10:], unlinked_requirements=()
+        )
+        start = time.perf_counter()
+        dot = emit_dot_tracelinks(tls)
+        assert time.perf_counter() - start < 1.0
+        assert "c_A__8000 [label=" in dot

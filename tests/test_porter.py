@@ -1,7 +1,11 @@
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, seed, settings, strategies as st
+
+from reqtrace import porter
 from reqtrace.porter import stem
 
 # Frozen pairs, cross-checked against an independent reference port of the
@@ -122,3 +126,92 @@ def test_ion_is_kept_after_a_letter_other_than_s_or_t():
     # step 4 would otherwise leave "opin", whose measure is 2
     assert stem("opinion") == "opinion"
     assert stem("adoption") == "adopt"
+
+
+# The stemmer's first consonant tests, which recurse once per letter of a
+# run of "y"s: the oracle for its one-pass consonant/vowel marks.
+def _is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in "aeiou":
+        return False
+    if ch == "y":
+        return i == 0 or not _is_consonant(word, i - 1)
+    return True
+
+
+def _measure(stem: str) -> int:
+    m = 0
+    prev_vowel = False
+    for i in range(len(stem)):
+        vowel = not _is_consonant(stem, i)
+        if prev_vowel and not vowel:
+            m += 1
+        prev_vowel = vowel
+    return m
+
+
+def _has_vowel(stem: str) -> bool:
+    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ends_double_consonant(stem: str) -> bool:
+    return (
+        len(stem) >= 2
+        and stem[-1] == stem[-2]
+        and _is_consonant(stem, len(stem) - 1)
+    )
+
+
+def _ends_cvc(stem: str) -> bool:
+    if len(stem) < 3:
+        return False
+    return (
+        _is_consonant(stem, len(stem) - 3)
+        and not _is_consonant(stem, len(stem) - 2)
+        and _is_consonant(stem, len(stem) - 1)
+        and stem[-1] not in "wxy"
+    )
+
+
+def oracle_stem(word: str) -> str:
+    oracle = {
+        "_measure": _measure,
+        "_has_vowel": _has_vowel,
+        "_ends_double_consonant": _ends_double_consonant,
+        "_ends_cvc": _ends_cvc,
+    }
+    with mock.patch.multiple(porter, **oracle):
+        return stem(word)
+
+
+SUFFIXES = (
+    "", "s", "ed", "ing", "y", "eed", "ational", "ization", "iveness", "aliti",
+    "icate", "ement", "ion", "e", "ll", "ate", "ize", "ful", "ness",
+)
+
+# Lowercase words, and words from y-heavy alphabets with a suffix that some
+# rule strips.
+WORDS = st.text("abcdefghijklmnopqrstuvwxyz", max_size=16) | st.builds(
+    str.__add__,
+    st.text("y", min_size=1, max_size=12) | st.text("ybtlyae", max_size=16),
+    st.sampled_from(SUFFIXES),
+)
+
+
+@seed(2307)
+@settings(max_examples=1000, deadline=None)
+@given(WORDS)
+@example("syzygy")
+@example("yyyyed")
+@example("ayyyy")
+@example("toyed")
+@example("yyying")
+def test_stem_equals_the_recursive_oracle(word):
+    assert stem(word) == oracle_stem(word)
+
+
+def test_a_long_run_of_ys_is_stemmed_without_recursion():
+    # as the oracle stems a shorter run: "ed" goes, then step 1c makes the
+    # final "y" an "i"
+    assert stem("y" * 500 + "ed") == oracle_stem("y" * 500 + "ed") == "y" * 499 + "i"
+    assert stem("y" * 5000 + "ed") == "y" * 4999 + "i"

@@ -77,6 +77,11 @@ class TestStopWords:
         stops = load_stop_words(path)
         assert stops.words == {"foo", "bar", "baz"}
 
+    def test_loader_drops_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "stops.txt"
+        path.write_bytes("\ufeffdraw\nline\n".encode("utf-8"))
+        assert load_stop_words(path).words == {"draw", "line"}
+
 
 def preprocess_token_by_token(text: str, stops: StopWordList) -> dict[str, int]:
     """Reference: lowercase each word, drop a stop word, stem, drop a stem
