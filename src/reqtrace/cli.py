@@ -133,8 +133,13 @@ def main(argv: list[str] | None = None) -> int:
         try:
             getattr(pipeline, args.command)(args, run)
         finally:
-            for d in run.diagnostics:
-                print(f"{d.severity}: {d.file}:{d.line}: {d.message}", file=sys.stderr)
+            # one write: to an unbuffered stderr, each `print` is a system call
+            sys.stderr.write(
+                "".join(
+                    f"{d.severity}: {d.file}:{d.line}: {d.message}\n"
+                    for d in run.diagnostics
+                )
+            )
         _write_all(run.files)
         print(run.summary, end="")
         return EXIT_OK

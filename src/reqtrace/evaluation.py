@@ -103,7 +103,7 @@ def load_gold_links(path: str | Path) -> GoldLinks:
     ``package.Class`` where more than one package declares that name.
     """
     try:
-        related = class_lists(json.loads(Path(path).read_text(encoding="utf-8")))
+        related = class_lists(json.loads(Path(path).read_text(encoding="utf-8-sig")))
     except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or shape
         raise GoldCoverageError(f"gold file {path}: {exc}") from exc
     return GoldLinks(related={r: frozenset(c) for r, c in related.items()})

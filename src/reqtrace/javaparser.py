@@ -65,6 +65,7 @@ from .facts import (
     CommentFact,
     MethodFact,
     PackageFact,
+    _slot_init,
 )
 
 __all__ = ["ParseDiagnostic", "parse_compilation_unit", "parse_source_tree"]
@@ -94,6 +95,7 @@ _NON_TYPE_KEYWORDS = KEYWORDS - PRIMITIVE_TYPES
 _NOT_IN_GENERICS = _NON_TYPE_KEYWORDS - {"extends", "super"}
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class ParseDiagnostic:
     severity: str  # "warning" | "error"
@@ -536,7 +538,7 @@ class _ClassBuilder:
         if name in self.attributes:
             self.cursor.warn(start, f"duplicate field {name!r} skipped")
             return
-        self.attributes[name] = AttributeFact(name=name, declared_type=declared_type)
+        self.attributes[name] = AttributeFact(name, declared_type)
 
     def add_method(self, method: _PendingMethod) -> None:
         signature = (method.name, len(method.parameters))
@@ -550,17 +552,18 @@ class _ClassBuilder:
         self.methods[signature] = method
 
     def finish(self) -> ClassFact:
+        scanner = _Cursor([])  # reads each body in turn
         return ClassFact(
-            name=self.name,
-            superclass=self.superclass,
-            attributes=tuple(self.attributes.values()),
-            methods=tuple(
-                _scan_method_body(pending, self.attributes)
-                for pending in self.methods.values()
+            self.name,
+            self.superclass,
+            tuple(self.attributes.values()),
+            tuple(
+                [
+                    _scan_method_body(pending, self.attributes, scanner)
+                    for pending in self.methods.values()
+                ]
             ),
-            comments=tuple(
-                CommentFact(text=text, kind="class-level") for text in self.comments
-            ),
+            tuple([CommentFact(text, "class-level") for text in self.comments]),
         )
 
 
@@ -730,17 +733,25 @@ def _parse_parameters(cursor: _Cursor) -> dict[str, str]:
     return parameters
 
 
-def _scan_method_body(pending: _PendingMethod, fields: dict[str, object]) -> MethodFact:
+def _scan_method_body(
+    pending: _PendingMethod, fields: dict[str, object], cursor: _Cursor
+) -> MethodFact:
     """Token scan for locals, accesses and invocations; `fields` is keyed
-    by the class's field names."""
+    by the class's field names.  `cursor` is set to the body's tokens.
+
+    A declaration that fails to match at a name fails at each later name of
+    the same dotted chain too: each reads the same rest of the chain, and
+    the same tokens after it.  So the scan tries none of those names, and a
+    chain costs time linear in its length.
+    """
     locals_found: list[tuple[str, str]] = []
     accesses: list[str] = []
     invocations: list[str] = []
 
-    tokens = pending.body
-    cursor: _Cursor | None = None  # made for the first declaration tried
+    tokens = cursor.tokens = pending.body
+    n = cursor.n = len(tokens)
     consumed: set[int] = set()
-    n = len(tokens)
+    failed = None  # the last name at which no declaration can start
 
     j = 0
     while j < n:
@@ -776,26 +787,30 @@ def _scan_method_body(pending: _PendingMethod, fields: dict[str, object]) -> Met
             # a type goes on with `.`, `<` or `[`, or is followed by the name
             second = nxt[0]
             if second in _TYPE_GOES_ON or second > "\x7f" and second.isalpha():
-                if cursor is None:
-                    cursor = _Cursor(tokens)
-                cursor.i = j
-                declared = _match_declaration(cursor, consumed)
-                if declared is not None:
-                    locals_found.extend(declared)
-                    j = cursor.i
-                    continue
+                if (
+                    failed == j - 2
+                    and tokens[j - 1] == "."
+                    and token not in PRIMITIVE_TYPES
+                ):
+                    failed = j  # on the chain of the name at `failed`
+                else:
+                    cursor.i = j
+                    declared = _match_declaration(cursor, consumed)
+                    if declared is not None:
+                        locals_found.extend(declared)
+                        j = cursor.i
+                        continue
+                    failed = j
         if token in fields:
             accesses.append(token)
         j += 1
     return MethodFact(
-        name=pending.name,
-        parameters=tuple(pending.parameters.items()),
-        local_variables=tuple(locals_found),
-        comments=tuple(
-            CommentFact(text=text, kind="method-level") for text in pending.comments
-        ),
-        attribute_accesses=tuple(accesses),
-        method_invocations=tuple(invocations),
+        pending.name,
+        tuple(pending.parameters.items()),
+        tuple(locals_found),
+        tuple([CommentFact(text, "method-level") for text in pending.comments]),
+        tuple(accesses),
+        tuple(invocations),
     )
 
 
@@ -834,9 +849,10 @@ _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff
 def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic]]:
     """Parse every .java file under `root`, merged in sorted-path order.
 
-    A file is read as UTF-8, less a leading byte-order mark, or else decoded
-    as ISO-8859-1, with a warning.  The provenance is the path of `root`,
-    with U+FFFD for each character that the facts XML cannot carry.
+    A file is read as UTF-8, or else decoded as ISO-8859-1, with a warning;
+    either way less a leading UTF-8 byte-order mark.  The provenance is the
+    path of `root`, with U+FFFD for each character that the facts XML cannot
+    carry.
     """
     root = Path(root)
     if not root.exists():
@@ -852,6 +868,7 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
             text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError:
             text = path.read_text(encoding="iso-8859-1")
+            text = text.removeprefix("\xef\xbb\xbf")  # a UTF-8 byte-order mark
             diagnostics.append(
                 ParseDiagnostic("warning", file, 1, "not UTF-8; decoded as ISO-8859-1")
             )

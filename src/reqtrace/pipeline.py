@@ -200,7 +200,7 @@ def trace(args: argparse.Namespace, run: Run) -> Run:
 def evaluate(args: argparse.Namespace, run: Run) -> Run:
     """Score the links file `args.links` against the gold file `args.gold`."""
     try:
-        tls = links.links_from_json(args.links.read_text(encoding="utf-8"))
+        tls = links.links_from_json(args.links.read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or shape
         raise ConfigurationError(f"links file {args.links}: {exc}") from exc
     run.files = _reports(tls, evaluation.load_gold_links(args.gold), args.out)

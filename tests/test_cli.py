@@ -518,6 +518,32 @@ def test_evaluate_reproduces_the_trace_report(ds_out, tmp_path, ds_gold):
         assert (tmp_path / name).read_bytes() == (ds_out / name).read_bytes()
 
 
+def with_a_byte_order_mark(path: Path, copy: Path) -> Path:
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+def test_trace_reads_a_gold_file_with_a_byte_order_mark(
+    ds_out, tmp_path, ds_source, ds_requirements, ds_gold
+):
+    gold = with_a_byte_order_mark(ds_gold, tmp_path / "gold.json")
+    out = tmp_path / "out"
+    args = ["--src", str(ds_source), "--gold", str(gold), "--dump-intermediates"]
+    assert trace(out, ds_requirements, *args) == EXIT_OK
+    assert read_all(out) == read_all(ds_out)
+
+
+def test_evaluate_reads_links_and_gold_with_a_byte_order_mark(
+    ds_out, tmp_path, ds_gold
+):
+    links = with_a_byte_order_mark(ds_out / "links.json", tmp_path / "links.json")
+    gold = with_a_byte_order_mark(ds_gold, tmp_path / "gold.json")
+    argv = ["evaluate", "--links", str(links), "--gold", str(gold)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+    for name in ("report.json", "report.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (ds_out / name).read_bytes()
+
+
 def test_full_rank_svd_and_count_cosine_agree(
     ds_out, tmp_path, ds_source, ds_requirements
 ):

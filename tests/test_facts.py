@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from xml.sax.saxutils import escape, quoteattr
 
 import pytest
@@ -17,6 +18,7 @@ from reqtrace.facts import (
     CommentFact,
     MethodFact,
     PackageFact,
+    SoftwareMetrics,
     _escape,
     _quote,
     compute_metrics,
@@ -129,6 +131,82 @@ SAMPLE = CodeFacts(
     ),
     provenance="unit test",
 )
+
+
+# One value of each record, with its repr.  The records that the parser and
+# the reader make per item set their slots through their own constructor.
+RECORDS = [
+    (CommentFact("t", "method-level"), "CommentFact(text='t', kind='method-level')"),
+    (AttributeFact("n", "int[]"), "AttributeFact(name='n', declared_type='int[]')"),
+    (
+        MethodFact("m", (("p", "int"),), (), (CommentFact("c", "method-level"),)),
+        "MethodFact(name='m', parameters=(('p', 'int'),), local_variables=(),"
+        " comments=(CommentFact(text='c', kind='method-level'),),"
+        " attribute_accesses=(), method_invocations=())",
+    ),
+    (
+        ClassFact("C", None, (AttributeFact("n", "int"),)),
+        "ClassFact(name='C', superclass=None,"
+        " attributes=(AttributeFact(name='n', declared_type='int'),), methods=(),"
+        " comments=())",
+    ),
+    (
+        PackageFact("p", (ClassFact("C"),)),
+        "PackageFact(name='p', classes=(ClassFact(name='C', superclass=None,"
+        " attributes=(), methods=(), comments=()),))",
+    ),
+    (
+        CodeFacts((PackageFact("p"),), "x"),
+        "CodeFacts(packages=(PackageFact(name='p', classes=()),), provenance='x')",
+    ),
+    (
+        SoftwareMetrics(1, 2, 3, 4, 5, 6, 7, 8, 9),
+        "SoftwareMetrics(nop=1, noc=2, noa=3, nom=4, identifiers=5, comments=6,"
+        " locals=7, invocations=8, accesses=9)",
+    ),
+    (
+        ParseDiagnostic("warning", "A.java", 3, "odd"),
+        "ParseDiagnostic(severity='warning', file='A.java', line=3, message='odd')",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, text", RECORDS, ids=[type(record).__name__ for record, _ in RECORDS]
+)
+class TestRecords:
+    def test_no_field_can_be_assigned(self, record, text):
+        for field in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field.name, getattr(record, field.name))
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 1  # slotted: no other attribute either
+        assert repr(record) == text
+
+    def test_equal_fields_give_equal_records_and_hashes(self, record, text):
+        values = {field.name: getattr(record, field.name) for field in fields(record)}
+        rebuilt = [
+            type(record)(*values.values()),
+            type(record)(**values),
+            replace(record),
+        ]
+        for other in rebuilt:
+            assert other == record
+            assert hash(other) == hash(record)
+            assert repr(other) == text
+        first = fields(record)[0].name
+        assert replace(record, **{first: values[first] * 2}) != record
+
+    def test_omitted_fields_take_their_defaults(self, record, text):
+        required = {
+            field.name: getattr(record, field.name)
+            for field in fields(record)
+            if field.default is MISSING
+        }
+        built = type(record)(**required)
+        for field in fields(record):
+            expected = required.get(field.name, field.default)
+            assert getattr(built, field.name) == expected
 
 
 class TestRoundTrip:

@@ -4,7 +4,7 @@ The corpus is written by `perfbench/corpus_gen.py`, with one hand-written
 class added whose comments and types hold `&`, `<`, `>` and both quote
 kinds.  It lies under a directory whose name holds those characters and a
 tab, so the provenance attribute escapes them all.  Every trace runs at
-full rank.
+full rank, except where a test passes `--topics`.
 """
 
 from __future__ import annotations
@@ -110,20 +110,38 @@ def test_raising_the_threshold_never_adds_a_link(tmp_path, corpus):
     assert sum(map(len, runs[0].values())) > sum(map(len, runs[-1].values()))
 
 
+def reversed_tree(src: Path, target: Path) -> Path:
+    """A copy of the `.java` files of `src` under `target`, at paths whose
+    sorted order reverses theirs."""
+    for rank, path in enumerate(reversed(sorted(src.rglob("*.java")))):
+        copy = target / f"d{rank:03d}" / path.name
+        copy.parent.mkdir(parents=True)
+        shutil.copyfile(path, copy)
+    return target
+
+
 def test_reversing_the_sorted_order_of_the_java_paths_keeps_the_links(
     tmp_path, corpus
 ):
-    paths = sorted((corpus / "src").rglob("*.java"))
-    reversed_src = tmp_path / "reversed"
-    for rank, path in enumerate(reversed(paths)):
-        target = reversed_src / f"d{rank:03d}" / path.name
-        target.parent.mkdir(parents=True)
-        shutil.copyfile(path, target)
+    reversed_src = reversed_tree(corpus / "src", tmp_path / "reversed")
     reqs = ("--reqs", str(corpus / "reqs"))
     before = traced(tmp_path / "before", "--src", str(corpus / "src"), *reqs)
     after = traced(tmp_path / "after", "--src", str(reversed_src), *reqs)
     assert link_sets(after) == link_sets(before)
     assert after["unlinked_classes"] != before["unlinked_classes"]  # reordered
+    for key in ("unlinked_classes", "unlinked_requirements"):
+        assert set(after[key]) == set(before[key])
+
+
+def test_reversing_the_java_paths_keeps_the_links_under_topics(tmp_path, corpus):
+    # The d x d eigenproblem of `--topics` sees the documents permuted.  k
+    # is at most the 41 documents here, so it keeps about half of them.
+    reversed_src = reversed_tree(corpus / "src", tmp_path / "reversed")
+    reqs = ("--reqs", str(corpus / "reqs"), "--topics", "20")
+    before = traced(tmp_path / "before", "--src", str(corpus / "src"), *reqs)
+    after = traced(tmp_path / "after", "--src", str(reversed_src), *reqs)
+    assert link_sets(after) == link_sets(before)
+    assert sum(map(len, link_sets(before).values())) > 0
     for key in ("unlinked_classes", "unlinked_requirements"):
         assert set(after[key]) == set(before[key])
 

@@ -892,6 +892,38 @@ class TestLargeClasses:
         assert cls.methods[-1].method_invocations == ("m9998",)
 
 
+    def test_a_dotted_chain_of_4000_links_parses_in_under_half_a_second(self):
+        # each name of the chain used to read the rest of it as a type
+        chain = ".".join(["a"] * 4000)
+        text = f"class C {{ int a; void m() {{ x = {chain}.f(); T y = a.b; }} }}"
+        (method,) = self.parse_in_under(0.5, text).methods
+        assert method.attribute_accesses == ("a",) * 4001
+        assert method.method_invocations == ("f",)
+        assert method.local_variables == (("y", "T"),)
+
+
+# A declaration that fails at a chain's first name is not tried at its later
+# names; one that starts after the chain, or at a name the chain stops
+# before, is still found.
+@pytest.mark.parametrize(
+    "statement, local_variables, attribute_accesses",
+    [
+        ("a.int x;", (("x", "int"),), ("a",)),
+        ("a < b c;", (("c", "b"),), ("a",)),
+        ("a.b x y = 1;", (("y", "x"),), ("a", "b")),
+        ("this.a.b c = 1;", (("c", "b"),), ("a",)),
+        ("x = a.b.c; a.b.C d = e;", (("d", "a.b.C"),), ("a", "b")),
+    ],
+)
+def test_declarations_around_a_dotted_chain(
+    statement, local_variables, attribute_accesses
+):
+    cls, diagnostics = parse_one(f"class C {{ int a, b; void m() {{ {statement} }} }}")
+    assert cls.methods[0].local_variables == local_variables
+    assert cls.methods[0].attribute_accesses == attribute_accesses
+    assert diagnostics == []
+
+
 class TestSourceTree:
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -946,6 +978,19 @@ class TestSourceTree:
             ("warning", 4, "unrecognized top-level token '\\x00'"),
             ("warning", 4, "unrecognized top-level construct near 'bogus'"),
         ]
+
+    def test_a_byte_order_mark_before_latin1_is_dropped(self, tmp_path):
+        source = b"package p;\nclass Lat { /* caf\xe9 */ void m() {} }\n"
+        (tmp_path / "marked").mkdir()
+        (tmp_path / "marked" / "Lat.java").write_bytes(b"\xef\xbb\xbf" + source)
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "plain" / "Lat.java").write_bytes(source)
+        marked, diagnostics = parse_source_tree(tmp_path / "marked")
+        plain, _ = parse_source_tree(tmp_path / "plain")
+        assert [(d.severity, d.line, d.message) for d in diagnostics] == [
+            ("warning", 1, "not UTF-8; decoded as ISO-8859-1")
+        ]
+        assert marked.packages == plain.packages
 
     def test_crlf_lines_after_a_block_comment(self, tmp_path):
         (tmp_path / "A.java").write_bytes(
