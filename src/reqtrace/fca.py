@@ -34,6 +34,7 @@ __all__ = [
     "FormalConcept",
     "AOCConcept",
     "AOCPoset",
+    "check_threshold",
     "binarize",
     "names_of",
     "enumerate_concepts",
@@ -157,6 +158,12 @@ def names_of(masks, names: tuple[str, ...]) -> list[tuple[str, ...]]:
     return [tuple(picked[start:end]) for start, end in zip([0, *ends], ends)]
 
 
+def check_threshold(threshold: float) -> None:
+    """Refuse a threshold outside [-1, 1], the range of a cosine, or NaN."""
+    if not -1.0 <= threshold <= 1.0:
+        raise ParameterError(f"threshold {threshold} outside [-1, 1]")
+
+
 def binarize(csm: SimilarityMatrix, threshold: float) -> FormalContext:
     """Threshold a similarity matrix into a context (>= keeps).
 
@@ -165,8 +172,7 @@ def binarize(csm: SimilarityMatrix, threshold: float) -> FormalContext:
     scores and cosines that differ only by rounding noise (the SVD and the
     count-vector paths at full rank) give the same context.
     """
-    if not -1.0 <= threshold <= 1.0:
-        raise ParameterError(f"threshold {threshold} outside [-1, 1]")
+    check_threshold(threshold)
     values = csm.values
     keep = values >= threshold
     # Rounding moves a value by at most half a unit in the last shown place,

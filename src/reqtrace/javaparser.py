@@ -8,11 +8,11 @@ invocations inside bodies.  Imports and `throws` clauses are read and
 deliberately not modeled.  Annotations (on parameters too), generic type
 parameters of classes and methods, interfaces, enums, annotation type
 declarations (`@interface`), inner classes, and initializer blocks are
-skipped with a warning diagnostic; a class or method body that runs to the
-end of the file is an error.  Nothing is dropped silently, except from the
-Java 16-17 forms that the scanner does not know yet: records, `sealed`,
-`non-sealed` and `permits`, and `yield` in a switch expression.  A file
-that is not UTF-8 is read as ISO-8859-1 with a warning.
+skipped with a warning diagnostic; a body that runs to the end of the file,
+of a class, a method or a skipped type, is an error.  Nothing is dropped
+silently, except from the Java 16-17 forms that the scanner does not know
+yet: records, `sealed`, `non-sealed` and `permits`, and `yield` in a switch
+expression.  A file that is not UTF-8 is read as ISO-8859-1 with a warning.
 
 Comments never reach the token list: the lexer sets each nonempty one
 aside with the index of the token after it, and the cursor hands them out
@@ -29,7 +29,10 @@ fields and parameters; `List<String> xs` is a local too) and `[]` pairs.
 A declarator's own `[]` pairs after its name join its type, and each
 extra declarator of `int a, b[];` gets the base type plus its own pairs.
 A member whose generic arguments do not close is skipped to the end of
-its declaration, with one warning.
+its declaration, with one warning.  Generic arguments are read by one scan
+that settles each `<` it passes: closed by the `>` that ends it, or never,
+when a token no type argument may hold (or the end) comes first.  So no `<`
+is scanned from twice, and `f(a < b, a < b, ...)` reads in linear time.
 
 Detection rules inside a method body are intentionally token-level: any
 `name(` occurrence that is not a keyword counts as an invocation, and an
@@ -244,14 +247,21 @@ class _Cursor:
         comments: Sequence[tuple[int, str]] = (),
         file: str = "<memory>",
     ):
-        self.tokens = tokens
+        self.reset(tokens)
         self.breaks = breaks
-        self.n = len(tokens)
-        self.i = 0
         self.comments = comments
         self.taken = 0  # comments handed out
         self.file = file
         self.diagnostics: list[ParseDiagnostic] = []
+
+    def reset(self, tokens: list[str]) -> None:
+        """Walk `tokens` from the start: set every field that depends on
+        the token list."""
+        self.tokens = tokens
+        self.n = len(tokens)
+        self.i = 0
+        # the index of the `>` that closes the `<` at each index, or -1
+        self.closers: dict[int, int] = {}
 
     def line(self, index: int) -> int:
         """The line of the token at `index`."""
@@ -298,43 +308,58 @@ class _Cursor:
         token = self.tokens[j]
         return _is_ident(token) and token not in KEYWORDS
 
+    def type_keyword(self) -> str | None:
+        """The keyword of a type declaration that starts at the cursor, with
+        `@interface` as one word, or None."""
+        i = self.i
+        token = self.tokens[i] if i < self.n else ""
+        if token in ("class", "interface", "enum"):
+            return token
+        if token == "@" and self.peek(1) == "interface":
+            return "@interface"
+        return None
+
     def dims(self) -> str:
         """Consume `[]` pairs and return their text."""
-        tokens = self.tokens
-        text = ""
-        while (
-            self.i + 1 < self.n
-            and tokens[self.i] == "["
-            and tokens[self.i + 1] == "]"
-        ):
-            self.i += 2
-            text += "[]"
+        text = _dims(self.tokens, self.i)
+        self.i += len(text)
         return text
 
     def generic(self) -> str | None:
         """Consume a balanced `<...>` of type-like tokens and return its text.
 
         Anything else inside, or no closing `>`, consumes nothing: None.
+        One scan settles, in `closers`, every `<` it passes: each closes
+        where the scan pops it, or not at all if still open where the scan
+        stops, so no `<` is scanned from twice.
         """
         tokens = self.tokens
-        if self.i >= self.n or tokens[self.i] != "<":
+        start = self.i
+        if start >= self.n or tokens[start] != "<":
             return None
-        depth = 0
-        for j in range(self.i, self.n):
-            token = tokens[j]
-            if token == "<":
-                depth += 1
-            elif token == ">":
-                depth -= 1
-                if depth == 0:
-                    text = "".join(tokens[self.i : j + 1])
-                    self.i = j + 1
-                    return text
-            elif token not in (",", ".", "?", "[", "]") and (
-                not _is_ident(token) or token in _NOT_IN_GENERICS
-            ):
-                return None
-        return None
+        closers = self.closers
+        end = closers.get(start)
+        if end is None:
+            opened = []
+            for j in range(start, self.n):
+                token = tokens[j]
+                if token == "<":
+                    opened.append(j)
+                elif token == ">":
+                    closers[opened.pop()] = j
+                    if not opened:
+                        break
+                elif token not in (",", ".", "?", "[", "]") and (
+                    not _is_ident(token) or token in _NOT_IN_GENERICS
+                ):
+                    break
+            for j in opened:
+                closers[j] = -1
+            end = closers[start]
+        if end < 0:
+            return None
+        self.i = end + 1
+        return "".join(tokens[start : end + 1])
 
     def skip_balanced(self, opener: str, closer: str) -> bool:
         """Consume from the opener at the cursor through its matching
@@ -359,6 +384,36 @@ class _Cursor:
             self.i = self.tokens.index(";", self.i) + 1
         except ValueError:
             self.i = self.n
+
+    def body(self, kind: str, name: str) -> list[str]:
+        """Consume a declaration's head up to its first `{` or `;`, then the
+        `;` or the balanced `{...}`, and return the tokens inside the braces,
+        or [] at a `;` or the end.  A body that runs to the end of the tokens
+        keeps them all, and is an error at its `{`: `unterminated body of
+        {kind} {name!r}`."""
+        tokens = self.tokens
+        n = self.n
+        i = self.i
+        while i < n and tokens[i] not in ("{", ";"):
+            i += 1
+        self.i = i
+        if i == n:
+            return []
+        if tokens[i] == ";":
+            self.i += 1
+            return []
+        if self.skip_balanced("{", "}"):
+            return tokens[i + 1 : self.i - 1]
+        self.error(i, f"unterminated body of {kind} {name!r}")
+        return tokens[i + 1 :]
+
+
+def _dims(tokens: list[str], start: int) -> str:
+    """The text of the `[]` pairs from `start`, one character per token."""
+    end = start
+    while end + 1 < len(tokens) and tokens[end] == "[" and tokens[end + 1] == "]":
+        end += 2
+    return "[]" * ((end - start) // 2)
 
 
 def _dotted_name(cursor: _Cursor) -> str:
@@ -387,7 +442,14 @@ def parse_compilation_unit(
 
     while not cursor.eof():
         token = cursor.peek()
-        if token == "package":
+        keyword = cursor.type_keyword()
+        if keyword == "class":
+            cls = _parse_class(cursor)
+            if cls is not None:
+                classes.append(cls)
+        elif keyword is not None:
+            _skip_type_declaration(cursor, keyword, "{} declaration skipped")
+        elif token == "package":
             cursor.take()
             package_name = _dotted_name(cursor)
             cursor.skip_past_semicolon()
@@ -396,14 +458,6 @@ def parse_compilation_unit(
             cursor.skip_past_semicolon()
         elif token in MODIFIERS or token == ";":
             cursor.take()
-        elif token == "class":
-            cls = _parse_class(cursor)
-            if cls is not None:
-                classes.append(cls)
-        elif token in ("interface", "enum") or (
-            token == "@" and cursor.peek(1) == "interface"
-        ):
-            _skip_type_declaration(cursor, "{} declaration skipped")
         elif token == "@":
             _skip_annotation(cursor)
         else:
@@ -424,27 +478,15 @@ def _skip_annotation(cursor: _Cursor) -> None:
     cursor.warn(start, f"annotation @{name} ignored")
 
 
-def _skip_type_declaration(cursor: _Cursor, warning: str) -> None:
-    """Skip a declaration headed by `class`, `interface`, `enum` or
-    `@interface`, with the warning `warning` formatted with that keyword,
-    and drop the comments not yet taken up to its end.
-
-    A body that runs to the end of the file is an error at its `{` line.
-    """
+def _skip_type_declaration(cursor: _Cursor, keyword: str, warning: str) -> None:
+    """Skip the type declaration headed by `keyword` at the cursor, with the
+    warning `warning` formatted with that keyword, and drop the comments
+    not yet taken up to its end."""
     start = cursor.i
-    keyword = cursor.take()
-    if keyword == "@":
-        keyword += cursor.take()
+    cursor.i += 2 if keyword == "@interface" else 1  # `@`, then `interface`
     cursor.warn(start, warning.format(keyword))
     name = cursor.peek() if cursor.at_name() else "?"
-    while not cursor.eof() and cursor.peek() not in ("{", ";"):
-        cursor.take()
-    if cursor.peek() == ";":
-        cursor.take()
-    elif cursor.peek() == "{":
-        open_brace = cursor.i
-        if not cursor.skip_balanced("{", "}"):
-            cursor.error(open_brace, f"unterminated body of {keyword} {name!r}")
+    cursor.body(keyword, name)
     cursor.take_comments()
 
 
@@ -488,10 +530,9 @@ def _parse_class(cursor: _Cursor) -> ClassFact | None:
         if token == ";" or token in MODIFIERS:
             cursor.i += 1
             continue
-        if token in ("class", "interface", "enum") or (
-            token == "@" and cursor.peek(1) == "interface"
-        ):
-            _skip_type_declaration(cursor, "nested {} skipped")
+        keyword = cursor.type_keyword()
+        if keyword is not None:
+            _skip_type_declaration(cursor, keyword, "nested {} skipped")
             continue
         if token == "@":
             _skip_annotation(cursor)
@@ -668,11 +709,8 @@ def _more_declarators(
         elif depth == 0 and token == "," and k + 1 < n:
             name = tokens[k + 1]
             if _is_ident(name) and name not in KEYWORDS:
-                dims = ""
-                m = k + 2
-                while m + 1 < n and tokens[m] == "[" and tokens[m + 1] == "]":
-                    dims += "[]"
-                    m += 2
+                dims = _dims(tokens, k + 2)
+                m = k + 2 + len(dims)
                 if m < n and tokens[m] in ("=", ",", ";"):
                     found.append((k + 1, name, base_type + dims))
         k += 1
@@ -683,18 +721,7 @@ def _parse_callable(
     cursor: _Cursor, builder: _ClassBuilder, name: str, start: int
 ) -> None:
     parameters = _parse_parameters(cursor)
-    while not cursor.eof() and cursor.peek() not in ("{", ";"):
-        cursor.take()  # a `throws` clause, not modeled
-    body: list[str] = []
-    if cursor.peek() == "{":
-        open_brace = cursor.i
-        if cursor.skip_balanced("{", "}"):
-            body = cursor.tokens[open_brace + 1 : cursor.i - 1]
-        else:
-            body = cursor.tokens[open_brace + 1 :]
-            cursor.error(open_brace, f"unterminated body of method {name!r}")
-    elif cursor.peek() == ";":
-        cursor.take()
+    body = cursor.body("method", name)  # past a `throws` clause, not modeled
     comments = cursor.take_comments()  # up to the end of its body
     builder.add_method(_PendingMethod(name, parameters, body, comments, start))
 
@@ -748,8 +775,8 @@ def _scan_method_body(
     accesses: list[str] = []
     invocations: list[str] = []
 
-    tokens = cursor.tokens = pending.body
-    n = cursor.n = len(tokens)
+    cursor.reset(pending.body)
+    tokens, n = cursor.tokens, cursor.n
     consumed: set[int] = set()
     failed = None  # the last name at which no declaration can start
 

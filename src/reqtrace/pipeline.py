@@ -125,8 +125,7 @@ def extract(args: argparse.Namespace, run: Run) -> Run:
 @_collector_paused
 def trace(args: argparse.Namespace, run: Run) -> Run:
     """Recover the trace links of `args.reqs` in `args.src` or `args.facts`."""
-    if not -1.0 < args.threshold <= 1.0:
-        raise ConfigurationError(f"threshold {args.threshold} outside (-1.0, 1.0]")
+    fca.check_threshold(args.threshold)
     if args.topics is not None and args.topics < 1:
         raise ConfigurationError("topics must be >= 1")
     queries = corpus_mod.load_requirement_documents(args.reqs)

@@ -586,12 +586,28 @@ def test_topics_similarity_matches_the_svd_oracle(
         ["--threshold", "1.5"],
         ["--topics", "0"],
         ["--topics", "7"],  # six classes bound the rank at 6
+        ["--threshold", "-1.5"],
+        ["--threshold", "nan"],
     ],
 )
 def test_bad_configuration_exits_2(tmp_path, ds_source, ds_requirements, option):
     code = trace(tmp_path, ds_requirements, "--src", str(ds_source), *option)
     assert code == EXIT_CONFIG
     assert not (tmp_path / "links.json").exists()
+
+
+def test_threshold_minus_one_links_every_requirement_to_every_class(
+    tmp_path, ds_source, ds_requirements
+):
+    # [-1, 1] is the range of a cosine, and `fca.binarize` takes all of it
+    option = ["--src", str(ds_source), "--threshold", "-1.0"]
+    assert trace(tmp_path, ds_requirements, *option) == EXIT_OK
+    links = json.loads((tmp_path / "links.json").read_text(encoding="utf-8"))
+    classes = "DrawingShapes MyLine MyOval MyRectangle MyShape PaintJPanel".split()
+    assert {req: sorted(names) for req, names in links["links"].items()} == {
+        req: classes for req in ("Draw a line", "Draw oval", "Draw rectangle")
+    }
+    assert links["unlinked_classes"] == links["unlinked_requirements"] == []
 
 
 def test_class_name_shared_by_two_packages_is_qualified(tmp_path):

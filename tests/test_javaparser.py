@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import re
 import tempfile
 import time
@@ -21,6 +22,7 @@ from reqtrace.facts import (
     validate_facts,
 )
 from reqtrace.javaparser import (
+    _NOT_IN_GENERICS,
     _NOT_XML_CHAR,
     ParseDiagnostic,
     _Cursor,
@@ -29,6 +31,8 @@ from reqtrace.javaparser import (
     parse_compilation_unit,
     parse_source_tree,
 )
+from reqtrace.links import TraceLinkSet, emit_dot_tracelinks
+from reqtrace.porter import stem
 
 DS_SOURCES = sorted(
     path.read_text(encoding="utf-8")
@@ -653,6 +657,84 @@ SKIPPED_AND_IGNORED = {
         ],
         [("warning", "unrecognized member after type 'List'")],
     ),
+    "top-level enum": (
+        "enum E { A, B; void f() {} } class A { void keep() {} }",
+        [ClassFact("A", methods=(method_fact("keep"),))],
+        [("warning", "enum declaration skipped")],
+    ),
+    "nested class and nested enum": (
+        "class A { class B { int x; } enum E { X, Y } void keep() {} }",
+        [ClassFact("A", methods=(method_fact("keep"),))],
+        [("warning", "nested class skipped"), ("warning", "nested enum skipped")],
+    ),
+    "type keyword without a name": (
+        "class A { void keep() {} } enum {",
+        [ClassFact("A", methods=(method_fact("keep"),))],
+        [
+            ("warning", "enum declaration skipped"),
+            ("error", "unterminated body of enum '?'"),
+        ],
+    ),
+    "unterminated body of a skipped top-level enum": (
+        "class A {} enum E { A, B",
+        [ClassFact("A")],
+        [
+            ("warning", "enum declaration skipped"),
+            ("error", "unterminated body of enum 'E'"),
+        ],
+    ),
+    "unterminated body of a nested annotation type": (
+        "class A { void keep() {} @interface Ann { int v();",
+        [ClassFact("A", methods=(method_fact("keep"),))],
+        [
+            ("warning", "nested @interface skipped"),
+            ("error", "unterminated body of @interface 'Ann'"),
+            ("error", "unterminated body of class 'A'"),
+        ],
+    ),
+    "abstract method with a throws clause": (
+        "abstract class A { abstract void f(int a) throws IOException, X;"
+        " void keep() {} }",
+        [ClassFact("A", methods=(method_fact("f", ("a", "int")), method_fact("keep")))],
+        [],
+    ),
+    "throws clause before an unterminated method body": (
+        "class A { void f() throws E { g();",
+        [ClassFact("A", methods=(MethodFact("f", method_invocations=("g",)),))],
+        [
+            ("error", "unterminated body of method 'f'"),
+            ("error", "unterminated body of class 'A'"),
+        ],
+    ),
+    "declarators with and without dims, as fields": (
+        "class A { int a, b[][], c; }",
+        [
+            ClassFact(
+                "A",
+                attributes=(
+                    AttributeFact("a", "int"),
+                    AttributeFact("b", "int[][]"),
+                    AttributeFact("c", "int"),
+                ),
+            )
+        ],
+        [],
+    ),
+    "declarators with and without dims, as locals": (
+        "class A { void m() { int a, b[][], c; } }",
+        [
+            ClassFact(
+                "A",
+                methods=(
+                    MethodFact(
+                        "m",
+                        local_variables=(("a", "int"), ("b", "int[][]"), ("c", "int")),
+                    ),
+                ),
+            )
+        ],
+        [],
+    ),
 }
 
 
@@ -900,6 +982,149 @@ class TestLargeClasses:
         assert method.attribute_accesses == ("a",) * 4001
         assert method.method_invocations == ("f",)
         assert method.local_variables == (("y", "T"),)
+
+
+def parse(text: str) -> None:
+    parse_compilation_unit(text, "G.java")
+
+
+def dot_names_that_sanitize_alike(n: int) -> TraceLinkSet:
+    names = tuple(f"A{chr(0x100 + i)}" for i in range(n))
+    return TraceLinkSet(
+        links={"r": names[:10]}, unlinked_classes=names[10:], unlinked_requirements=()
+    )
+
+
+# Each construct repeated n times, as (the work, its input for n).  A
+# quadratic case once hid in each; the last six rows are those found one at a
+# time: 16,000 trailing spaces, a long run of `y`, 20,000 fields, a dotted
+# chain of 4,000 links, and DOT names that sanitize alike.
+LINEAR_GROWTH = {
+    "nested blocks": (
+        parse,
+        lambda n: "class C { void m() { " + "{" * n + "}" * n + " } }",
+    ),
+    "nested parentheses": (
+        parse,
+        lambda n: "class C { void m() { x = " + "(" * n + "a" + ")" * n + "; } }",
+    ),
+    "nested generics": (
+        parse,
+        lambda n: "class C { " + "List<" * n + "String" + ">" * n + " x; }",
+    ),
+    "annotations": (parse, lambda n: "class C { " + "@A " * n + "void m() {} }"),
+    "comments": (parse, lambda n: "class C { " + "/* c */ " * n + "void m() {} }"),
+    "+ terms": (
+        parse,
+        lambda n: "class C { int a; void m() { x = " + " + ".join(["a"] * n) + "; } }",
+    ),
+    "array initializer": (
+        parse,
+        lambda n: "class C { int[] a = {" + ", ".join(["1"] * n) + "}; }",
+    ),
+    "classes in one file": (
+        parse,
+        lambda n: " ".join(f"class C{i} {{ void m() {{}} }}" for i in range(n)),
+    ),
+    "nested skipped classes": (
+        parse,
+        lambda n: "class C { " + "class D { " * n + "} " * n + "void m() {} }",
+    ),
+    "generic members that do not close": (
+        parse,
+        lambda n: "class C { " + "List<String x; " * n + "}",
+    ),
+    "comparisons in an argument list": (
+        parse,
+        lambda n: "class C { void m() { f(" + ", ".join(["a < b"] * n) + "); } }",
+    ),
+    "trailing whitespace": (parse, lambda n: "class C {}" + " " * n),
+    "a run of y": (stem, lambda n: "y" * n + "ed"),
+    "fields": (
+        parse,
+        lambda n: "class R { " + " ".join(f"int f{i};" for i in range(n)) + " }",
+    ),
+    "methods": (
+        parse,
+        lambda n: "class R { "
+        + " ".join(f"void m{i}(int a) {{ m{i - 1}(a); }}" for i in range(n))
+        + " }",
+    ),
+    "a dotted chain": (
+        parse,
+        lambda n: "class C { void m() { x = " + ".".join(["a"] * n) + ".f(); } }",
+    ),
+    "DOT names": (emit_dot_tracelinks, dot_names_that_sanitize_alike),
+}
+
+
+def best_of_3(work, argument) -> float:
+    times = []
+    for _ in range(3):
+        start = time.process_time()
+        work(argument)
+        times.append(time.process_time() - start)
+    return min(times)
+
+
+@pytest.mark.parametrize(
+    "work, make", LINEAR_GROWTH.values(), ids=LINEAR_GROWTH.keys()
+)
+def test_four_times_the_input_takes_less_than_eight_times_as_long(work, make):
+    # A linear case grows about 4x, a quadratic one about 16x.  The
+    # collector is paused, as in each command, so that it times the work.
+    small, large = make(1000), make(4000)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        growth = best_of_3(work, large) / best_of_3(work, small)
+    finally:
+        if enabled:
+            gc.enable()
+    assert growth < 8
+
+
+class TestGenericArguments:
+    # `_Cursor.generic` settles every `<` its scan passes; at each index, in
+    # any order, it must read what a scan from that `<` alone reads.
+    @staticmethod
+    def generic_by_rescan(tokens: list[str], start: int) -> tuple[str | None, int]:
+        if start >= len(tokens) or tokens[start] != "<":
+            return None, start
+        depth = 0
+        for j in range(start, len(tokens)):
+            if tokens[j] == "<":
+                depth += 1
+            elif tokens[j] == ">":
+                depth -= 1
+                if depth == 0:
+                    return "".join(tokens[start : j + 1]), j + 1
+            elif tokens[j] not in (",", ".", "?", "[", "]") and (
+                not _is_ident(tokens[j]) or tokens[j] in _NOT_IN_GENERICS
+            ):
+                break
+        return None, start
+
+    @seed(21)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([*"<<>>,.?[]();", "a", "B", "int", "extends", "new"]),
+            max_size=30,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @example(list("a<b,c<d>e"), None)
+    @example(["<", "int", "[", "]", ">"], None)
+    def test_equals_a_scan_from_each_start(self, tokens, rng):
+        starts = list(range(len(tokens) + 1))
+        if rng is not None:
+            rng.shuffle(starts)
+        cursor = _Cursor(tokens)
+        for start in starts:
+            cursor.i = start
+            text = cursor.generic()
+            assert (text, cursor.i) == self.generic_by_rescan(tokens, start)
 
 
 # A declaration that fails at a chain's first name is not tried at its later
