@@ -5,9 +5,13 @@ The runner calls the `pipeline` function of the command's name, which reads
 every input and computes every artifact.  It prints the parse diagnostics
 to stderr, also when a later stage fails, then writes every file to a temp
 file beside it (with the mode that the umask gives a new file) and renames
-them only once all are written, then prints the summary.  A run that fails
-writes nothing, and two runs over identical inputs produce byte-identical
-outputs.
+them only once all are written, then prints the summary.  A file's value
+(`pipeline.Run.files`) is its text, its bytes, or an iterable of byte
+chunks, which is written chunk by chunk and never joined; a chunk source
+may render its chunks as they are asked for, so the CSVs of
+`--dump-intermediates` are rendered here, while they are written.  A run
+that fails, also while a file is being rendered or written, writes nothing,
+and two runs over identical inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration failure, 3 empty corpus after
 preprocessing.
@@ -21,6 +25,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 from . import pipeline
 from .errors import EmptyCorpusError, ReqTraceError
@@ -30,7 +35,7 @@ EXIT_CONFIG = 2
 EXIT_EMPTY_CORPUS = 3
 
 
-def _write_all(files: dict[Path, str | bytes]) -> None:
+def _write_all(files: dict[Path, str | bytes | Iterable[bytes]]) -> None:
     """Write each file to a temp file beside it, with the mode that `open`
     would give it, and only then rename them all; if a step fails, unlink
     every temp file left and raise."""
@@ -46,8 +51,10 @@ def _write_all(files: dict[Path, str | bytes]) -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
             temps.append((tmp_name, path))
+            if isinstance(data, str):
+                data = data.encode("utf-8")
             with os.fdopen(fd, "wb") as handle:
-                handle.write(data.encode("utf-8") if isinstance(data, str) else data)
+                handle.writelines([data] if isinstance(data, bytes) else data)
             os.chmod(tmp_name, 0o666 & ~umask)  # mkstemp makes the file 0600
         for tmp_name, path in temps:
             os.replace(tmp_name, path)

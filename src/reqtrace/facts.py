@@ -8,10 +8,14 @@ small XML format; `save_facts_xml` emits a canonical byte form that
 make a record per item, so each sets its slots directly (`_slot_init`).
 
 Neither end copies the whole document into another form.  The writer
-encodes the lines of each class when the class is done and joins the bytes
-once.  The reader is the target of ElementTree's own parser, so it accepts
-and rejects what a walk over the ElementTree of the document would, with
-the same messages, but builds no element tree.  The schema is one table,
+encodes each class on its own (`class_xml`), and `xml_chunks` puts the
+encoded classes between the package and document tags as a list of chunks,
+which a caller can write one after another: `save_facts_xml` joins them
+once, and `extract` writes them to its file unjoined, having encoded each
+class as soon as the parser kept it.  The reader is the target of
+ElementTree's own parser, so it accepts and rejects what a walk over the
+ElementTree of the document would, with the same messages, but builds no
+element tree.  The schema is one table,
 `_CONTAINERS`: for each container, the child tags it may hold, the message
 for any other, and how its record is made.  The reader keeps one frame per
 open container, with a list of records per allowed child tag, and makes
@@ -29,14 +33,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from typing import Iterable
 from xml.etree.ElementTree import ParseError, XMLParser
 
 from .errors import XmlParseError, XmlSchemaError
 
 __all__ = [
     "CommentFact", "AttributeFact", "MethodFact", "ClassFact", "PackageFact",
-    "CodeFacts", "SoftwareMetrics", "validate_facts", "load_facts_xml",
-    "save_facts_xml", "compute_metrics",
+    "CodeFacts", "SoftwareMetrics", "validate_facts", "validate_class",
+    "load_facts_xml", "save_facts_xml", "class_xml", "xml_chunks", "class_metrics",
 ]
 
 COMMENT_KINDS = ("class-level", "method-level")
@@ -105,22 +110,32 @@ class CodeFacts:
 
 @dataclass(frozen=True, slots=True)
 class SoftwareMetrics:
-    """Raw size counts over one CodeFacts value.
+    """Raw size counts over some facts: `nop` packages, and the sum of
+    `class_metrics` over their classes.
 
     `identifiers` counts every declared name (classes, attributes, methods,
     parameters, locals); `invocations` counts call occurrences.  Both are
     reported because size tables in the wild label either one "NOI".
     """
 
-    nop: int
-    noc: int
-    noa: int
-    nom: int
-    identifiers: int
-    comments: int
-    locals: int
-    invocations: int
-    accesses: int
+    nop: int = 0
+    noc: int = 0
+    noa: int = 0
+    nom: int = 0
+    identifiers: int = 0
+    comments: int = 0
+    locals: int = 0
+    invocations: int = 0
+    accesses: int = 0
+
+    def __add__(self, other: SoftwareMetrics) -> SoftwareMetrics:
+        """The counts of two sets of facts together, field by field."""
+        return SoftwareMetrics(
+            self.nop + other.nop, self.noc + other.noc, self.noa + other.noa,
+            self.nom + other.nom, self.identifiers + other.identifiers,
+            self.comments + other.comments, self.locals + other.locals,
+            self.invocations + other.invocations, self.accesses + other.accesses,
+        )
 
 
 def validate_facts(facts: CodeFacts) -> None:
@@ -132,15 +147,17 @@ def validate_facts(facts: CodeFacts) -> None:
         seen_packages.add(package.name)
         seen_classes = set()
         for cls in package.classes:
-            if not cls.name:
-                raise XmlSchemaError("class with empty name", "class")
             if cls.name in seen_classes:
                 raise XmlSchemaError(f"duplicate class name {cls.name!r}", "class")
             seen_classes.add(cls.name)
-            _validate_class(cls)
+            validate_class(cls)
 
 
-def _validate_class(cls: ClassFact) -> None:
+def validate_class(cls: ClassFact) -> None:
+    """Raise XmlSchemaError on a violation inside one class; the package
+    checks that no two of its classes share a name."""
+    if not cls.name:
+        raise XmlSchemaError("class with empty name", "class")
     seen_attrs = set()
     for attribute in cls.attributes:
         if not attribute.name:
@@ -218,17 +235,30 @@ def _escape(text: str) -> str:
 def save_facts_xml(facts: CodeFacts) -> bytes:
     """Serialize to canonical XML: fixed element order, 2-space indent, UTF-8."""
     validate_facts(facts)
+    packages = ((p.name, map(class_xml, p.classes)) for p in facts.packages)
+    return b"".join(xml_chunks(facts.provenance, packages))
+
+
+def xml_chunks(
+    provenance: str, packages: Iterable[tuple[str, Iterable[bytes]]]
+) -> list[bytes]:
+    """The document of `packages`, each a name and its classes encoded by
+    `class_xml`, as a list of chunks whose concatenation is the XML."""
     chunks = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f"<codefacts provenance={_quote(facts.provenance)}>\n".encode("utf-8")
+        f"<codefacts provenance={_quote(provenance)}>\n".encode("utf-8")
     ]
-    for package in facts.packages:
-        chunks.append(f"  <package name={_quote(package.name)}>\n".encode("utf-8"))
-        for cls in package.classes:
-            chunks.append(("\n".join(_class_lines(cls)) + "\n").encode("utf-8"))
+    for name, classes in packages:
+        chunks.append(f"  <package name={_quote(name)}>\n".encode("utf-8"))
+        chunks += classes
         chunks.append(b"  </package>\n")
     chunks.append(b"</codefacts>\n")
-    return b"".join(chunks)
+    return chunks
+
+
+def class_xml(cls: ClassFact) -> bytes:
+    """The UTF-8 lines of one class element, each ending in a newline."""
+    return ("\n".join(_class_lines(cls)) + "\n").encode("utf-8")
 
 
 def _class_lines(cls: ClassFact) -> list[str]:
@@ -424,25 +454,20 @@ class _Reader:
 # --- metrics -------------------------------------------------------------
 
 
-def compute_metrics(facts: CodeFacts) -> SoftwareMetrics:
-    """Count packages, classes, members, and relation occurrences."""
-    noc = noa = nom = params = locals_count = 0
-    comments = invocations = accesses = 0
-    for package in facts.packages:
-        for cls in package.classes:
-            noc += 1
-            noa += len(cls.attributes)
-            comments += len(cls.comments)
-            for method in cls.methods:
-                nom += 1
-                params += len(method.parameters)
-                locals_count += len(method.local_variables)
-                comments += len(method.comments)
-                invocations += len(method.method_invocations)
-                accesses += len(method.attribute_accesses)
+def class_metrics(cls: ClassFact) -> SoftwareMetrics:
+    """Count one class, its members and their relation occurrences (`nop`
+    0): the counts of a set of facts add up class by class."""
+    params = locals_count = comments = invocations = accesses = 0
+    for method in cls.methods:
+        params += len(method.parameters)
+        locals_count += len(method.local_variables)
+        comments += len(method.comments)
+        invocations += len(method.method_invocations)
+        accesses += len(method.attribute_accesses)
+    noa, nom = len(cls.attributes), len(cls.methods)
     return SoftwareMetrics(
-        nop=len(facts.packages), noc=noc, noa=noa, nom=nom,
-        identifiers=noc + noa + nom + params + locals_count,
-        comments=comments, locals=locals_count,
+        nop=0, noc=1, noa=noa, nom=nom,
+        identifiers=1 + noa + nom + params + locals_count,
+        comments=len(cls.comments) + comments, locals=locals_count,
         invocations=invocations, accesses=accesses,
     )

@@ -20,14 +20,18 @@ replay, which passes the full lattice, still calls it.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ParameterError
-from .lsi import SIMILARITY_DECIMALS, SimilarityMatrix, format_similarity
+from .lsi import (
+    SIMILARITY_DECIMALS,
+    SimilarityMatrix,
+    csv_lines,
+    format_similarity,
+)
 
 __all__ = [
     "FormalContext",
@@ -299,13 +303,14 @@ def build_aoc_poset(concepts: list[FormalConcept], ctx: FormalContext) -> AOCPos
     return poset
 
 
-def export_context_csv(ctx: FormalContext) -> str:
-    """CSV with attribute names across the top and object names down the side."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["", *ctx.attributes])
-    table = _unpack(ctx.rows, len(ctx.attributes)).tolist()
-    for name, row in zip(ctx.objects, table):
-        writer.writerow([name, *row])
-    return buffer.getvalue()
+def export_context_csv(ctx: FormalContext) -> Iterator[bytes]:
+    """CSV lines (`csv_lines`) with attribute names across the top and
+    object names down the side."""
+    return csv_lines(_context_rows(ctx))
 
+
+def _context_rows(ctx: FormalContext) -> Iterator[list]:
+    yield ["", *ctx.attributes]
+    table = _unpack(ctx.rows, len(ctx.attributes))
+    for name, row in zip(ctx.objects, table):
+        yield [name, *row.tolist()]

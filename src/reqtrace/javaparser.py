@@ -59,7 +59,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .facts import (
     AttributeFact,
@@ -71,7 +71,10 @@ from .facts import (
     _slot_init,
 )
 
-__all__ = ["ParseDiagnostic", "parse_compilation_unit", "parse_source_tree"]
+__all__ = [
+    "ParseDiagnostic", "parse_compilation_unit", "parse_source_files",
+    "source_provenance", "parse_source_tree",
+]
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -873,24 +876,27 @@ def _match_declaration(
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic]]:
-    """Parse every .java file under `root`, merged in sorted-path order.
+def parse_source_files(
+    root: str | Path,
+) -> Iterator[tuple[str | None, list[ClassFact], list[ParseDiagnostic]]]:
+    """Parse each .java file under `root`, in sorted-path order, and yield
+    its package name (None for a file that cannot be read), the classes
+    kept and its diagnostics.
 
     A file is read as UTF-8, or else decoded as ISO-8859-1, with a warning;
-    either way less a leading UTF-8 byte-order mark.  The provenance is the
-    path of `root`, with U+FFFD for each character that the facts XML cannot
-    carry.
+    either way less a leading UTF-8 byte-order mark.  A class whose package
+    already holds a class of its name is skipped, with a warning: only the
+    names kept so far in each package are held, not their classes.
     """
     root = Path(root)
     if not root.exists():
         raise OSError(f"source root does not exist: {root}")
     if not root.is_dir():
         raise OSError(f"source root is not a directory: {root}")
-    diagnostics: list[ParseDiagnostic] = []
-    # package name -> class name -> class, both in first-seen order
-    package_classes: dict[str, dict[str, ClassFact]] = {}
+    names: dict[str, set[str]] = {}  # package name -> names of its kept classes
     for path in sorted(root.rglob("*.java")):
         file = str(path)
+        diagnostics: list[ParseDiagnostic] = []
         try:
             text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError:
@@ -901,23 +907,43 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
             )
         except OSError as exc:
             message = f"unreadable file: {exc}"
-            diagnostics.append(ParseDiagnostic("error", file, 1, message))
+            yield None, [], [ParseDiagnostic("error", file, 1, message)]
             continue
         fragment, file_diagnostics = parse_compilation_unit(text, file)
-        diagnostics.extend(file_diagnostics)
-        kept = package_classes.setdefault(fragment.name, {})
+        diagnostics += file_diagnostics
+        kept_names = names.setdefault(fragment.name, set())
+        kept = []
         for cls in fragment.classes:
-            if cls.name in kept:
+            if cls.name in kept_names:
                 message = (
                     f"duplicate class {cls.name!r} in package {fragment.name!r} skipped"
                 )
                 diagnostics.append(ParseDiagnostic("warning", file, 1, message))
                 continue
-            kept[cls.name] = cls
+            kept_names.add(cls.name)
+            kept.append(cls)
+        yield fragment.name, kept, diagnostics
+
+
+def source_provenance(root: str | Path) -> str:
+    """The path of `root`, with U+FFFD for each character that the facts
+    XML cannot carry."""
+    return _NOT_XML_CHAR.sub("\ufffd", str(Path(root)))
+
+
+def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic]]:
+    """Parse every .java file under `root` (`parse_source_files`), merged in
+    sorted-path order: each package in the order of its first file, with its
+    classes in file order.  The provenance is `source_provenance(root)`.
+    """
+    diagnostics: list[ParseDiagnostic] = []
+    package_classes: dict[str, list[ClassFact]] = {}  # in first-seen order
+    for package, classes, file_diagnostics in parse_source_files(root):
+        diagnostics += file_diagnostics
+        if package is not None:
+            package_classes.setdefault(package, []).extend(classes)
     packages = tuple(
-        PackageFact(name=name, classes=tuple(classes.values()))
+        PackageFact(name=name, classes=tuple(classes))
         for name, classes in package_classes.items()
     )
-    provenance = _NOT_XML_CHAR.sub("\ufffd", str(root))
-    facts = CodeFacts(packages=packages, provenance=provenance)
-    return facts, diagnostics
+    return CodeFacts(packages, source_provenance(root)), diagnostics

@@ -35,8 +35,9 @@ in the rank cut and in the norm of a reconstructed document.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -52,11 +53,13 @@ __all__ = [
     "build_vocabulary",
     "build_tdm",
     "build_tqm",
+    "check_topics",
     "truncated_svd",
     "cosine_similarity_matrix",
     "count_cosine_matrix",
     "SIMILARITY_DECIMALS",
     "format_similarity",
+    "csv_lines",
     "write_count_matrix_csv",
     "write_similarity_csv",
 ]
@@ -276,6 +279,14 @@ def _gram(side: _Nonzeros) -> np.ndarray:
     return _add_dots(light, light, block.T @ block)
 
 
+def check_topics(k: int, rank: int | None = None) -> None:
+    """Refuse a number of topics k outside 1..`rank`, where `rank` is the
+    bound min(t, d) of a t x d TDM; before the TDM is known, only k < 1."""
+    if k < 1 or rank is not None and k > rank:
+        bound = "min(terms, documents)" if rank is None else rank
+        raise ParameterError(f"topics {k} outside 1..{bound}")
+
+
 def truncated_svd(tdm: TermDocumentMatrix, k: int) -> LsiSpace:
     """Best rank-k factorization of the TDM, from its smaller Gram matrix.
 
@@ -289,8 +300,7 @@ def truncated_svd(tdm: TermDocumentMatrix, k: int) -> LsiSpace:
     strictly positive.
     """
     t, d = tdm.shape
-    if not 1 <= k <= min(t, d):
-        raise ParameterError(f"k={k} outside valid range 1..{min(t, d)}")
+    check_topics(k, min(t, d))
     matrix = tdm.nonzeros
     if not len(matrix.counts):
         raise DegenerateMatrixError("term-document matrix is all zeros")
@@ -391,28 +401,46 @@ def count_cosine_matrix(
     )
 
 
-def write_count_matrix_csv(matrix: TermDocumentMatrix | TermQueryMatrix) -> str:
-    """Render a count matrix as CSV: header of names, first column of terms."""
+def csv_lines(rows: Iterable[Iterable]) -> Iterator[bytes]:
+    """Each row as one line of CSV in UTF-8, rendered when it is asked for,
+    so a caller that writes each line as it comes never holds the table."""
+    line: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=line.append), lineterminator="\n")
+    for row in rows:
+        writer.writerow(row)
+        yield "".join(line).encode("utf-8")
+        line.clear()
+
+
+def write_count_matrix_csv(
+    matrix: TermDocumentMatrix | TermQueryMatrix,
+) -> Iterator[bytes]:
+    """Render a count matrix as CSV lines (`csv_lines`): header of names,
+    first column of terms."""
+    return csv_lines(_count_matrix_rows(matrix))
+
+
+def _count_matrix_rows(
+    matrix: TermDocumentMatrix | TermQueryMatrix,
+) -> Iterator[list[str]]:
     names = (
         matrix.doc_names
         if isinstance(matrix, TermDocumentMatrix)
         else matrix.query_names
     )
+    yield ["term", *names]
+    # made at the first term, so only while the matrix is being written
     nonzeros = matrix.nonzeros
     starts = nonzeros.starts().tolist()
     columns = (nonzeros.columns + 1).tolist()  # + 1 skips the term
     counts = [str(count) for count in nonzeros.counts.tolist()]
     zeros = ["", *["0"] * len(names)]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["term", *names])
     for i, term in enumerate(matrix.vocab.terms):
         row = zeros.copy()
         row[0] = term
         for cell in range(starts[i], starts[i + 1]):
             row[columns[cell]] = counts[cell]
-        writer.writerow(row)
-    return buffer.getvalue()
+        yield row
 
 
 def format_similarity(value: float) -> str:
@@ -420,11 +448,13 @@ def format_similarity(value: float) -> str:
     return f"{value:.{SIMILARITY_DECIMALS}f}"
 
 
-def write_similarity_csv(csm: SimilarityMatrix) -> str:
-    """Render the similarity matrix as CSV with 9-decimal values."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["query", *csm.doc_names])
-    for i, name in enumerate(csm.query_names):
-        writer.writerow([name, *map(format_similarity, csm.values[i])])
-    return buffer.getvalue()
+def write_similarity_csv(csm: SimilarityMatrix) -> Iterator[bytes]:
+    """Render the similarity matrix as CSV lines (`csv_lines`) with
+    9-decimal values."""
+    return csv_lines(_similarity_rows(csm))
+
+
+def _similarity_rows(csm: SimilarityMatrix) -> Iterator[list[str]]:
+    yield ["query", *csm.doc_names]
+    for name, values in zip(csm.query_names, csm.values):
+        yield [name, *map(format_similarity, values)]

@@ -1,13 +1,23 @@
 """The three commands as computations: read, check, compute and record.
 
 `extract`, `trace` and `evaluate` take the `argparse.Namespace` of
-`cli._build_parser()` and fill the caller's `Run`: the files to write (path
--> text or bytes), the parse diagnostics, the summary to print, and the
-stages in run order.  They write and print nothing, and Java parse
-diagnostics never stop them.  A stage is (name, seconds, sizes), named as
-the benchmark's layers (`lsi.svd` only under `--topics`), with sizes that
-the stage already holds.  Reading the requirement, stop-word and gold files
-is not a stage, and `evaluate` records none.
+`cli._build_parser()` and fill the caller's `Run`: the files to write, the
+parse diagnostics, the summary to print, and the stages in run order.  A
+file's value is its text, its bytes, or an iterable of byte chunks that the
+writer reads once, in order.  The facts XML of `extract` is a list of
+chunks, each class one chunk, and the four CSVs of `--dump-intermediates`
+are generators that render a row per chunk as the writer asks for it, so
+their rendering time falls in the write, outside every stage.  The commands write and print
+nothing, and Java parse diagnostics never stop them.  A stage is (name,
+seconds, sizes), named as the benchmark's layers (`lsi.svd` only under
+`--topics`), with sizes that the stage already holds.  Reading the
+requirement, stop-word and gold files is not a stage, and `evaluate`
+records none.
+
+`extract` holds no record beyond the file it came from: it checks and
+encodes each class as soon as the parser keeps it, so what it holds grows
+with the XML it will write, not with the records of the whole tree.  Its
+two stages each add up the time of their steps for every file.
 
 Each command runs with the cyclic collector paused, and its state is
 restored when the command returns or raises.  A command makes many objects
@@ -23,14 +33,29 @@ import argparse
 import gc
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import wraps
 from pathlib import Path
+from typing import Iterable
 
 from . import corpus as corpus_mod
 from . import evaluation, fca, links, lsi, textprep
 from .errors import ConfigurationError, EmptyCorpusError
-from .facts import CodeFacts, compute_metrics, load_facts_xml, save_facts_xml
-from .javaparser import ParseDiagnostic, parse_source_tree
+from .facts import (
+    CodeFacts,
+    SoftwareMetrics,
+    class_metrics,
+    class_xml,
+    load_facts_xml,
+    validate_class,
+    xml_chunks,
+)
+from .javaparser import (
+    ParseDiagnostic,
+    parse_source_files,
+    parse_source_tree,
+    source_provenance,
+)
 
 
 class Run:
@@ -38,7 +63,7 @@ class Run:
     caller still has the diagnostics of a parse before a later failure."""
 
     def __init__(self) -> None:
-        self.files: dict[Path, str | bytes] = {}
+        self.files: dict[Path, str | bytes | Iterable[bytes]] = {}
         self.diagnostics: list[ParseDiagnostic] = []
         self.summary = ""
         self.stages: list[tuple[str, float, dict[str, int]]] = []
@@ -71,9 +96,13 @@ def _collector_paused(command):
 def _parse(src: Path, run: Run) -> CodeFacts:
     with run.stage("javaparser.parse") as sizes:
         facts, run.diagnostics = parse_source_tree(src)
-        sizes["warnings"] = sum(d.severity == "warning" for d in run.diagnostics)
-        sizes["errors"] = len(run.diagnostics) - sizes["warnings"]
+        sizes.update(_diagnostic_counts(run.diagnostics))
     return facts
+
+
+def _diagnostic_counts(diagnostics: list[ParseDiagnostic]) -> dict[str, int]:
+    warnings = sum(d.severity == "warning" for d in diagnostics)
+    return {"warnings": warnings, "errors": len(diagnostics) - warnings}
 
 
 def _load(path: Path, run: Run) -> CodeFacts:
@@ -83,8 +112,7 @@ def _load(path: Path, run: Run) -> CodeFacts:
         return load_facts_xml(data)
 
 
-def _metrics_summary(facts: CodeFacts) -> str:
-    metrics = compute_metrics(facts)
+def _metrics_summary(metrics: SoftwareMetrics) -> str:
     rows = [
         ("packages (NOP)", metrics.nop),
         ("classes (NOC)", metrics.noc),
@@ -112,13 +140,35 @@ def _reports(
 
 @_collector_paused
 def extract(args: argparse.Namespace, run: Run) -> Run:
-    """Parse `args.src` into the facts XML at `args.out`."""
-    facts = _parse(args.src, run)
-    with run.stage("facts.save") as sizes:
-        data = save_facts_xml(facts)
-        sizes["bytes"] = len(data)
-    run.files[args.out] = data
-    run.summary = _metrics_summary(facts)
+    """Parse `args.src` into the facts XML at `args.out`: the chunks that
+    `save_facts_xml` would join for `parse_source_tree(args.src)`."""
+    clock = time.perf_counter
+    parse_s = save_s = 0.0
+    packages: dict[str, list[bytes]] = {}  # name -> its classes, encoded
+    metrics = SoftwareMetrics()
+    start = clock()
+    for package, classes, diagnostics in parse_source_files(args.src):
+        parsed = clock()
+        parse_s += parsed - start
+        run.diagnostics += diagnostics
+        if package is not None:
+            encoded = packages.setdefault(package, [])
+            for cls in classes:
+                validate_class(cls)
+                encoded.append(class_xml(cls))
+                metrics += class_metrics(cls)
+        start = clock()
+        save_s += start - parsed
+    parse_s += clock() - start
+    start = clock()
+    chunks = xml_chunks(source_provenance(args.src), packages.items())
+    save_s += clock() - start
+    run.stages.append(
+        ("javaparser.parse", parse_s, _diagnostic_counts(run.diagnostics))
+    )
+    run.stages.append(("facts.save", save_s, {"bytes": sum(map(len, chunks))}))
+    run.files[args.out] = chunks
+    run.summary = _metrics_summary(replace(metrics, nop=len(packages)))
     return run
 
 
@@ -126,8 +176,8 @@ def extract(args: argparse.Namespace, run: Run) -> Run:
 def trace(args: argparse.Namespace, run: Run) -> Run:
     """Recover the trace links of `args.reqs` in `args.src` or `args.facts`."""
     fca.check_threshold(args.threshold)
-    if args.topics is not None and args.topics < 1:
-        raise ConfigurationError("topics must be >= 1")
+    if args.topics is not None:
+        lsi.check_topics(args.topics)
     queries = corpus_mod.load_requirement_documents(args.reqs)
     stops = (
         textprep.load_stop_words(args.stopwords)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import errno
+import io
 import json
 import os
 import shutil
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from reqtrace import fca
+from reqtrace import cli, fca
 from reqtrace.cli import EXIT_CONFIG, EXIT_EMPTY_CORPUS, EXIT_OK, main
 from reqtrace.lsi import SimilarityMatrix
 
@@ -576,23 +578,26 @@ def test_topics_similarity_matches_the_svd_oracle(
     assert shown_docs == doc_names
     assert np.abs(shown - expected).max() <= 0.5e-9 + 1e-12
     oracle = SimilarityMatrix(tuple(query_names), tuple(doc_names), expected)
-    context = fca.export_context_csv(fca.binarize(oracle, 0.70))
-    assert (tmp_path / "context.csv").read_text(encoding="utf-8") == context
+    context = b"".join(fca.export_context_csv(fca.binarize(oracle, 0.70)))
+    assert (tmp_path / "context.csv").read_bytes() == context
 
 
-@pytest.mark.parametrize(
-    "option",
-    [
-        ["--threshold", "1.5"],
-        ["--topics", "0"],
-        ["--topics", "7"],  # six classes bound the rank at 6
-        ["--threshold", "-1.5"],
-        ["--threshold", "nan"],
-    ],
-)
-def test_bad_configuration_exits_2(tmp_path, ds_source, ds_requirements, option):
+BAD_CONFIGURATIONS = {
+    ("--threshold", "1.5"): "threshold 1.5 outside [-1, 1]",
+    ("--topics", "0"): "topics 0 outside 1..min(terms, documents)",
+    ("--topics", "7"): "topics 7 outside 1..6",  # six classes bound the rank at 6
+    ("--threshold", "-1.5"): "threshold -1.5 outside [-1, 1]",
+    ("--threshold", "nan"): "threshold nan outside [-1, 1]",
+}
+
+
+@pytest.mark.parametrize("option", [list(option) for option in BAD_CONFIGURATIONS])
+def test_bad_configuration_exits_2(
+    tmp_path, ds_source, ds_requirements, capsys, option
+):
     code = trace(tmp_path, ds_requirements, "--src", str(ds_source), *option)
     assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {BAD_CONFIGURATIONS[tuple(option)]}\n"
     assert not (tmp_path / "links.json").exists()
 
 
@@ -757,6 +762,47 @@ def test_failed_write_leaves_every_file_as_it_was(
     assert list((out / "poset.dot").iterdir()) == []
     if earlier is not None:
         assert (out / "links.json").read_bytes() == earlier
+
+
+class FullDisk(io.FileIO):
+    """An unbuffered file whose third write fails as on a full disk."""
+
+    writes_left = 2
+
+    def write(self, data):
+        if not self.writes_left:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes_left -= 1
+        return super().write(data)
+
+
+def chunks_then_failure():
+    yield b"a first chunk\n"
+    raise RuntimeError("rendering failed")
+
+
+@pytest.mark.parametrize("failure", ["chunk source raises", "third write fails"])
+def test_failed_chunked_write_leaves_every_file_as_it_was(
+    tmp_path, monkeypatch, failure
+):
+    earlier = {"a.json": b"{}\n", "b.csv": b"old,row\n", "c.dot": b"digraph {}\n"}
+    for name, data in earlier.items():
+        (tmp_path / name).write_bytes(data)
+    files = {
+        tmp_path / "a.json": "{\"new\": 1}\n",
+        tmp_path / "new.txt": b"no earlier version\n",
+        tmp_path / "b.csv": [b"x,y\n", b"1,2\n", b"3,4\n", b"5,6\n"],
+        tmp_path / "c.dot": (line for line in [b"digraph {\n", b"}\n"]),
+    }
+    if failure == "chunk source raises":
+        files[tmp_path / "b.csv"] = chunks_then_failure()
+        expected = pytest.raises(RuntimeError, match="rendering failed")
+    else:
+        monkeypatch.setattr(cli.os, "fdopen", lambda fd, mode: FullDisk(fd, mode))
+        expected = pytest.raises(OSError, match=os.strerror(errno.ENOSPC))
+    with expected:
+        cli._write_all(files)
+    assert read_all(tmp_path) == earlier  # no temp file left, nothing renamed
 
 
 def test_gold_that_is_not_json_exits_2_before_parsing(

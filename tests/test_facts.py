@@ -21,7 +21,7 @@ from reqtrace.facts import (
     SoftwareMetrics,
     _escape,
     _quote,
-    compute_metrics,
+    class_metrics,
     load_facts_xml,
     save_facts_xml,
     validate_facts,
@@ -288,12 +288,48 @@ class TestErrors:
     def test_minimal_one_empty_package(self):
         facts = load_facts_xml(b'<codefacts><package name="only"/></codefacts>')
         assert len(facts.packages) == 1
-        assert compute_metrics(facts).noc == 0
+        assert metrics_of(facts).noc == 0
+
+
+def metrics_of(facts: CodeFacts) -> SoftwareMetrics:
+    """The counts of a whole document as `extract` makes them: its packages,
+    and `class_metrics` added up class by class."""
+    classes = (cls for package in facts.packages for cls in package.classes)
+    return sum(map(class_metrics, classes), SoftwareMetrics(nop=len(facts.packages)))
+
+
+def one_pass_metrics(facts: CodeFacts) -> SoftwareMetrics:
+    """The reference: one count over every package, class and method."""
+    noc = noa = nom = params = locals_count = 0
+    comments = invocations = accesses = 0
+    for package in facts.packages:
+        for cls in package.classes:
+            noc += 1
+            noa += len(cls.attributes)
+            comments += len(cls.comments)
+            for method in cls.methods:
+                nom += 1
+                params += len(method.parameters)
+                locals_count += len(method.local_variables)
+                comments += len(method.comments)
+                invocations += len(method.method_invocations)
+                accesses += len(method.attribute_accesses)
+    return SoftwareMetrics(
+        nop=len(facts.packages), noc=noc, noa=noa, nom=nom,
+        identifiers=noc + noa + nom + params + locals_count,
+        comments=comments, locals=locals_count,
+        invocations=invocations, accesses=accesses,
+    )
 
 
 class TestMetrics:
+    @settings(max_examples=60)
+    @given(code_facts())
+    def test_class_by_class_sum_equals_one_pass(self, facts):
+        assert metrics_of(facts) == one_pass_metrics(facts)
+
     def test_empty_facts_all_zero(self):
-        metrics = compute_metrics(CodeFacts())
+        metrics = metrics_of(CodeFacts())
         assert all(
             getattr(metrics, field) == 0
             for field in (
@@ -315,10 +351,10 @@ class TestMetrics:
                 ),
             )
         )
-        assert compute_metrics(facts).nom == 6
+        assert metrics_of(facts).nom == 6
 
     def test_sample_counts(self):
-        metrics = compute_metrics(SAMPLE)
+        metrics = metrics_of(SAMPLE)
         assert (metrics.nop, metrics.noc, metrics.noa, metrics.nom) == (2, 1, 1, 1)
         assert metrics.identifiers == 1 + 1 + 1 + 1 + 1  # class+attr+method+param+local
         assert metrics.comments == 2
@@ -326,18 +362,18 @@ class TestMetrics:
         assert metrics.accesses == 1
 
     def test_identifier_floor_invariant(self):
-        metrics = compute_metrics(SAMPLE)
+        metrics = metrics_of(SAMPLE)
         assert metrics.identifiers >= metrics.noc + metrics.noa + metrics.nom
 
     def test_pure_function(self):
-        assert compute_metrics(SAMPLE) == compute_metrics(SAMPLE)
+        assert metrics_of(SAMPLE) == metrics_of(SAMPLE)
 
     @settings(max_examples=60, deadline=None)
     @given(code_facts(), classes())
     def test_monotone_under_added_facts(self, facts, extra_class):
         if not facts.packages:
             return
-        before = compute_metrics(facts)
+        before = metrics_of(facts)
         first = facts.packages[0]
         if any(cls.name == extra_class.name for cls in first.classes):
             return
@@ -348,7 +384,7 @@ class TestMetrics:
             + facts.packages[1:],
             provenance=facts.provenance,
         )
-        after = compute_metrics(grown)
+        after = metrics_of(grown)
         for field in (
             "nop", "noc", "noa", "nom", "identifiers",
             "comments", "locals", "invocations", "accesses",
@@ -907,7 +943,7 @@ class TestMemory:
             cls.attributes[0],
             method,
             method.comments[0],
-            compute_metrics(facts),
+            metrics_of(facts),
             ParseDiagnostic("warning", "A.java", 1, "message"),
         )
         for record in records:

@@ -320,7 +320,7 @@ class TestBinarize:
         table = rounded_table(csm, threshold)
         assert ctx == context_of(csm.query_names, csm.doc_names, table)
         assert ctx.incidence == tuple(map(tuple, table))
-        assert export_context_csv(ctx) == table_csv(ctx, table)
+        assert b"".join(export_context_csv(ctx)) == table_csv(ctx, table).encode()
 
     def test_count_cosine_and_full_rank_svd_give_one_context(self):
         rng = np.random.RandomState(22)
@@ -546,6 +546,6 @@ class TestNamesOf:
 
 class TestContextCsv:
     def test_header_and_cells(self):
-        lines = export_context_csv(TRACE_CTX).splitlines()
+        lines = b"".join(export_context_csv(TRACE_CTX)).decode().splitlines()
         assert lines[0].startswith(",DrawingShapes,MyLine")
         assert lines[1] == "Draw a line,0,1,0,0,0,0"

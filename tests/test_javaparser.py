@@ -16,7 +16,8 @@ from reqtrace.facts import (
     ClassFact,
     CommentFact,
     MethodFact,
-    compute_metrics,
+    SoftwareMetrics,
+    class_metrics,
     load_facts_xml,
     save_facts_xml,
     validate_facts,
@@ -192,9 +193,7 @@ class TestCompilationUnit:
 
     def test_metrics_of_small_class(self):
         fragment, _ = parse_compilation_unit(SMALL_CLASS, "Counter.java")
-        from reqtrace.facts import CodeFacts
-
-        metrics = compute_metrics(CodeFacts(packages=(fragment,)))
+        metrics = sum(map(class_metrics, fragment.classes), SoftwareMetrics())
         assert metrics.noa == 2
         assert metrics.nom == 1
 

@@ -521,13 +521,14 @@ class TestCountCosine:
 class TestCsvDumps:
     def test_count_matrix_csv(self):
         _, tdm, _ = matrices_for({"DocA": {"x": 2}}, {})
-        text = write_count_matrix_csv(tdm)
+        text = b"".join(write_count_matrix_csv(tdm)).decode("utf-8")
         assert text.splitlines() == ["term,DocA", "x,2"]
 
     def test_similarity_csv_has_nine_decimals(self):
         _, tdm, tqm = matrices_for(DS_STYLE_DOCS, DS_STYLE_QUERIES)
         space = truncated_svd(tdm, 2)
-        text = write_similarity_csv(cosine_similarity_matrix(space, tqm))
+        lines = write_similarity_csv(cosine_similarity_matrix(space, tqm))
+        text = b"".join(lines).decode("utf-8")
         first_value = text.splitlines()[1].split(",")[1]
         assert len(first_value.split(".")[1]) == 9
 
@@ -565,7 +566,7 @@ class TestAgainstDenseProducts:
             tqm = query_matrix(tdm, tqm.cells, ("a,b", 'say "x"'))
             for matrix, names in ((tdm, tdm.doc_names), (tqm, tqm.query_names)):
                 expected = per_cell_csv(names, tdm.vocab.terms, matrix.cells)
-                assert write_count_matrix_csv(matrix) == expected
+                assert b"".join(write_count_matrix_csv(matrix)) == expected.encode()
 
 
 class TestMemory:

@@ -15,6 +15,11 @@ from dotreader import parse_dot
 from reqtrace import pipeline
 from reqtrace.cli import EXIT_EMPTY_CORPUS, EXIT_OK, _build_parser, main
 from reqtrace.errors import EmptyCorpusError
+from reqtrace.facts import save_facts_xml
+from reqtrace.javaparser import parse_source_tree
+from test_facts import one_pass_metrics
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 FULL_RANK_SRC_STAGES = [
     "javaparser.parse",
@@ -48,8 +53,11 @@ def run_command(argv: list[str]) -> pipeline.Run:
 
 
 def as_bytes(run: pipeline.Run) -> dict[Path, bytes]:
+    """Each file of `run` as the bytes `cli._write_all` writes; a chunk
+    source is read, and so used up."""
     return {
-        path: data.encode("utf-8") if isinstance(data, str) else data
+        path: data.encode("utf-8") if isinstance(data, str)
+        else data if isinstance(data, bytes) else b"".join(data)
         for path, data in run.files.items()
     }
 
@@ -88,6 +96,77 @@ def test_extract_gives_the_cli_bytes(tmp_path, ds_source, ds_facts):
     assert sizes(run)["javaparser.parse"] == {"warnings": 0, "errors": 0}
 
 
+# Source trees (path -> text, bytes, or None for a directory named like a
+# source) and the packages each must give, with their classes in order.
+ODD_TREES = {
+    "packages not contiguous": (
+        {
+            "a/A.java": "package p; class A { int x; }",
+            "b/B.java": "package q; /** Bee. */ class B { void m() {} }",
+            "c/C.java": "package p; class C extends A { }",
+        },
+        {"p": ["A", "C"], "q": ["B"]},
+    ),
+    "package without a class": (
+        {"P.java": "package only;", "Q.java": "package p; class Q { }"},
+        {"only": [], "p": ["Q"]},
+    ),
+    "one class in two files": (
+        {
+            "a/A.java": "package p; class A { int x; }",
+            "b/A.java": "package p; class A { int y; } class Z { }",
+        },
+        {"p": ["A", "Z"]},
+    ),
+    "ISO-8859-1 file": (
+        {"Legacy.java": b"package p;\n// caf\xe9 & <cr\xe8me>\nclass Legacy { }\n"},
+        {"p": ["Legacy"]},
+    ),
+    "unreadable file": (
+        {"Bad.java": None, "Good.java": "package p; class Good { }"},
+        {"p": ["Good"]},
+    ),
+}
+
+
+def write_tree(root: Path, files: dict[str, str | bytes | None]) -> None:
+    for relative, data in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if data is None:
+            path.mkdir()  # matches *.java, but cannot be read
+        else:
+            path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+
+
+@pytest.mark.parametrize("tree", [*ODD_TREES, "generated corpus"])
+def test_extract_gives_what_the_whole_tree_path_gives(tmp_path, tree):
+    src = tmp_path / "src"
+    if tree == "generated corpus":
+        with pytest.MonkeyPatch.context() as patch:
+            patch.syspath_prepend(str(PERFBENCH))
+            import corpus_gen
+        corpus_gen.generate(tmp_path, classes=40, requirements=5, seed=7)
+    else:
+        files, packages = ODD_TREES[tree]
+        write_tree(src, files)
+    out = tmp_path / "facts.xml"
+    run = run_command(["extract", "--src", str(src), "--out", str(out)])
+
+    facts, diagnostics = parse_source_tree(src)
+    if tree != "generated corpus":
+        assert {p.name: [c.name for c in p.classes] for p in facts.packages} == packages
+    data = save_facts_xml(facts)
+    assert as_bytes(run) == {out: data}
+    assert run.diagnostics == diagnostics
+    assert run.summary == pipeline._metrics_summary(one_pass_metrics(facts))
+    warnings = sum(d.severity == "warning" for d in diagnostics)
+    assert sizes(run) == {
+        "javaparser.parse": {"warnings": warnings, "errors": len(diagnostics) - warnings},
+        "facts.save": {"bytes": len(data)},
+    }
+
+
 @pytest.mark.parametrize("variant", ["src full rank", "facts topics 2"])
 def test_trace_gives_the_cli_bytes_and_stages(
     tmp_path, capsys, ds_source, ds_requirements, ds_gold, ds_facts, variant
@@ -116,7 +195,7 @@ def test_stage_sizes_agree_with_the_artefacts(
         run = run_command(src_argv(out, ds_source, ds_requirements, ds_gold))
     else:
         run = run_command(topics_argv(out, ds_facts, ds_requirements))
-    files = {path.name: data for path, data in run.files.items()}
+    files = {path.name: data.decode("utf-8") for path, data in as_bytes(run).items()}
     counts = sizes(run)
 
     context = list(csv.reader(io.StringIO(files["context.csv"])))
@@ -209,8 +288,9 @@ def test_cyclic_gc_state_is_restored_when_the_parse_raises(
     def fail(src):
         enabled_during_the_parse.append(gc.isenabled())
         raise RuntimeError("parse failed")
+        yield  # a generator, as `parse_source_files` is
 
-    monkeypatch.setattr(pipeline, "parse_source_tree", fail)
+    monkeypatch.setattr(pipeline, "parse_source_files", fail)
     with pytest.raises(RuntimeError, match="parse failed"):
         run_command(["extract", "--src", str(ds_source), "--out", str(tmp_path)])
     assert enabled_during_the_parse == [False]
