@@ -95,7 +95,9 @@ def build_class_documents(facts: CodeFacts) -> DocumentCorpus:
 
 
 def load_requirement_documents(directory: str | Path) -> QueryCorpus:
-    """Read every ``.txt`` file under `directory` as one requirement query."""
+    """Read every ``.txt`` file under `directory` as one requirement query.
+
+    Files are UTF-8, with or without a byte-order mark."""
     directory = Path(directory)
     files = sorted(directory.glob("*.txt"))
     if not files:
@@ -108,7 +110,7 @@ def load_requirement_documents(directory: str | Path) -> QueryCorpus:
             raise ConfigurationError(f"duplicate requirement name {name!r}")
         seen.add(name)
         try:
-            body = path.read_text(encoding="utf-8")
+            body = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(
                 f"cannot read requirement file {path}: {exc}"

@@ -5,17 +5,20 @@ and intents are big-int ANDs.  Concepts are the closed (extent, intent)
 pairs; the AOC-poset keeps only object-introducing and attribute-introducing
 concepts, labels each object and attribute at exactly one concept, and
 orders the kept concepts by extent inclusion with transitively reduced edges.
+An AOC concept is its extent plus those labels; its intent, where a reader
+needs it, is the AND of the extent's rows.
 
 `aoc_poset` is the one builder.  It works on masks from the object and
 attribute concepts alone, the closures of single rows and columns, so the
 full lattice is never needed; its covering edges are peeled off superset
 masks in O(sum of extent sizes + edges) big-int operations, and names are
 made once at the end, in one batch per list of masks (`names_of`).
-`enumerate_concepts` lists every concept by lectic (NextClosure) iteration
-over attribute sets.  Concept lists come in a fixed order: decreasing extent
-size, ties broken by the extent's object names.  `build_aoc_poset` checks a
-concept list against `aoc_poset` and returns it; only the benchmark's traced
-replay, which passes the full lattice, still calls it.
+`enumerate_concepts` lists every concept from its intents, which are the
+intersections of object rows.  Concept lists come in a fixed order:
+decreasing extent size, ties broken by the extent's object names.
+`build_aoc_poset` checks a concept list against `aoc_poset` and returns it;
+only the benchmark's traced replay, which passes the full lattice, still
+calls it.
 """
 
 from __future__ import annotations
@@ -85,7 +88,6 @@ class FormalConcept:
 @dataclass(frozen=True)
 class AOCConcept:
     extent: tuple[str, ...]
-    intent: tuple[str, ...]
     introduced_objects: tuple[str, ...]
     introduced_attributes: tuple[str, ...]
 
@@ -104,22 +106,11 @@ class AOCPoset:
 
 
 class _Masks:
-    """Bitmask view of a context: rows over attributes, columns over objects."""
+    """Column view of a context: one mask over the objects per attribute."""
 
     def __init__(self, ctx: FormalContext):
         self.full_objects = (1 << len(ctx.objects)) - 1
-        self.full_attributes = (1 << len(ctx.attributes)) - 1
-        self.rows = ctx.rows
         self.cols = _pack(_unpack(ctx.rows, len(ctx.attributes)).T)
-
-    def intent_of(self, object_mask: int) -> int:
-        result = self.full_attributes
-        remaining = object_mask
-        while remaining:
-            low = remaining & -remaining
-            result &= self.rows[low.bit_length() - 1]
-            remaining ^= low
-        return result
 
     def extent_of(self, attribute_mask: int) -> int:
         result = self.full_objects
@@ -202,35 +193,18 @@ def _sorted_concepts(pairs, ctx: FormalContext) -> list[FormalConcept]:
     return sorted(named, key=lambda c: _concept_order(c.extent))
 
 
-def _closures_by_next_closure(masks: _Masks) -> set[tuple[int, int]]:
-    """Lectic iteration over closed attribute sets."""
-    m = len(masks.cols)
-
-    def close(attribute_mask: int) -> int:
-        return masks.intent_of(masks.extent_of(attribute_mask))
-
-    pairs = set()
-    current = close(0)
-    while True:
-        pairs.add((masks.extent_of(current), current))
-        nxt = None
-        for i in range(m - 1, -1, -1):
-            bit = 1 << i
-            if current & bit:
-                current &= ~bit
-            else:
-                candidate = close(current | bit)
-                if candidate & ~current & (bit - 1) == 0:
-                    nxt = candidate
-                    break
-        if nxt is None:
-            return pairs
-        current = nxt
-
-
 def enumerate_concepts(ctx: FormalContext) -> list[FormalConcept]:
-    """All closed (extent, intent) pairs in deterministic order."""
-    return _sorted_concepts(_closures_by_next_closure(_Masks(ctx)), ctx)
+    """All closed (extent, intent) pairs in deterministic order.
+
+    The intents are exactly the intersections of object rows, the empty
+    intersection being every attribute (Ganter & Wille, Formal Concept
+    Analysis, 1999), so one pass over the rows collects them all.
+    """
+    masks = _Masks(ctx)
+    intents = {(1 << len(ctx.attributes)) - 1}
+    for row in ctx.rows:
+        intents |= {intent & row for intent in intents}
+    return _sorted_concepts(((masks.extent_of(i), i) for i in intents), ctx)
 
 
 def aoc_poset(ctx: FormalContext) -> AOCPoset:
@@ -243,7 +217,7 @@ def aoc_poset(ctx: FormalContext) -> AOCPoset:
     attribute with an empty column on the bottom one.
     """
     masks = _Masks(ctx)
-    object_extents = [masks.extent_of(row) for row in masks.rows]
+    object_extents = [masks.extent_of(row) for row in ctx.rows]
     distinct = list(dict.fromkeys(object_extents + masks.cols))
     extent_names = dict(zip(distinct, names_of(distinct, ctx.objects)))
     introduced = {
@@ -255,16 +229,9 @@ def aoc_poset(ctx: FormalContext) -> AOCPoset:
     for name, extent in zip(ctx.attributes, masks.cols):
         introduced[extent][1].append(name)
     extents = list(introduced)
-    # an object concept's intent is its object's row (o''' = o'), so only
-    # the concepts that introduce attributes alone need the AND over rows
-    rows = dict(zip(object_extents, masks.rows))
-    intents = names_of(
-        [rows[e] if e in rows else masks.intent_of(e) for e in extents],
-        ctx.attributes,
-    )
     concepts = tuple(
-        AOCConcept(extent_names[extent], intent, tuple(objects), tuple(attributes))
-        for (extent, (objects, attributes)), intent in zip(introduced.items(), intents)
+        AOCConcept(extent_names[extent], tuple(objects), tuple(attributes))
+        for extent, (objects, attributes) in introduced.items()
     )
 
     # Bit i of holders[o] is set when extent i holds object o.

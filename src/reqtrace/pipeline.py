@@ -7,11 +7,11 @@ file's value is its text, its bytes, or an iterable of byte chunks that the
 writer reads once, in order.  The facts XML of `extract` is a list of
 chunks, each class one chunk, and the four CSVs of `--dump-intermediates`
 are generators that render a row per chunk as the writer asks for it, so
-their rendering time falls in the write, outside every stage.  The commands write and print
-nothing, and Java parse diagnostics never stop them.  A stage is (name,
-seconds, sizes), named as the benchmark's layers (`lsi.svd` only under
-`--topics`), with sizes that the stage already holds.  Reading the
-requirement, stop-word and gold files is not a stage, and `evaluate`
+their rendering time falls in the write, outside every stage.  The commands
+write and print nothing, and Java parse diagnostics never stop them.  A
+stage is (name, seconds, sizes), named as the benchmark's layers (`lsi.svd`
+only under `--topics`), with sizes that the stage already holds.  Reading
+the requirement, stop-word and gold files is not a stage, and `evaluate`
 records none.
 
 `extract` holds no record beyond the file it came from: it checks and

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from reqtrace.corpus import (
+    RawDocument,
     build_class_documents,
     class_document_text,
     load_requirement_documents,
@@ -148,6 +149,17 @@ class TestRequirementDocuments:
         corpus = load_requirement_documents(tmp_path)
         assert corpus.queries[0].name == "Sole requirement"
         assert corpus.queries[0].text == "Sole requirement"
+
+    def test_byte_order_mark_is_not_text(self, tmp_path):
+        body = "Draw a line\nThe user draws a line.\n".encode()
+        for folder, data in (("plain", body), ("marked", b"\xef\xbb\xbf" + body)):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "Draw_a_line.txt").write_bytes(data)
+        (tmp_path / "marked" / "Only_a_mark.txt").write_bytes(b"\xef\xbb\xbf")
+        plain = load_requirement_documents(tmp_path / "plain").queries
+        marked = load_requirement_documents(tmp_path / "marked").queries
+        assert marked[0] == plain[0]
+        assert marked[1] == RawDocument(name="Only a mark", text="Only a mark")
 
     def test_empty_directory_is_configuration_error(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -134,6 +134,10 @@ def as_pair_set(concepts: list[FormalConcept]) -> set:
     return {(frozenset(c.extent), frozenset(c.intent)) for c in concepts}
 
 
+def in_context_order(names, universe) -> tuple[str, ...]:
+    return tuple(name for name in universe if name in names)
+
+
 def random_context(
     rng: random.Random, max_side: int = 8, min_side: int = 1
 ) -> FormalContext:
@@ -183,14 +187,9 @@ def reference_aoc_poset(ctx: FormalContext) -> AOCPoset:
         labels.setdefault(extent, ([], []))[0].append(o)
     for a in ctx.attributes:
         labels.setdefault(frozenset(extent_of({a}, ctx)), ([], []))[1].append(a)
-
-    def in_context_order(names, universe):
-        return tuple(name for name in universe if name in names)
-
     concepts = [
         AOCConcept(
             extent=in_context_order(extent, ctx.objects),
-            intent=in_context_order(intent_of(extent, ctx), ctx.attributes),
             introduced_objects=tuple(objects),
             introduced_attributes=tuple(attributes),
         )
@@ -371,7 +370,7 @@ class TestEnumerateConcepts:
                 brute_force_concepts_via_attributes(ctx)
             )
 
-    def test_lectic_path_matches_oracle_on_wide_contexts(self):
+    def test_row_intersections_match_oracle_on_tall_contexts(self):
         # many objects make a deep lattice; few attributes keep the
         # attribute-subset oracle cheap
         rng = random.Random(7)
@@ -383,6 +382,29 @@ class TestEnumerateConcepts:
         assert as_pair_set(enumerate_concepts(ctx)) == (
             brute_force_concepts_via_attributes(ctx)
         )
+
+    def test_every_intent_is_listed_on_a_context_too_wide_for_the_oracle(self):
+        # 2^200 attribute subsets rule out the oracle.  The listed intents
+        # hold every intent when each listed pair is closed, the intents are
+        # closed under intersection, and they hold all attributes and every
+        # row: each intent is the intersection of the rows of its extent.
+        rng = random.Random(120200)
+        cells = rng.sample(range(120 * 200), 1200)
+        ctx = context_from(
+            [f"o{i}" for i in range(120)],
+            [f"a{j}" for j in range(200)],
+            [(f"o{c // 200}", f"a{c % 200}") for c in cells],
+        )
+        concepts = enumerate_concepts(ctx)
+        assert len(concepts) > 800
+        for concept in concepts:
+            assert intent_of(concept.extent, ctx) == set(concept.intent)
+            assert extent_of(concept.intent, ctx) == set(concept.extent)
+        intents = {frozenset(c.intent) for c in concepts}
+        assert len(intents) == len(concepts)
+        assert all(a & b in intents for a, b in combinations(intents, 2))
+        assert frozenset(ctx.attributes) in intents
+        assert set(attribute_sets(ctx).values()) <= intents
 
 
 class TestAocPoset:
@@ -493,7 +515,11 @@ class TestAocPoset:
             # the kept concepts are lattice concepts, in the lattice's order
             lattice = iter(enumerate_concepts(ctx))
             assert all(
-                FormalConcept(c.extent, c.intent) in lattice for c in poset.concepts
+                FormalConcept(
+                    c.extent, in_context_order(intent_of(c.extent, ctx), ctx.attributes)
+                )
+                in lattice
+                for c in poset.concepts
             )
             self.check_labels_partition(ctx, poset)
             self.check_edges_are_covers(ctx, poset)
@@ -511,7 +537,7 @@ class TestAocPoset:
     @seed(7305)
     @settings(max_examples=150)
     @given(similarity_matrices(max_side=10))
-    def test_aoc_concepts_and_next_closure_give_one_poset(self, drawn):
+    def test_aoc_poset_and_full_lattice_give_one_poset(self, drawn):
         ctx = binarize(*drawn)
         poset = aoc_poset(ctx)
         assert poset == reference_aoc_poset(ctx)
