@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_input
 from .facts import ClassFact, CodeFacts
 
 __all__ = [
@@ -95,9 +95,7 @@ def build_class_documents(facts: CodeFacts) -> DocumentCorpus:
 
 
 def load_requirement_documents(directory: str | Path) -> QueryCorpus:
-    """Read every ``.txt`` file under `directory` as one requirement query.
-
-    Files are UTF-8, with or without a byte-order mark."""
+    """Read every ``.txt`` file under `directory` as one requirement query."""
     directory = Path(directory)
     files = sorted(directory.glob("*.txt"))
     if not files:
@@ -109,12 +107,7 @@ def load_requirement_documents(directory: str | Path) -> QueryCorpus:
         if name in seen:
             raise ConfigurationError(f"duplicate requirement name {name!r}")
         seen.add(name)
-        try:
-            body = path.read_text(encoding="utf-8-sig")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigurationError(
-                f"cannot read requirement file {path}: {exc}"
-            ) from exc
+        body = read_input(path, "requirement file")
         text = name if not body.strip() else f"{name}\n{body}"
         queries.append(RawDocument(name=name, text=text))
     return QueryCorpus(queries=tuple(queries))

@@ -1,4 +1,13 @@
-"""Exception types shared across the reqtrace pipeline."""
+"""Exception types shared across the reqtrace pipeline, and `read_input`,
+the one reader of its text inputs (requirements, stop words, gold links and
+links), so that each fails the same way.  Java sources keep their own reader,
+which falls back to ISO-8859-1 with a diagnostic; the facts XML is read as
+bytes, because it declares its own encoding."""
+
+from pathlib import Path
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 
 class ReqTraceError(Exception):
@@ -6,7 +15,8 @@ class ReqTraceError(Exception):
 
 
 class ConfigurationError(ReqTraceError):
-    """Invalid pipeline configuration or unusable input layout."""
+    """Invalid pipeline configuration, an unusable input layout, or an input
+    file that cannot be read, decoded or parsed."""
 
 
 class ParameterError(ReqTraceError):
@@ -38,5 +48,14 @@ class DegenerateMatrixError(ReqTraceError):
 
 
 class GoldCoverageError(ReqTraceError):
-    """The gold-link file is not a JSON object of class lists, misses a traced
-    requirement or names an unknown class."""
+    """The gold links miss a traced requirement or name an unknown class."""
+
+
+def read_input(path: str | Path, what: str, parse: Callable[[str], T] = str) -> T:
+    """`parse` of the text of the file `path`, read as UTF-8 less a leading
+    byte-order mark; ConfigurationError "`what` `path`: reason" if the file
+    cannot be read or decoded, or `parse` raises ValueError or RecursionError."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"{what} {path}: {exc}") from exc

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import GoldCoverageError
+from .errors import GoldCoverageError, read_input
 from .links import TraceLinkSet, class_lists
 
 __all__ = [
@@ -102,10 +102,7 @@ def load_gold_links(path: str | Path) -> GoldLinks:
     Classes are named as the class documents are: by simple name, or as
     ``package.Class`` where more than one package declares that name.
     """
-    try:
-        related = class_lists(json.loads(Path(path).read_text(encoding="utf-8-sig")))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or shape
-        raise GoldCoverageError(f"gold file {path}: {exc}") from exc
+    related = read_input(path, "gold file", lambda text: class_lists(json.loads(text)))
     return GoldLinks(related={r: frozenset(c) for r, c in related.items()})
 
 
@@ -131,5 +128,6 @@ def report_to_csv(report: EvaluationReport) -> str:
     writer.writerow(["requirement", "precision", "recall"])
     for requirement, (p, r) in report.per_requirement.items():
         writer.writerow([requirement, _render(p), _render(r)])
-    writer.writerow(["(micro)", _render(report.micro_precision), _render(report.micro_recall)])
+    micro = (report.micro_precision, report.micro_recall)
+    writer.writerow(["(micro)", *map(_render, micro)])
     return buffer.getvalue()

@@ -32,6 +32,7 @@ raised only when the parse has ended.  The model invariants
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Iterable
 from xml.etree.ElementTree import ParseError, XMLParser
@@ -40,7 +41,7 @@ from .errors import XmlParseError, XmlSchemaError
 
 __all__ = [
     "CommentFact", "AttributeFact", "MethodFact", "ClassFact", "PackageFact",
-    "CodeFacts", "SoftwareMetrics", "validate_facts", "validate_class",
+    "CodeFacts", "METRICS", "validate_facts", "validate_class",
     "load_facts_xml", "save_facts_xml", "class_xml", "xml_chunks", "class_metrics",
 ]
 
@@ -106,36 +107,6 @@ class PackageFact:
 class CodeFacts:
     packages: tuple[PackageFact, ...] = ()
     provenance: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class SoftwareMetrics:
-    """Raw size counts over some facts: `nop` packages, and the sum of
-    `class_metrics` over their classes.
-
-    `identifiers` counts every declared name (classes, attributes, methods,
-    parameters, locals); `invocations` counts call occurrences.  Both are
-    reported because size tables in the wild label either one "NOI".
-    """
-
-    nop: int = 0
-    noc: int = 0
-    noa: int = 0
-    nom: int = 0
-    identifiers: int = 0
-    comments: int = 0
-    locals: int = 0
-    invocations: int = 0
-    accesses: int = 0
-
-    def __add__(self, other: SoftwareMetrics) -> SoftwareMetrics:
-        """The counts of two sets of facts together, field by field."""
-        return SoftwareMetrics(
-            self.nop + other.nop, self.noc + other.noc, self.noa + other.noa,
-            self.nom + other.nom, self.identifiers + other.identifiers,
-            self.comments + other.comments, self.locals + other.locals,
-            self.invocations + other.invocations, self.accesses + other.accesses,
-        )
 
 
 def validate_facts(facts: CodeFacts) -> None:
@@ -453,10 +424,20 @@ class _Reader:
 
 # --- metrics -------------------------------------------------------------
 
+# The size counts of some facts, labelled and ordered as `extract` prints
+# them.  "identifiers" counts every declared name (classes, attributes,
+# methods, parameters, locals) and "method invocations" every call: both
+# are reported because size tables in the wild label either one "NOI".
+METRICS = (
+    "packages (NOP)", "classes (NOC)", "attributes (NOA)", "methods (NOM)",
+    "identifiers", "comments", "local variables", "method invocations",
+    "attribute accesses",
+)
 
-def class_metrics(cls: ClassFact) -> SoftwareMetrics:
-    """Count one class, its members and their relation occurrences (`nop`
-    0): the counts of a set of facts add up class by class."""
+
+def class_metrics(cls: ClassFact) -> Counter[str]:
+    """The counts of one class under the labels of `METRICS`, packages left
+    out: the counts of a set of facts add up class by class."""
     params = locals_count = comments = invocations = accesses = 0
     for method in cls.methods:
         params += len(method.parameters)
@@ -465,9 +446,8 @@ def class_metrics(cls: ClassFact) -> SoftwareMetrics:
         invocations += len(method.method_invocations)
         accesses += len(method.attribute_accesses)
     noa, nom = len(cls.attributes), len(cls.methods)
-    return SoftwareMetrics(
-        nop=0, noc=1, noa=noa, nom=nom,
-        identifiers=1 + noa + nom + params + locals_count,
-        comments=len(cls.comments) + comments, locals=locals_count,
-        invocations=invocations, accesses=accesses,
+    counts = (
+        1, noa, nom, 1 + noa + nom + params + locals_count,
+        len(cls.comments) + comments, locals_count, invocations, accesses,
     )
+    return Counter(dict(zip(METRICS[1:], counts)))

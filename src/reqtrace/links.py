@@ -84,7 +84,8 @@ def emit_dot_poset(poset: AOCPoset) -> str:
     Node labels carry the concept number and its introduced objects and
     attributes; edges point from sub-concept to super-concept.
     """
-    lines = ["digraph aoc_poset {", "  rankdir=BT;", '  node [shape=box, fontname="Helvetica"];']
+    lines = ["digraph aoc_poset {", "  rankdir=BT;"]
+    lines.append('  node [shape=box, fontname="Helvetica"];')
     for number, concept in enumerate(poset.concepts):
         label = "\\n".join(
             [

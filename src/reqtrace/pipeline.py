@@ -32,18 +32,18 @@ from __future__ import annotations
 import argparse
 import gc
 import time
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import replace
 from functools import wraps
 from pathlib import Path
 from typing import Iterable
 
 from . import corpus as corpus_mod
 from . import evaluation, fca, links, lsi, textprep
-from .errors import ConfigurationError, EmptyCorpusError
+from .errors import EmptyCorpusError, read_input
 from .facts import (
+    METRICS,
     CodeFacts,
-    SoftwareMetrics,
     class_metrics,
     class_xml,
     load_facts_xml,
@@ -112,20 +112,9 @@ def _load(path: Path, run: Run) -> CodeFacts:
         return load_facts_xml(data)
 
 
-def _metrics_summary(metrics: SoftwareMetrics) -> str:
-    rows = [
-        ("packages (NOP)", metrics.nop),
-        ("classes (NOC)", metrics.noc),
-        ("attributes (NOA)", metrics.noa),
-        ("methods (NOM)", metrics.nom),
-        ("identifiers", metrics.identifiers),
-        ("comments", metrics.comments),
-        ("local variables", metrics.locals),
-        ("method invocations", metrics.invocations),
-        ("attribute accesses", metrics.accesses),
-    ]
-    width = max(len(label) for label, _ in rows)
-    return "".join(f"{label.ljust(width)}  {value}\n" for label, value in rows)
+def _metrics_summary(metrics: Counter[str]) -> str:
+    width = max(map(len, METRICS))
+    return "".join(f"{label.ljust(width)}  {metrics[label]}\n" for label in METRICS)
 
 
 def _reports(
@@ -145,7 +134,7 @@ def extract(args: argparse.Namespace, run: Run) -> Run:
     clock = time.perf_counter
     parse_s = save_s = 0.0
     packages: dict[str, list[bytes]] = {}  # name -> its classes, encoded
-    metrics = SoftwareMetrics()
+    metrics: Counter[str] = Counter()
     start = clock()
     for package, classes, diagnostics in parse_source_files(args.src):
         parsed = clock()
@@ -156,7 +145,7 @@ def extract(args: argparse.Namespace, run: Run) -> Run:
             for cls in classes:
                 validate_class(cls)
                 encoded.append(class_xml(cls))
-                metrics += class_metrics(cls)
+                metrics.update(class_metrics(cls))
         start = clock()
         save_s += start - parsed
     parse_s += clock() - start
@@ -168,7 +157,8 @@ def extract(args: argparse.Namespace, run: Run) -> Run:
     )
     run.stages.append(("facts.save", save_s, {"bytes": sum(map(len, chunks))}))
     run.files[args.out] = chunks
-    run.summary = _metrics_summary(replace(metrics, nop=len(packages)))
+    metrics[METRICS[0]] = len(packages)
+    run.summary = _metrics_summary(metrics)
     return run
 
 
@@ -248,10 +238,7 @@ def trace(args: argparse.Namespace, run: Run) -> Run:
 @_collector_paused
 def evaluate(args: argparse.Namespace, run: Run) -> Run:
     """Score the links file `args.links` against the gold file `args.gold`."""
-    try:
-        tls = links.links_from_json(args.links.read_text(encoding="utf-8-sig"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or shape
-        raise ConfigurationError(f"links file {args.links}: {exc}") from exc
+    tls = read_input(args.links, "links file", links.links_from_json)
     run.files = _reports(tls, evaluation.load_gold_links(args.gold), args.out)
     run.summary = run.files[args.out / "report.csv"]
     return run

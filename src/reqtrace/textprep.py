@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import RawDocument
-from .errors import ConfigurationError
+from .errors import read_input
 from .porter import stem
 
 __all__ = [
@@ -75,14 +75,9 @@ class TermBag:
 
 
 def load_stop_words(path: str | Path) -> StopWordList:
-    """Read a UTF-8 stop-word file, with or without a byte-order mark: one
-    lowercase word per line, # comments."""
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read stop-word file {path}: {exc}") from exc
+    """Read a stop-word file: one lowercase word per line, # comments."""
     words = set()
-    for raw_line in text.splitlines():
+    for raw_line in read_input(path, "stop-word file").splitlines():
         line = raw_line.split("#", 1)[0].strip()
         if line:
             words.add(line.lower())

@@ -648,29 +648,42 @@ def test_class_name_shared_by_two_packages_is_qualified(tmp_path):
     assert report["micro_precision"] == report["micro_recall"] == 1.0
 
 
-def test_requirement_file_not_in_utf8_exits_2(
-    tmp_path, ds_source, ds_requirements, capsys
-):
-    reqs = tmp_path / "reqs"
-    reqs.mkdir()
-    for path in ds_requirements.glob("*.txt"):
-        (reqs / path.name).write_bytes(path.read_bytes())
-    (reqs / "Latin.txt").write_bytes(b"caf\xe9")
-    out = tmp_path / "out"
-    assert trace(out, reqs, "--src", str(ds_source)) == EXIT_CONFIG
-    assert str(reqs / "Latin.txt") in capsys.readouterr().err
-    assert not out.exists()
+# Each text input of `trace` and `evaluate`: its file, and a text in it that
+# is valid but for its "é".
+TEXT_INPUTS = {
+    "requirement file": ("reqs/Latin.txt", "café"),
+    "stop-word file": ("stops.txt", "the\nété\n"),
+    "gold file": ("gold.json", '{"Draw a line": ["Café"]}'),
+    "links file": ("links.json", '{"links": {"Draw a line": ["Café"]}}'),
+}
 
 
-def test_stop_word_file_not_in_utf8_exits_2(
-    tmp_path, ds_source, ds_requirements, capsys
+@pytest.mark.parametrize("fault", ["missing", "not UTF-8"])
+@pytest.mark.parametrize("what", TEXT_INPUTS)
+def test_text_input_missing_or_not_in_utf8_exits_2(
+    tmp_path, ds_source, ds_requirements, ds_gold, capsys, what, fault
 ):
-    stops = tmp_path / "stops.txt"
-    stops.write_bytes(b"the\n\xe9t\xe9\n")
+    name, text = TEXT_INPUTS[what]
+    bad = tmp_path / name
+    reqs = ds_requirements
+    if what == "requirement file":
+        reqs = shutil.copytree(ds_requirements, bad.parent)
+    if fault == "not UTF-8":
+        bad.write_bytes(text.encode("iso-8859-1"))
+    elif what == "requirement file":
+        bad.symlink_to(tmp_path / "nowhere.txt")  # listed, but not there
     out = tmp_path / "out"
-    args = ["--src", str(ds_source), "--stopwords", str(stops)]
-    assert trace(out, ds_requirements, *args) == EXIT_CONFIG
-    assert f"stop-word file {stops}" in capsys.readouterr().err
+    if what == "links file":
+        argv = ["evaluate", "--links", str(bad), "--gold", str(ds_gold)]
+        code = main([*argv, "--out", str(out)])
+    else:
+        option = {"stop-word file": "--stopwords", "gold file": "--gold"}.get(what)
+        args = [] if option is None else [option, str(bad)]
+        code = trace(out, reqs, "--src", str(ds_source), *args)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} {bad}: ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from reqtrace.errors import GoldCoverageError
+from reqtrace.errors import ConfigurationError, GoldCoverageError
 from reqtrace.evaluation import (
     EvaluationReport,
     GoldLinks,
@@ -169,7 +169,7 @@ class TestGoldAndReports:
     def test_gold_must_map_to_lists(self, tmp_path):
         path = tmp_path / "gold.json"
         path.write_text(json.dumps({"req": "A"}))
-        with pytest.raises(GoldCoverageError):
+        with pytest.raises(ConfigurationError):
             load_gold_links(path)
 
     def test_report_renders_na(self):

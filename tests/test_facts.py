@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import tracemalloc
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from xml.sax.saxutils import escape, quoteattr
 
@@ -12,13 +13,13 @@ from reqtrace.errors import XmlParseError, XmlSchemaError
 from reqtrace.facts import (
     _SLICE,
     COMMENT_KINDS,
+    METRICS,
     AttributeFact,
     ClassFact,
     CodeFacts,
     CommentFact,
     MethodFact,
     PackageFact,
-    SoftwareMetrics,
     _escape,
     _quote,
     class_metrics,
@@ -160,11 +161,6 @@ RECORDS = [
         "CodeFacts(packages=(PackageFact(name='p', classes=()),), provenance='x')",
     ),
     (
-        SoftwareMetrics(1, 2, 3, 4, 5, 6, 7, 8, 9),
-        "SoftwareMetrics(nop=1, noc=2, noa=3, nom=4, identifiers=5, comments=6,"
-        " locals=7, invocations=8, accesses=9)",
-    ),
-    (
         ParseDiagnostic("warning", "A.java", 3, "odd"),
         "ParseDiagnostic(severity='warning', file='A.java', line=3, message='odd')",
     ),
@@ -288,17 +284,17 @@ class TestErrors:
     def test_minimal_one_empty_package(self):
         facts = load_facts_xml(b'<codefacts><package name="only"/></codefacts>')
         assert len(facts.packages) == 1
-        assert metrics_of(facts).noc == 0
+        assert metrics_of(facts)["classes (NOC)"] == 0
 
 
-def metrics_of(facts: CodeFacts) -> SoftwareMetrics:
+def metrics_of(facts: CodeFacts) -> Counter[str]:
     """The counts of a whole document as `extract` makes them: its packages,
     and `class_metrics` added up class by class."""
     classes = (cls for package in facts.packages for cls in package.classes)
-    return sum(map(class_metrics, classes), SoftwareMetrics(nop=len(facts.packages)))
+    return sum(map(class_metrics, classes), Counter({METRICS[0]: len(facts.packages)}))
 
 
-def one_pass_metrics(facts: CodeFacts) -> SoftwareMetrics:
+def one_pass_metrics(facts: CodeFacts) -> Counter[str]:
     """The reference: one count over every package, class and method."""
     noc = noa = nom = params = locals_count = 0
     comments = invocations = accesses = 0
@@ -314,12 +310,17 @@ def one_pass_metrics(facts: CodeFacts) -> SoftwareMetrics:
                 comments += len(method.comments)
                 invocations += len(method.method_invocations)
                 accesses += len(method.attribute_accesses)
-    return SoftwareMetrics(
-        nop=len(facts.packages), noc=noc, noa=noa, nom=nom,
-        identifiers=noc + noa + nom + params + locals_count,
-        comments=comments, locals=locals_count,
-        invocations=invocations, accesses=accesses,
-    )
+    return Counter({
+        "packages (NOP)": len(facts.packages),
+        "classes (NOC)": noc,
+        "attributes (NOA)": noa,
+        "methods (NOM)": nom,
+        "identifiers": noc + noa + nom + params + locals_count,
+        "comments": comments,
+        "local variables": locals_count,
+        "method invocations": invocations,
+        "attribute accesses": accesses,
+    })
 
 
 class TestMetrics:
@@ -330,13 +331,8 @@ class TestMetrics:
 
     def test_empty_facts_all_zero(self):
         metrics = metrics_of(CodeFacts())
-        assert all(
-            getattr(metrics, field) == 0
-            for field in (
-                "nop", "noc", "noa", "nom", "identifiers",
-                "comments", "locals", "invocations", "accesses",
-            )
-        )
+        assert all(metrics[label] == 0 for label in METRICS)
+        assert list(one_pass_metrics(CodeFacts())) == list(METRICS)
 
     def test_direct_counts(self):
         two_methods = tuple(MethodFact(name=f"m{i}") for i in range(3))
@@ -351,19 +347,19 @@ class TestMetrics:
                 ),
             )
         )
-        assert metrics_of(facts).nom == 6
+        assert metrics_of(facts)["methods (NOM)"] == 6
 
     def test_sample_counts(self):
         metrics = metrics_of(SAMPLE)
-        assert (metrics.nop, metrics.noc, metrics.noa, metrics.nom) == (2, 1, 1, 1)
-        assert metrics.identifiers == 1 + 1 + 1 + 1 + 1  # class+attr+method+param+local
-        assert metrics.comments == 2
-        assert metrics.invocations == 1
-        assert metrics.accesses == 1
+        assert [metrics[label] for label in METRICS[:4]] == [2, 1, 1, 1]  # NOP..NOM
+        assert metrics["identifiers"] == 1 + 1 + 1 + 1 + 1  # class+attr+method+param+local
+        assert metrics["comments"] == 2
+        assert metrics["method invocations"] == 1
+        assert metrics["attribute accesses"] == 1
 
     def test_identifier_floor_invariant(self):
         metrics = metrics_of(SAMPLE)
-        assert metrics.identifiers >= metrics.noc + metrics.noa + metrics.nom
+        assert metrics["identifiers"] >= sum(metrics[label] for label in METRICS[1:4])
 
     def test_pure_function(self):
         assert metrics_of(SAMPLE) == metrics_of(SAMPLE)
@@ -385,11 +381,8 @@ class TestMetrics:
             provenance=facts.provenance,
         )
         after = metrics_of(grown)
-        for field in (
-            "nop", "noc", "noa", "nom", "identifiers",
-            "comments", "locals", "invocations", "accesses",
-        ):
-            assert getattr(after, field) >= getattr(before, field)
+        for label in METRICS:
+            assert after[label] >= before[label]
 
 
 # --- the streaming reader against the tree walk it replaced ---------------
@@ -943,7 +936,6 @@ class TestMemory:
             cls.attributes[0],
             method,
             method.comments[0],
-            metrics_of(facts),
             ParseDiagnostic("warning", "A.java", 1, "message"),
         )
         for record in records:

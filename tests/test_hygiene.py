@@ -171,6 +171,65 @@ def test_no_function_calls_itself(path):
     assert self_calls(path.read_text(encoding="utf-8")) == []
 
 
+FILE_READS = ("read_text", "read_bytes", "open")
+
+# Where a module may open or read a file: the one reader of text inputs, the
+# Java source loop (it falls back to ISO-8859-1, and an unreadable source is
+# a diagnostic, not an error) and the facts XML (bytes, because the file
+# declares its own encoding).
+ALLOWED_READS = {
+    "errors.py": {"read_input: read_text"},
+    "javaparser.py": {"parse_source_files: read_text"},
+    "pipeline.py": {"_load: read_bytes"},
+}
+
+
+def file_reads(source: str) -> list[str]:
+    """Calls that open or read a file, each as "definition: call", where the
+    definition is the module-level function or class that holds the call, or
+    "<module>" for any other statement."""
+    reads = []
+    for node in ast.parse(source).body:
+        where = getattr(node, "name", "<module>")
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in FILE_READS:
+                reads.append(f"{where}: {name}")
+    return reads
+
+
+def test_checker_finds_every_call_that_reads_a_file():
+    source = (
+        "import io, os\nfrom pathlib import Path\n"
+        "def f(p):\n    return Path(p).read_text()\n"
+        "class C:\n    def m(self, p):\n        with open(p) as h:\n"
+        "            return h.read()\n"
+        "DATA = io.open('x').read()\nREADER = Path('y').read_bytes\n"
+        "def g(p):\n    return p.read_bytes(), os.fdopen(3), p.reopen()\n"
+    )
+    assert file_reads(source) == [
+        "f: read_text", "C: open", "<module>: open", "g: read_bytes"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_the_allowed_places_read_a_file(path):
+    # Every text input goes through `errors.read_input`, so each is decoded
+    # and refused in one way.
+    allowed = ALLOWED_READS.get(path.name, set())
+    reads = file_reads(path.read_text(encoding="utf-8"))
+    assert [read for read in reads if read not in allowed] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_line_is_longer_than_88_characters(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [number for number, line in enumerate(lines, 1) if len(line) > 88] == []
+
+
 SOURCES = sorted(
     path
     for tree in ("src", "tests", "perfbench")

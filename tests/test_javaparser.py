@@ -4,6 +4,7 @@ import gc
 import re
 import tempfile
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -16,7 +17,6 @@ from reqtrace.facts import (
     ClassFact,
     CommentFact,
     MethodFact,
-    SoftwareMetrics,
     class_metrics,
     load_facts_xml,
     save_facts_xml,
@@ -193,9 +193,9 @@ class TestCompilationUnit:
 
     def test_metrics_of_small_class(self):
         fragment, _ = parse_compilation_unit(SMALL_CLASS, "Counter.java")
-        metrics = sum(map(class_metrics, fragment.classes), SoftwareMetrics())
-        assert metrics.noa == 2
-        assert metrics.nom == 1
+        metrics = sum(map(class_metrics, fragment.classes), Counter())
+        assert metrics["attributes (NOA)"] == 2
+        assert metrics["methods (NOM)"] == 1
 
     def test_package_only_file(self):
         fragment, diagnostics = parse_compilation_unit("package a.b;", "p.java")
