@@ -14,7 +14,8 @@ that fails, also while a file is being rendered or written, writes nothing,
 and two runs over identical inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration failure, 3 empty corpus after
-preprocessing.
+preprocessing.  Every input is refused in `errors.refused`, so an OSError
+that reaches `main` comes from writing the outputs.
 """
 
 from __future__ import annotations
@@ -150,12 +151,9 @@ def main(argv: list[str] | None = None) -> int:
         _write_all(run.files)
         print(run.summary, end="")
         return EXIT_OK
-    except EmptyCorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_CORPUS
     except (ReqTraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_EMPTY_CORPUS if isinstance(exc, EmptyCorpusError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

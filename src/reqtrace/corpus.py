@@ -11,11 +11,13 @@ name tokens carry weight.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from .errors import ConfigurationError, read_input
+from .errors import ConfigurationError, read_input, refused
 from .facts import ClassFact, CodeFacts
 
 __all__ = [
@@ -95,19 +97,26 @@ def build_class_documents(facts: CodeFacts) -> DocumentCorpus:
 
 
 def load_requirement_documents(directory: str | Path) -> QueryCorpus:
-    """Read every ``.txt`` file under `directory` as one requirement query."""
+    """Read each ``.txt`` file in `directory`, in sorted-path order, as one
+    requirement query; refuse a directory that cannot be listed, or holds no
+    or two same-named ``.txt`` files, and a file whose name UTF-8 cannot
+    encode (no output could hold it), or that cannot be read."""
     directory = Path(directory)
-    files = sorted(directory.glob("*.txt"))
-    if not files:
-        raise ConfigurationError(f"no .txt requirement files in {directory}")
-    queries = []
-    seen: set[str] = set()
-    for path in files:
-        name = path.stem.replace("_", " ")
-        if name in seen:
-            raise ConfigurationError(f"duplicate requirement name {name!r}")
-        seen.add(name)
-        body = read_input(path, "requirement file")
-        text = name if not body.strip() else f"{name}\n{body}"
-        queries.append(RawDocument(name=name, text=text))
-    return QueryCorpus(queries=tuple(queries))
+    files: dict[str, Path] = {}  # requirement name -> its file
+    with refused("requirement directory", directory), os.scandir(directory) as entries:
+        for path in sorted(Path(e.path) for e in entries if e.name.endswith(".txt")):
+            name = path.stem.replace("_", " ")
+            if name in files:
+                raise ValueError(f"duplicate requirement name {name!r}")
+            files[name] = path
+        if not files:
+            raise ValueError("no .txt requirement files")
+    what = "requirement file"
+    queries = [read_input(p, what, partial(_query, n)) for n, p in files.items()]
+    return QueryCorpus(tuple(queries))
+
+
+def _query(name: str, body: str) -> RawDocument:
+    """Requirement `name`, with `body` after its name line unless blank."""
+    name.encode("utf-8")  # no output could hold a lone surrogate
+    return RawDocument(name, name if not body.strip() else f"{name}\n{body}")

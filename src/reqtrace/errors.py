@@ -1,11 +1,12 @@
-"""Exception types shared across the reqtrace pipeline, and `read_input`,
-the one reader of its text inputs (requirements, stop words, gold links and
-links), so that each fails the same way.  Java sources keep their own reader,
-which falls back to ISO-8859-1 with a diagnostic; the facts XML is read as
-bytes, because it declares its own encoding."""
+"""Exception types shared across the reqtrace pipeline, and `refused`: in
+it, an input that cannot be opened, read, decoded or parsed becomes the
+ConfigurationError "<what> <path>: <reason>", for every input of every
+command.  `read_input` reads the text inputs; Java sources keep their own
+per-file reader, and the facts XML is read as bytes (it names its encoding)."""
 
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -15,8 +16,7 @@ class ReqTraceError(Exception):
 
 
 class ConfigurationError(ReqTraceError):
-    """Invalid pipeline configuration, an unusable input layout, or an input
-    file that cannot be read, decoded or parsed."""
+    """Invalid configuration, or an input that cannot be read, decoded or parsed."""
 
 
 class ParameterError(ReqTraceError):
@@ -51,11 +51,17 @@ class GoldCoverageError(ReqTraceError):
     """The gold links miss a traced requirement or name an unknown class."""
 
 
-def read_input(path: str | Path, what: str, parse: Callable[[str], T] = str) -> T:
-    """`parse` of the text of the file `path`, read as UTF-8 less a leading
-    byte-order mark; ConfigurationError "`what` `path`: reason" if the file
-    cannot be read or decoded, or `parse` raises ValueError or RecursionError."""
+@contextmanager
+def refused(what: str, path: str | Path) -> Iterator[None]:
+    """Run the block; an OSError, ValueError, RecursionError or ReqTraceError
+    that it raises becomes ConfigurationError "`what` `path`: reason"."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8-sig"))
-    except (OSError, ValueError, RecursionError) as exc:
+        yield
+    except (OSError, ValueError, RecursionError, ReqTraceError) as exc:
         raise ConfigurationError(f"{what} {path}: {exc}") from exc
+
+
+def read_input(path: str | Path, what: str, parse: Callable[[str], T] = str) -> T:
+    """`parse` of `path`'s UTF-8 text less a byte-order mark, refused as `what`."""
+    with refused(what, path):
+        return parse(Path(path).read_text(encoding="utf-8-sig"))

@@ -55,12 +55,14 @@ classes draw them differently.
 
 from __future__ import annotations
 
+import os
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from .errors import refused
 from .facts import (
     AttributeFact,
     ClassFact,
@@ -881,7 +883,7 @@ def parse_source_files(
 ) -> Iterator[tuple[str | None, list[ClassFact], list[ParseDiagnostic]]]:
     """Parse each .java file under `root`, in sorted-path order, and yield
     its package name (None for a file that cannot be read), the classes
-    kept and its diagnostics.
+    kept and its diagnostics; refuse a root that is not a readable directory.
 
     A file is read as UTF-8, or else decoded as ISO-8859-1, with a warning;
     either way less a leading UTF-8 byte-order mark.  A class whose package
@@ -889,10 +891,8 @@ def parse_source_files(
     names kept so far in each package are held, not their classes.
     """
     root = Path(root)
-    if not root.exists():
-        raise OSError(f"source root does not exist: {root}")
-    if not root.is_dir():
-        raise OSError(f"source root is not a directory: {root}")
+    with refused("source root", root):
+        os.scandir(root).close()
     names: dict[str, set[str]] = {}  # package name -> names of its kept classes
     for path in sorted(root.rglob("*.java")):
         file = str(path)

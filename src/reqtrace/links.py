@@ -130,12 +130,14 @@ def links_to_json(tls: TraceLinkSet) -> str:
 
 def class_lists(payload: object) -> dict[str, tuple[str, ...]]:
     """Check decoded JSON that maps each requirement to a list of class
-    names, and return it with tuples; ValueError on any other shape."""
+    names, and return it with tuples; ValueError on any other shape or name."""
     if not isinstance(payload, dict):
         raise ValueError("expected a JSON object of class-name lists")
     for req, names in payload.items():
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ValueError(f"entry for {req!r} must be a list of class names")
+        for name in (req, *names):
+            name.encode("utf-8")  # no output could hold a lone surrogate
     return {req: tuple(names) for req, names in payload.items()}
 
 

@@ -40,7 +40,7 @@ from typing import Iterable
 
 from . import corpus as corpus_mod
 from . import evaluation, fca, links, lsi, textprep
-from .errors import EmptyCorpusError, read_input
+from .errors import EmptyCorpusError, read_input, refused
 from .facts import (
     METRICS,
     CodeFacts,
@@ -106,7 +106,7 @@ def _diagnostic_counts(diagnostics: list[ParseDiagnostic]) -> dict[str, int]:
 
 
 def _load(path: Path, run: Run) -> CodeFacts:
-    with run.stage("facts.load") as sizes:
+    with run.stage("facts.load") as sizes, refused("facts file", path):
         data = path.read_bytes()  # freed on return, before the later stages
         sizes["bytes"] = len(data)
         return load_facts_xml(data)

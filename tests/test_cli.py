@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import errno
 import io
 import json
 import os
 import shutil
+import sys
 import uuid
 from pathlib import Path
 
@@ -648,43 +650,131 @@ def test_class_name_shared_by_two_packages_is_qualified(tmp_path):
     assert report["micro_precision"] == report["micro_recall"] == 1.0
 
 
-# Each text input of `trace` and `evaluate`: its file, and a text in it that
-# is valid but for its "é".
-TEXT_INPUTS = {
-    "requirement file": ("reqs/Latin.txt", "café"),
-    "stop-word file": ("stops.txt", "the\nété\n"),
-    "gold file": ("gold.json", '{"Draw a line": ["Café"]}'),
-    "links file": ("links.json", '{"links": {"Draw a line": ["Café"]}}'),
+# Every input of the CLI, by what its refusal calls it: its path, the
+# (command, option) pairs that take it (no option for a requirement file,
+# which `--reqs` lists), and the bytes of each fault of its content.  Each
+# input also has the faults of any path: missing, and of the wrong kind (a
+# file for a directory, a directory for a file).  A name that UTF-8 cannot
+# encode is a lone surrogate: in a JSON file an escape, and in a file name a
+# byte that is not UTF-8.
+INPUTS = {
+    "source root": ("src", [("extract", "--src"), ("trace", "--src")], {}),
+    "facts file": (
+        "facts.xml",
+        [("trace", "--facts")],
+        {
+            "undecodable": b'<?xml version="1.0" encoding="x-none"?><codefacts/>',
+            "malformed": b"<codefacts><package>",
+        },
+    ),
+    "requirement directory": ("reqs", [("trace", "--reqs")], {}),
+    "requirement file": (
+        "reqs/Latin.txt",
+        [("trace", None)],
+        {"not UTF-8": "café".encode("iso-8859-1"), "name not UTF-8": b"Draw"},
+    ),
+    "stop-word file": (
+        "stops.txt",
+        [("trace", "--stopwords")],
+        {"not UTF-8": "the\nété\n".encode("iso-8859-1")},
+    ),
+    "gold file": (
+        "gold.json",
+        [("trace", "--gold"), ("evaluate", "--gold")],
+        {
+            "not UTF-8": '{"Draw a line": ["Café"]}'.encode("iso-8859-1"),
+            "malformed": b'{"Draw a line": "MyLine"}',
+            "name not UTF-8": b'{"Draw a line": ["Caf\\udce9"]}',
+        },
+    ),
+    "links file": (
+        "links.json",
+        [("evaluate", "--links")],
+        {
+            "not UTF-8": '{"links": {"Draw a line": ["Café"]}}'.encode("iso-8859-1"),
+            "malformed": b'{"links": ["MyLine"]}',
+            "name not UTF-8": b'{"links": {"a\\udce9": ["X"]}}',
+        },
+    ),
+}
+DIRECTORIES = {"source root", "requirement directory"}
+REQUIRED = {
+    "extract": ["--src"],
+    "trace": ["--src", "--reqs"],
+    "evaluate": ["--links", "--gold"],
 }
 
 
-@pytest.mark.parametrize("fault", ["missing", "not UTF-8"])
-@pytest.mark.parametrize("what", TEXT_INPUTS)
+@pytest.mark.parametrize(
+    "what, fault",
+    [
+        (what, fault)
+        for what, (_, _, contents) in INPUTS.items()
+        for fault in ["missing", "wrong kind", *contents]
+    ],
+)
 def test_text_input_missing_or_not_in_utf8_exits_2(
-    tmp_path, ds_source, ds_requirements, ds_gold, capsys, what, fault
+    tmp_path, ds_source, ds_requirements, ds_gold, monkeypatch, what, fault
 ):
-    name, text = TEXT_INPUTS[what]
-    bad = tmp_path / name
-    reqs = ds_requirements
+    # Named for its first rows, the text inputs: it now covers every input.
+    path, commands, contents = INPUTS[what]
+    bad = tmp_path / path
+    links = tmp_path / "valid-links.json"
+    links.write_text(DS_LINKS_JSON, encoding="utf-8")
+    given = {
+        "--src": ds_source,
+        "--reqs": ds_requirements,
+        "--links": links,
+        "--gold": ds_gold,
+    }
     if what == "requirement file":
-        reqs = shutil.copytree(ds_requirements, bad.parent)
-    if fault == "not UTF-8":
-        bad.write_bytes(text.encode("iso-8859-1"))
+        given["--reqs"] = shutil.copytree(ds_requirements, bad.parent)
+        if fault == "name not UTF-8":
+            bad = bad.with_name(os.fsdecode(b"Caf\xe9_line.txt"))
+    if fault in contents:
+        bad.write_bytes(contents[fault])
+    elif fault == "wrong kind" and what in DIRECTORIES:
+        bad.write_bytes(b"")
+    elif fault == "wrong kind":
+        bad.mkdir()
     elif what == "requirement file":
         bad.symlink_to(tmp_path / "nowhere.txt")  # listed, but not there
     out = tmp_path / "out"
-    if what == "links file":
-        argv = ["evaluate", "--links", str(bad), "--gold", str(ds_gold)]
-        code = main([*argv, "--out", str(out)])
-    else:
-        option = {"stop-word file": "--stopwords", "gold file": "--gold"}.get(what)
-        args = [] if option is None else [option, str(bad)]
-        code = trace(out, reqs, "--src", str(ds_source), *args)
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {what} {bad}: ")
-    assert err.count("\n") == 1
-    assert not out.exists()
+    for command, option in commands:
+        inputs = {key: given[key] for key in REQUIRED[command]}
+        if option == "--facts":
+            del inputs["--src"]
+        if option is not None:
+            inputs[option] = bad
+        argv = [command, *(str(arg) for item in inputs.items() for arg in item)]
+        # a lone surrogate in a path: sys.stderr escapes it, capsys would raise
+        stderr = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        err = stderr.getvalue()
+        assert err.startswith(f"error: {what} {bad}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_the_input_table_names_every_input_option():
+    # A new input option must join INPUTS, and so be refused like the others.
+    parser = cli._build_parser()
+    (commands,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        (command, option)
+        for command, subparser in commands.choices.items()
+        for action in subparser._actions
+        if action.type is Path
+        for option in action.option_strings
+        if option != "--out"
+    }
+    listed = {pair for _, pairs, _ in INPUTS.values() for pair in pairs}
+    assert options == listed - {("trace", None)}
 
 
 @pytest.mark.parametrize("encoding", ["x-none", "utf-7"])
@@ -698,7 +788,7 @@ def test_facts_in_an_encoding_expat_cannot_decode_exits_2(
     out = tmp_path / "out"
     assert trace(out, ds_requirements, "--facts", str(facts)) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: line 1: ")
+    assert err.startswith(f"error: facts file {facts}: line 1: ")
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -713,7 +803,8 @@ def test_facts_that_break_a_model_invariant_exit_2(tmp_path, ds_requirements, ca
     out = tmp_path / "out"
     assert trace(out, ds_requirements, "--facts", str(facts)) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == "error: <attribute>: duplicate attribute 'a' in class 'C'\n"
+    message = "<attribute>: duplicate attribute 'a' in class 'C'"
+    assert err == f"error: facts file {facts}: {message}\n"
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from reqtrace.corpus import (
@@ -162,7 +164,8 @@ class TestRequirementDocuments:
         assert marked[1] == RawDocument(name="Only a mark", text="Only a mark")
 
     def test_empty_directory_is_configuration_error(self, tmp_path):
-        with pytest.raises(ConfigurationError):
+        message = f"^requirement directory {re.escape(str(tmp_path))}: no .txt"
+        with pytest.raises(ConfigurationError, match=message):
             load_requirement_documents(tmp_path)
 
     def test_seventeen_files_make_seventeen_queries(self, tmp_path):
@@ -174,5 +177,6 @@ class TestRequirementDocuments:
     def test_duplicate_names_rejected(self, tmp_path):
         (tmp_path / "a_b.txt").write_text("x")
         (tmp_path / "a b.txt").write_text("y")
-        with pytest.raises(ConfigurationError):
+        message = f"^requirement directory {re.escape(str(tmp_path))}: duplicate"
+        with pytest.raises(ConfigurationError, match=message):
             load_requirement_documents(tmp_path)

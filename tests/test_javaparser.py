@@ -12,6 +12,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from reqtrace.errors import ConfigurationError
 from reqtrace.facts import (
     AttributeFact,
     ClassFact,
@@ -1150,13 +1151,16 @@ def test_declarations_around_a_dotted_chain(
 
 class TestSourceTree:
     def test_missing_root_raises(self, tmp_path):
-        with pytest.raises(OSError):
-            parse_source_tree(tmp_path / "nowhere")
+        root = tmp_path / "nowhere"
+        message = f"^source root {re.escape(str(root))}: "
+        with pytest.raises(ConfigurationError, match=message):
+            parse_source_tree(root)
 
     def test_file_as_root_raises(self, tmp_path):
         root = tmp_path / "A.java"
         root.write_text("class A { }")
-        with pytest.raises(OSError, match="source root is not a directory"):
+        message = f"^source root {re.escape(str(root))}: "
+        with pytest.raises(ConfigurationError, match=message):
             parse_source_tree(root)
 
     def test_empty_directory(self, tmp_path):
