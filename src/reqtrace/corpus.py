@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, read_input, refused
 from .facts import ClassFact, CodeFacts
@@ -25,6 +26,7 @@ __all__ = [
     "DocumentCorpus",
     "QueryCorpus",
     "build_class_documents",
+    "name_class_documents",
     "class_document_text",
     "load_requirement_documents",
 ]
@@ -68,31 +70,42 @@ def class_document_text(package_name: str, cls: ClassFact) -> str:
 
 
 def build_class_documents(facts: CodeFacts) -> DocumentCorpus:
-    """One document per class, in source order.
+    """One document per class of `facts`, in source order, named by
+    `name_class_documents`."""
+    return name_class_documents(
+        (
+            package.name,
+            [(c.name, class_document_text(package.name, c)) for c in package.classes],
+        )
+        for package in facts.packages
+    )
+
+
+def name_class_documents(
+    packages: Iterable[tuple[str, Sequence[tuple[str, str]]]]
+) -> DocumentCorpus:
+    """One document per class, in the order given: each package is its name
+    and its classes, each a name and its `class_document_text`.
 
     A document is named after its class.  A simple name that more than one
     package declares is qualified as ``package.Class`` in every such package
     (a class of the default package keeps its simple name); every other
     class keeps its simple name.  Gold files name classes the same way.
     """
-    declared = Counter(
-        cls.name for package in facts.packages for cls in package.classes
-    )
+    packages = list(packages)
+    declared = Counter(name for _, classes in packages for name, _ in classes)
     documents = []
     seen: set[str] = set()
-    for package in facts.packages:
-        for cls in package.classes:
-            name = cls.name
-            if declared[name] > 1 and package.name:
-                name = f"{package.name}.{name}"
+    for package, classes in packages:
+        for name, text in classes:
+            if declared[name] > 1 and package:
+                name = f"{package}.{name}"
             if name in seen:
                 raise ConfigurationError(
                     f"class name {name!r} appears twice; document names would collide"
                 )
             seen.add(name)
-            documents.append(
-                RawDocument(name=name, text=class_document_text(package.name, cls))
-            )
+            documents.append(RawDocument(name=name, text=text))
     return DocumentCorpus(documents=tuple(documents))
 
 

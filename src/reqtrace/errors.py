@@ -36,7 +36,13 @@ class XmlSchemaError(ReqTraceError):
 
     def __init__(self, message: str, element: str):
         super().__init__(f"<{element}>: {message}")
+        self.message = message
         self.element = element
+
+    def __reduce__(self):
+        # the default would call the class with the formatted text alone, so
+        # a refusal made in a worker process could not reach its parent
+        return type(self), (self.message, self.element)
 
 
 class EmptyCorpusError(ReqTraceError):

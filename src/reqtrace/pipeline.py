@@ -14,10 +14,22 @@ only under `--topics`), with sizes that the stage already holds.  Reading
 the requirement, stop-word and gold files is not a stage, and `evaluate`
 records none.
 
-`extract` holds no record beyond the file it came from: it checks and
-encodes each class as soon as the parser keeps it, so what it holds grows
-with the XML it will write, not with the records of the whole tree.  Its
-two stages each add up the time of their steps for every file.
+No command holds the records of a whole source tree.  `parse_source_files`
+hands each class to a function as its file is parsed: `extract` keeps the
+class's XML and its counts, `trace --src` its document text, and the
+documents are named once the walk is done (`name_class_documents`, which
+`trace --facts` shares).  So what `extract` holds grows with the XML it
+will write, and what `trace --src` holds with the documents.  `trace
+--facts` holds the loaded records only until the documents are built.
+
+A tree of at least `javaparser.FILES_PER_WORKER` files for each of two or
+more CPUs is parsed by a pool of forked worker processes, which send back
+only those values, in file order; a smaller tree, or one CPU, is parsed in
+this process.  Either way the files, diagnostics and summary are the same,
+and no worker outlives the command.  A stage that a walk feeds
+(`javaparser.parse`, and `facts.save` or `corpus.build`) adds up the time
+of its steps for every file, wherever they ran: on a pool its time can
+exceed the command's.
 
 Each command runs with the cyclic collector paused, and its state is
 restored when the command returns or raises.  A command makes many objects
@@ -33,16 +45,17 @@ import argparse
 import gc
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from functools import wraps
 from pathlib import Path
 from typing import Iterable
 
 from . import corpus as corpus_mod
 from . import evaluation, fca, links, lsi, textprep
-from .errors import EmptyCorpusError, read_input, refused
+from .errors import EmptyCorpusError, XmlSchemaError, read_input, refused
 from .facts import (
     METRICS,
+    ClassFact,
     CodeFacts,
     class_metrics,
     class_xml,
@@ -53,7 +66,6 @@ from .facts import (
 from .javaparser import (
     ParseDiagnostic,
     parse_source_files,
-    parse_source_tree,
     source_provenance,
 )
 
@@ -93,13 +105,6 @@ def _collector_paused(command):
     return paused
 
 
-def _parse(src: Path, run: Run) -> CodeFacts:
-    with run.stage("javaparser.parse") as sizes:
-        facts, run.diagnostics = parse_source_tree(src)
-        sizes.update(_diagnostic_counts(run.diagnostics))
-    return facts
-
-
 def _diagnostic_counts(diagnostics: list[ParseDiagnostic]) -> dict[str, int]:
     warnings = sum(d.severity == "warning" for d in diagnostics)
     return {"warnings": warnings, "errors": len(diagnostics) - warnings}
@@ -127,6 +132,17 @@ def _reports(
     }
 
 
+def _encoded(package: str, cls: ClassFact) -> tuple[bytes, Counter[str]] | Exception:
+    """`cls` encoded and counted, or the XmlSchemaError that refuses it: the
+    refusal is raised only if the class is kept, and whether it is, only
+    the walk knows, after every earlier file (`parse_source_files`)."""
+    try:
+        validate_class(cls)
+    except XmlSchemaError as exc:
+        return exc
+    return class_xml(cls), class_metrics(cls)
+
+
 @_collector_paused
 def extract(args: argparse.Namespace, run: Run) -> Run:
     """Parse `args.src` into the facts XML at `args.out`: the chunks that
@@ -135,20 +151,20 @@ def extract(args: argparse.Namespace, run: Run) -> Run:
     parse_s = save_s = 0.0
     packages: dict[str, list[bytes]] = {}  # name -> its classes, encoded
     metrics: Counter[str] = Counter()
-    start = clock()
-    for package, classes, diagnostics in parse_source_files(args.src):
-        parsed = clock()
-        parse_s += parsed - start
-        run.diagnostics += diagnostics
-        if package is not None:
-            encoded = packages.setdefault(package, [])
-            for cls in classes:
-                validate_class(cls)
-                encoded.append(class_xml(cls))
-                metrics.update(class_metrics(cls))
-        start = clock()
-        save_s += start - parsed
-    parse_s += clock() - start
+    with closing(parse_source_files(args.src, _encoded)) as files:
+        for package, classes, diagnostics, parsed_s, encoded_s in files:
+            start = clock()
+            parse_s += parsed_s
+            run.diagnostics += diagnostics
+            if package is not None:
+                encoded = packages.setdefault(package, [])
+                for _, value in classes:
+                    if isinstance(value, Exception):
+                        raise value
+                    xml, counts = value
+                    encoded.append(xml)
+                    metrics.update(counts)
+            save_s += encoded_s + clock() - start
     start = clock()
     chunks = xml_chunks(source_provenance(args.src), packages.items())
     save_s += clock() - start
@@ -160,6 +176,36 @@ def extract(args: argparse.Namespace, run: Run) -> Run:
     metrics[METRICS[0]] = len(packages)
     run.summary = _metrics_summary(metrics)
     return run
+
+
+def _class_documents(
+    args: argparse.Namespace, run: Run
+) -> tuple[corpus_mod.DocumentCorpus, float]:
+    """The class documents of `args.facts` or `args.src`, and the seconds
+    taken to make them.  No class's records outlive this call: those of a
+    Java file become its classes' document texts as the file is parsed."""
+    clock = time.perf_counter
+    if args.facts is not None:
+        facts = _load(args.facts, run)
+        start = clock()
+        return corpus_mod.build_class_documents(facts), clock() - start
+    parse_s = build_s = 0.0
+    packages: dict[str, list[tuple[str, str]]] = {}  # name -> its (class, text)s
+    per_class = corpus_mod.class_document_text
+    with closing(parse_source_files(args.src, per_class)) as files:
+        for package, classes, diagnostics, parsed_s, built_s in files:
+            start = clock()
+            parse_s += parsed_s
+            run.diagnostics += diagnostics
+            if package is not None:
+                packages.setdefault(package, []).extend(classes)
+            build_s += built_s + clock() - start
+    run.stages.append(
+        ("javaparser.parse", parse_s, _diagnostic_counts(run.diagnostics))
+    )
+    start = clock()
+    documents = corpus_mod.name_class_documents(packages.items())
+    return documents, build_s + clock() - start
 
 
 @_collector_paused
@@ -176,10 +222,9 @@ def trace(args: argparse.Namespace, run: Run) -> Run:
     )
     gold = evaluation.load_gold_links(args.gold) if args.gold is not None else None
 
-    facts = _parse(args.src, run) if args.facts is None else _load(args.facts, run)
-    with run.stage("corpus.build") as sizes:
-        documents = corpus_mod.build_class_documents(facts)
-        sizes.update(documents=len(documents.documents), queries=len(queries.queries))
+    documents, build_s = _class_documents(args, run)
+    sizes = {"documents": len(documents.documents), "queries": len(queries.queries)}
+    run.stages.append(("corpus.build", build_s, sizes))
     if not documents.documents:
         raise EmptyCorpusError("no classes found; document corpus is empty")
     with run.stage("textprep.preprocess") as sizes:

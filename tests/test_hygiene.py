@@ -179,7 +179,7 @@ FILE_READS = ("read_text", "read_bytes", "open")
 # declares its own encoding).
 ALLOWED_READS = {
     "errors.py": {"read_input: read_text"},
-    "javaparser.py": {"parse_source_files: read_text"},
+    "javaparser.py": {"_parse_file: read_text"},
     "pipeline.py": {"_load: read_bytes"},
 }
 
@@ -244,8 +244,12 @@ def test_source_parses_as_the_oldest_supported_python(path):
 
 
 # Standard-library packages that no command uses.  `xml.sax.saxutils` alone
-# once loaded all of them, 42 modules in all.
-UNUSED_PACKAGES = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
+# once loaded all of them, 42 modules in all.  The process pool's two are
+# imported only when a source tree is large enough to parse in a pool.
+UNUSED_PACKAGES = (
+    "xml.sax", "urllib.request", "http.client", "email", "ssl", "socket",
+    "multiprocessing", "concurrent.futures",
+)
 
 
 def test_importing_the_cli_loads_no_package_a_run_does_not_use():

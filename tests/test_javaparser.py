@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import os
 import re
 import tempfile
 import time
@@ -12,6 +13,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from reqtrace.cli import EXIT_OK, main
 from reqtrace.errors import ConfigurationError
 from reqtrace.facts import (
     AttributeFact,
@@ -29,6 +31,7 @@ from reqtrace.javaparser import (
     ParseDiagnostic,
     _Cursor,
     _is_ident,
+    _java_files,
     _lex,
     parse_compilation_unit,
     parse_source_tree,
@@ -1276,3 +1279,116 @@ class TestSourceTree:
                         assert name in source_tokens
                     for name in method.method_invocations:
                         assert name in source_tokens
+
+
+# Names that sort around "/" ("-" and "0" bracket it), dot names, a name
+# that only ends in ".java" without the case, and a non-ASCII one.
+WALK_NAMES = [
+    "a", "a-b", "a0", "a.java", ".java", ".h.java", "B.java", "b.JAVA", "é.java"
+]
+WALK_KINDS = ["file", "directory", "link to a directory", "link to a file", "dangling"]
+
+
+def build_tree(root: Path, entries: list[tuple[list[str], str]]) -> None:
+    """Make each entry (path parts, kind) under `root` that its parents
+    allow; a link to a directory points back at `root`."""
+    (root / "target.txt").write_text("class T { }")
+    for parts, kind in entries:
+        path = root.joinpath(*parts)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            continue  # a file or a link stands where a parent would be
+        if path.exists() or path.is_symlink():
+            continue
+        if kind == "file":
+            path.write_text("class W { }")
+        elif kind == "directory":
+            path.mkdir()
+        elif kind == "link to a directory":
+            path.symlink_to(root, target_is_directory=True)
+        elif kind == "link to a file":
+            path.symlink_to(root / "target.txt")
+        else:
+            path.symlink_to(root / "missing")
+
+
+class TestSourceWalk:
+    @seed(26)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(WALK_NAMES), min_size=1, max_size=3),
+                st.sampled_from(WALK_KINDS),
+            ),
+            max_size=12,
+        )
+    )
+    def test_the_walk_finds_what_rglob_finds_in_its_order(self, entries):
+        with tempfile.TemporaryDirectory() as top:
+            root = Path(top)
+            build_tree(root, entries)
+            expected = [str(path) for path in sorted(root.rglob("*.java"))]
+            assert _java_files(root) == expected
+
+    def test_a_relative_root_names_files_as_rglob_does(self, tmp_path, monkeypatch):
+        (tmp_path / "p").mkdir()
+        (tmp_path / "p" / "A.java").write_text("class A { }")
+        monkeypatch.chdir(tmp_path)
+        for root in (".", "p", "./p/"):
+            expected = [str(path) for path in sorted(Path(root).rglob("*.java"))]
+            assert _java_files(root) == expected
+
+    def test_a_directory_that_cannot_be_listed_is_an_error(
+        self, tmp_path, monkeypatch
+    ):
+        # Tests run as root, where a mode of 000 would not stop the listing.
+        for name, body in (("A.java", "class A { }"), ("z/C.java", "class C { }")):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(body)
+        (tmp_path / "locked").mkdir()
+        (tmp_path / "locked" / "B.java").write_text("class B { }")
+        locked = str(tmp_path / "locked")
+        scandir = os.scandir
+
+        def refusing(path):
+            if os.fspath(path) == locked:
+                raise PermissionError(13, "Permission denied", locked)
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", refusing)
+        facts, diagnostics = parse_source_tree(tmp_path)
+        assert [c.name for p in facts.packages for c in p.classes] == ["A", "C"]
+        assert diagnostics == [
+            ParseDiagnostic(
+                "error",
+                locked,
+                1,
+                f"unreadable directory: [Errno 13] Permission denied: {locked!r}",
+            )
+        ]
+
+    def test_a_tree_deeper_than_the_recursion_limit(self, tmp_path):
+        # 1,100 levels and a path of about 2,200 characters, under PATH_MAX;
+        # pathlib's rglob and shutil's rmtree recurse once per level.
+        depth = 1100
+        root = tmp_path / "src"
+        levels = [str(root)]
+        for _ in range(depth):
+            levels.append(os.path.join(levels[-1], "d"))
+        deep_file = os.path.join(levels[-1], "Deep.java")
+        try:
+            for level in levels:
+                os.mkdir(level)
+            with open(deep_file, "w", encoding="utf-8") as handle:
+                handle.write("package deep; class Deep { int x; }\n")
+            out = tmp_path / "facts.xml"
+            assert main(["extract", "--src", str(root), "--out", str(out)]) == EXIT_OK
+            assert b'<class name="Deep">' in out.read_bytes()
+        finally:
+            if os.path.exists(deep_file):
+                os.unlink(deep_file)
+            for level in reversed(levels):
+                if os.path.isdir(level):
+                    os.rmdir(level)

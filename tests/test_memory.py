@@ -1,12 +1,15 @@
-"""What `extract` and `trace --dump-intermediates` hold, against the size of
-what they write.
+"""What `extract` and `trace` hold, against the size of what they write or
+read.
 
 Each command writes its outputs chunk by chunk, so the Python memory it
 holds at its peak (tracemalloc's count) stays within a small multiple of
-the facts XML, and the CSV dumps add less than the largest of them.  Both
-commands run once untraced first, so that lazy set-up (compiled patterns,
-imports) is not counted.  The corpus is `perfbench/corpus_gen.py`'s, at
-300 classes.
+the facts XML, and the CSV dumps add less than the largest of them.
+`trace --src` turns each class into its document text as its file is
+parsed, so it never holds the records of the whole tree.  Every command
+runs once untraced first, so that lazy set-up (compiled patterns, imports)
+is not counted, and parses in this process: tracemalloc does not see into
+worker processes.  The corpus is `perfbench/corpus_gen.py`'s, at 300
+classes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
+from reqtrace import javaparser
 from reqtrace.cli import EXIT_OK, main
+from reqtrace.javaparser import parse_source_tree
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
@@ -29,6 +34,11 @@ def corpus(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("corpus")
     corpus_gen.generate(root, classes=300, requirements=30, seed=3)
     return root
+
+
+@pytest.fixture(autouse=True)
+def one_process(monkeypatch) -> None:
+    monkeypatch.setattr(javaparser, "_worker_count", lambda files: 1)
 
 
 def traced_peak(argv: list[str]) -> int:
@@ -61,3 +71,20 @@ def test_dumping_intermediates_adds_less_than_the_largest_csv(
     capsys.readouterr()
     largest = max(path.stat().st_size for path in dumped.glob("*.csv"))
     assert peak - without < largest
+
+
+def test_trace_from_sources_holds_less_than_the_records_of_the_tree(
+    tmp_path, corpus, capsys
+):
+    src = str(corpus / "src")
+    tracemalloc.start()
+    try:
+        facts = parse_source_tree(src)
+        records = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del facts
+    argv = ["trace", "--src", src, "--reqs", str(corpus / "reqs")]
+    peak = traced_peak(argv + ["--threshold", "0.15", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert peak < records

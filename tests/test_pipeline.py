@@ -285,7 +285,7 @@ def test_cyclic_gc_state_is_restored_when_the_parse_raises(
 ):
     enabled_during_the_parse = []
 
-    def fail(src):
+    def fail(src, per_class):
         enabled_during_the_parse.append(gc.isenabled())
         raise RuntimeError("parse failed")
         yield  # a generator, as `parse_source_files` is
