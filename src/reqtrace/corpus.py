@@ -18,7 +18,7 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ConfigurationError, read_input, refused
+from .errors import ConfigurationError, not_regular, read_input, refused
 from .facts import ClassFact, CodeFacts
 
 __all__ = [
@@ -113,11 +113,13 @@ def load_requirement_documents(directory: str | Path) -> QueryCorpus:
     """Read each ``.txt`` file in `directory`, in sorted-path order, as one
     requirement query; refuse a directory that cannot be listed, or holds no
     or two same-named ``.txt`` files, and a file whose name UTF-8 cannot
-    encode (no output could hold it), or that cannot be read."""
+    encode (no output could hold it), that is not a regular file, or that
+    cannot be read."""
     directory = Path(directory)
     files: dict[str, Path] = {}  # requirement name -> its file
     with refused("requirement directory", directory), os.scandir(directory) as entries:
-        for path in sorted(Path(e.path) for e in entries if e.name.endswith(".txt")):
+        listed = {Path(e.path): e for e in entries if e.name.endswith(".txt")}
+        for path in sorted(listed):
             name = path.stem.replace("_", " ")
             if name in files:
                 raise ValueError(f"duplicate requirement name {name!r}")
@@ -125,7 +127,11 @@ def load_requirement_documents(directory: str | Path) -> QueryCorpus:
         if not files:
             raise ValueError("no .txt requirement files")
     what = "requirement file"
-    queries = [read_input(p, what, partial(_query, n)) for n, p in files.items()]
+    queries = []
+    for name, path in files.items():
+        if not_regular(listed[path]):
+            raise ConfigurationError(f"{what} {path}: not a regular file")
+        queries.append(read_input(path, what, partial(_query, name)))
     return QueryCorpus(tuple(queries))
 
 

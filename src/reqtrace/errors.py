@@ -4,6 +4,7 @@ ConfigurationError "<what> <path>: <reason>", for every input of every
 command.  `read_input` reads the text inputs; Java sources keep their own
 per-file reader, and the facts XML is read as bytes (it names its encoding)."""
 
+import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
@@ -71,3 +72,12 @@ def read_input(path: str | Path, what: str, parse: Callable[[str], T] = str) -> 
     """`parse` of `path`'s UTF-8 text less a byte-order mark, refused as `what`."""
     with refused(what, path):
         return parse(Path(path).read_text(encoding="utf-8-sig"))
+
+
+def not_regular(entry: os.DirEntry) -> bool:
+    """Whether listed `entry` exists but is neither a regular file nor a
+    directory: a FIFO or the like, which a read could block on for ever."""
+    try:
+        return not (entry.is_file() or entry.is_dir()) and os.path.exists(entry)
+    except OSError:  # its kind cannot be found: reading it fails as it should
+        return False

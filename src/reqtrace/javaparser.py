@@ -16,12 +16,13 @@ expression.  A file that is not UTF-8 is read as ISO-8859-1 with a warning.
 
 A source tree is walked in sorted-path order on a stack of its own, so no
 depth of directories exhausts Python's; a directory that cannot be listed,
-like an entry named *.java that cannot be read, is an error.  Each file is
-parsed on its own, so a large tree is parsed by worker processes: each
-reads, decodes and parses a file and turns each of its classes into the
-value that the caller asks for (XML bytes, a document text), and only the
-values come back.  The parent skips a class that its package already
-holds and keeps the diagnostics in file order, so a pool changes no output.
+like an entry named *.java that cannot be read or is not a regular file,
+is an error.  Each file is parsed on its own, so a large tree is parsed by
+worker processes: each reads, decodes and parses a file and turns each of
+its classes into the value that the caller asks for (XML bytes, a document
+text), and only the values come back.  In file order, the parent skips a
+class that its package already holds, raises what making a kept class's
+value raised, and groups the values by package.
 
 Comments never reach the token list: the lexer sets each nonempty one
 aside with the index of the token after it, and the cursor hands them out
@@ -73,7 +74,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import refused
+from .errors import not_regular, refused
 from .facts import (
     AttributeFact,
     ClassFact,
@@ -897,48 +898,46 @@ FILES_PER_WORKER = 50
 
 T = TypeVar("T")
 
-# One file as `parse_source_files` yields it.
-ParsedFile = tuple[
-    str | None, list[tuple[str, T]], list[ParseDiagnostic], float, float
-]
-
 
 def parse_source_files(
-    root: str | Path, per_class: Callable[[str, ClassFact], T]
-) -> Iterator[ParsedFile[T]]:
+    root: str | Path,
+    per_class: Callable[[str, ClassFact], T],
+    diagnostics: list[ParseDiagnostic],
+) -> tuple[dict[str, list[tuple[str, T]]], float, float]:
     """Parse each .java file under `root` (`_java_files`), in sorted-path
-    order, and yield (package name, classes kept, diagnostics, parse seconds,
-    `per_class` seconds) for each: the package is None for a file that
-    cannot be read, and each class kept is its name and `per_class(package,
-    class)`.  A directory that cannot be listed is yielded as such a file,
-    with its own error.  Refuse a root that is not a readable directory.
+    order, and return (packages, parse seconds, `per_class` seconds): each
+    package name, in the order of its first file, maps to its classes kept,
+    in file order, each its name and `per_class(package, class)`.  Each
+    file's diagnostics are appended to `diagnostics` as the file is taken;
+    a file that cannot be read, or a directory that cannot be listed, is an
+    error there.  Refuse a root that is not a readable directory.
 
     A file is read as UTF-8, or else decoded as ISO-8859-1, with a warning;
     either way less a leading UTF-8 byte-order mark.  A class whose package
-    already holds a class of its name is skipped, with a warning: only the
-    names kept so far in each package are held here, never a class.
+    already holds a class of its name is skipped, with a warning.  What
+    `per_class` raises for a kept class is raised at that class, once its
+    file's diagnostics are appended.
 
     With at least two CPUs to run on and `FILES_PER_WORKER` files for each,
     the files are parsed by a pool of that many forked worker processes,
     in order, and only what `per_class` returns comes back: so `per_class`
     and its values must pickle.  Whatever a file's parse raises is raised
-    here, once the files before it are yielded.  The pool's pending tasks
-    are cancelled, and its workers joined, before this generator returns,
-    raises or is closed.
+    here, in file order.  The pool's pending tasks are cancelled, and its
+    workers joined, before this returns or raises.
     """
     entries = _java_files(root)
     files = [entry for entry in entries if isinstance(entry, str)]
     parse = partial(_parse_file, per_class)
     workers = _worker_count(len(files))
     if workers < 2:
-        yield from _kept(entries, map(parse, files))
-        return
+        return _kept(entries, map(parse, files), diagnostics)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     try:
-        yield from _kept(entries, pool.map(parse, files, chunksize=FILES_PER_WORKER))
+        parsed = pool.map(parse, files, chunksize=FILES_PER_WORKER)
+        return _kept(entries, parsed, diagnostics)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -960,10 +959,11 @@ def _worker_count(files: int) -> int:
 
 def _parse_file(
     per_class: Callable[[str, ClassFact], T], file: str
-) -> ParsedFile[T] | Exception:
-    """One file as `parse_source_files` yields it, before the duplicate
-    classes are skipped, or what parsing it raised: this runs in a worker
-    process, and a task that raises would lose the files parsed with it."""
+) -> tuple | ParseDiagnostic | Exception:
+    """One file as (package, classes, diagnostics, parse seconds, `per_class`
+    seconds), each class as its name, value and what `per_class` raised or
+    None; an unreadable file's error; or what parsing raised: this runs in a
+    worker process, and a task that raises would lose its other files."""
     clock = time.perf_counter
     start = clock()
     try:
@@ -978,14 +978,17 @@ def _parse_file(
                 ParseDiagnostic("warning", file, 1, "not UTF-8; decoded as ISO-8859-1")
             )
         except OSError as exc:
-            message = f"unreadable file: {exc}"
-            error = ParseDiagnostic("error", file, 1, message)
-            return None, [], [error], clock() - start, 0.0
+            return ParseDiagnostic("error", file, 1, f"unreadable file: {exc}")
         fragment, file_diagnostics = parse_compilation_unit(text, file)
         diagnostics += file_diagnostics
         parsed = clock()
         package = fragment.name
-        classes = [(cls.name, per_class(package, cls)) for cls in fragment.classes]
+        classes = []
+        for cls in fragment.classes:
+            try:
+                classes.append((cls.name, per_class(package, cls), None))
+            except Exception as exc:  # raised only if the class is kept
+                classes.append((cls.name, None, exc))
         return package, classes, diagnostics, parsed - start, clock() - parsed
     except Exception as exc:  # the parent raises it, in file order
         return exc
@@ -993,39 +996,47 @@ def _parse_file(
 
 def _kept(
     entries: list[str | ParseDiagnostic],
-    parsed: Iterable[ParsedFile[T] | Exception],
-) -> Iterator[ParsedFile[T]]:
-    """`entries` in order, each file as `parsed` gives it, less the classes
-    that its package already holds, and each diagnostic as an unreadable
-    file."""
+    parsed: Iterable[tuple | ParseDiagnostic | Exception],
+    diagnostics: list[ParseDiagnostic],
+) -> tuple[dict[str, list[tuple[str, T]]], float, float]:
+    """What `parse_source_files` returns for `entries`, each file as
+    `parsed` gives it."""
+    packages: dict[str, list[tuple[str, T]]] = {}
     names: dict[str, set[str]] = {}  # package name -> names of its kept classes
+    parse_s = per_class_s = 0.0
     parsed = iter(parsed)
     for entry in entries:
-        if isinstance(entry, ParseDiagnostic):
-            yield None, [], [entry], 0.0, 0.0
-            continue
-        result = next(parsed)
+        result = entry if isinstance(entry, ParseDiagnostic) else next(parsed)
         if isinstance(result, Exception):
             raise result
-        package, classes, diagnostics, parse_s, per_class_s = result
-        if package is not None:
-            kept_names = names.setdefault(package, set())
-            kept = []
-            for name, value in classes:
-                if name in kept_names:
-                    message = f"duplicate class {name!r} in package {package!r} skipped"
-                    diagnostics.append(ParseDiagnostic("warning", entry, 1, message))
-                    continue
-                kept_names.add(name)
-                kept.append((name, value))
-            result = package, kept, diagnostics, parse_s, per_class_s
-        yield result
+        if isinstance(result, ParseDiagnostic):
+            diagnostics.append(result)
+            continue
+        package, classes, file_diagnostics, file_parse_s, file_per_class_s = result
+        parse_s += file_parse_s
+        per_class_s += file_per_class_s
+        kept = packages.setdefault(package, [])
+        kept_names = names.setdefault(package, set())
+        refusal = None
+        for name, value, raised in classes:
+            if name in kept_names:
+                message = f"duplicate class {name!r} in package {package!r} skipped"
+                file_diagnostics.append(ParseDiagnostic("warning", entry, 1, message))
+                continue
+            kept_names.add(name)
+            kept.append((name, value))
+            refusal = refusal or raised
+        diagnostics += file_diagnostics
+        if refusal is not None:
+            raise refusal
+    return packages, parse_s, per_class_s
 
 
 def _java_files(root: str | Path) -> list[str | ParseDiagnostic]:
     """The path of each entry named *.java under `root`, in sorted-path
     order, with an error in the place of each directory under it that
-    cannot be listed; refuse a root that is not a readable directory.
+    cannot be listed, and of each such entry that is `not_regular` (it is
+    never opened); refuse a root that is not a readable directory.
 
     The paths are those of `sorted(Path(root).rglob("*.java"))`: a walk in
     sorted name order, which neither follows a symbolic link to a directory
@@ -1047,7 +1058,11 @@ def _java_files(root: str | Path) -> list[str | ParseDiagnostic]:
             continue
         path = prefix + entry.name
         if entry.name.endswith(".java"):
-            found.append(path)
+            if not_regular(entry):
+                message = "unreadable file: not a regular file"
+                found.append(ParseDiagnostic("error", path, 1, message))
+            else:
+                found.append(path)
         if not _is_directory(entry):
             continue
         try:
@@ -1079,23 +1094,14 @@ def source_provenance(root: str | Path) -> str:
 
 
 def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic]]:
-    """Parse every .java file under `root` (`parse_source_files`), merged in
-    sorted-path order: each package in the order of its first file, with its
-    classes in file order.  The provenance is `source_provenance(root)`.
+    """Parse every .java file under `root` (`parse_source_files`): each
+    package in the order of its first file, with its classes in file order.
+    The provenance is `source_provenance(root)`.
     """
     diagnostics: list[ParseDiagnostic] = []
-    package_classes: dict[str, list[ClassFact]] = {}  # in first-seen order
-    for package, classes, file_diagnostics, _, _ in parse_source_files(
-        root, _class_itself
-    ):
-        diagnostics += file_diagnostics
-        if package is not None:
-            package_classes.setdefault(package, []).extend(c for _, c in classes)
-    packages = tuple(
-        PackageFact(name=name, classes=tuple(classes))
-        for name, classes in package_classes.items()
-    )
-    return CodeFacts(packages, source_provenance(root)), diagnostics
+    kept, _, _ = parse_source_files(root, _class_itself, diagnostics)
+    packages = [PackageFact(name, tuple(c for _, c in cs)) for name, cs in kept.items()]
+    return CodeFacts(tuple(packages), source_provenance(root)), diagnostics
 
 
 def _class_itself(package: str, cls: ClassFact) -> ClassFact:

@@ -14,13 +14,14 @@ only under `--topics`), with sizes that the stage already holds.  Reading
 the requirement, stop-word and gold files is not a stage, and `evaluate`
 records none.
 
-No command holds the records of a whole source tree.  `parse_source_files`
-hands each class to a function as its file is parsed: `extract` keeps the
-class's XML and its counts, `trace --src` its document text, and the
-documents are named once the walk is done (`name_class_documents`, which
-`trace --facts` shares).  So what `extract` holds grows with the XML it
-will write, and what `trace --src` holds with the documents.  `trace
---facts` holds the loaded records only until the documents are built.
+No command holds the records of a whole source tree.  A `--src` command
+makes one call to `parse_source_files`: it turns each class into a value as
+its file is parsed (for `extract` its XML and counts, for `trace --src` its
+document text), adds each file's diagnostics to the `Run` as it goes, and
+returns the values kept, by package, for the command to join into chunks or
+name (`name_class_documents`, which `trace --facts` shares).  So what
+`extract` holds grows with the XML it will write, and `trace --src` with the
+documents; `trace --facts` holds the loaded records until they are built.
 
 A tree of at least `javaparser.FILES_PER_WORKER` files for each of two or
 more CPUs is parsed by a pool of forked worker processes, which send back
@@ -45,14 +46,14 @@ import argparse
 import gc
 import time
 from collections import Counter
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from functools import wraps
 from pathlib import Path
 from typing import Iterable
 
 from . import corpus as corpus_mod
 from . import evaluation, fca, links, lsi, textprep
-from .errors import EmptyCorpusError, XmlSchemaError, read_input, refused
+from .errors import EmptyCorpusError, read_input, refused
 from .facts import (
     METRICS,
     ClassFact,
@@ -132,15 +133,11 @@ def _reports(
     }
 
 
-def _encoded(package: str, cls: ClassFact) -> tuple[bytes, Counter[str]] | Exception:
-    """`cls` encoded and counted, or the XmlSchemaError that refuses it: the
-    refusal is raised only if the class is kept, and whether it is, only
-    the walk knows, after every earlier file (`parse_source_files`)."""
-    try:
-        validate_class(cls)
-    except XmlSchemaError as exc:
-        return exc
-    return class_xml(cls), class_metrics(cls)
+def _encoded(package: str, cls: ClassFact) -> tuple[bytes, list[int]]:
+    """`cls` checked, encoded, and counted in `METRICS[1:]` order, in a list:
+    CPython would keep up to 2,000 freed tuples of counts for reuse."""
+    validate_class(cls)
+    return class_xml(cls), list(class_metrics(cls).values())
 
 
 @_collector_paused
@@ -148,32 +145,20 @@ def extract(args: argparse.Namespace, run: Run) -> Run:
     """Parse `args.src` into the facts XML at `args.out`: the chunks that
     `save_facts_xml` would join for `parse_source_tree(args.src)`."""
     clock = time.perf_counter
-    parse_s = save_s = 0.0
-    packages: dict[str, list[bytes]] = {}  # name -> its classes, encoded
-    metrics: Counter[str] = Counter()
-    with closing(parse_source_files(args.src, _encoded)) as files:
-        for package, classes, diagnostics, parsed_s, encoded_s in files:
-            start = clock()
-            parse_s += parsed_s
-            run.diagnostics += diagnostics
-            if package is not None:
-                encoded = packages.setdefault(package, [])
-                for _, value in classes:
-                    if isinstance(value, Exception):
-                        raise value
-                    xml, counts = value
-                    encoded.append(xml)
-                    metrics.update(counts)
-            save_s += encoded_s + clock() - start
+    packages, parse_s, save_s = parse_source_files(args.src, _encoded, run.diagnostics)
     start = clock()
-    chunks = xml_chunks(source_provenance(args.src), packages.items())
+    chunks = xml_chunks(
+        source_provenance(args.src),
+        ((name, [xml for _, (xml, _) in kept]) for name, kept in packages.items()),
+    )
+    per_class = [counts for kept in packages.values() for _, (_, counts) in kept]
+    metrics = Counter(dict(zip(METRICS, (len(packages), *map(sum, zip(*per_class))))))
     save_s += clock() - start
     run.stages.append(
         ("javaparser.parse", parse_s, _diagnostic_counts(run.diagnostics))
     )
     run.stages.append(("facts.save", save_s, {"bytes": sum(map(len, chunks))}))
     run.files[args.out] = chunks
-    metrics[METRICS[0]] = len(packages)
     run.summary = _metrics_summary(metrics)
     return run
 
@@ -189,17 +174,9 @@ def _class_documents(
         facts = _load(args.facts, run)
         start = clock()
         return corpus_mod.build_class_documents(facts), clock() - start
-    parse_s = build_s = 0.0
-    packages: dict[str, list[tuple[str, str]]] = {}  # name -> its (class, text)s
-    per_class = corpus_mod.class_document_text
-    with closing(parse_source_files(args.src, per_class)) as files:
-        for package, classes, diagnostics, parsed_s, built_s in files:
-            start = clock()
-            parse_s += parsed_s
-            run.diagnostics += diagnostics
-            if package is not None:
-                packages.setdefault(package, []).extend(classes)
-            build_s += built_s + clock() - start
+    packages, parse_s, build_s = parse_source_files(
+        args.src, corpus_mod.class_document_text, run.diagnostics
+    )
     run.stages.append(
         ("javaparser.parse", parse_s, _diagnostic_counts(run.diagnostics))
     )

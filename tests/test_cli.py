@@ -9,6 +9,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import uuid
 from pathlib import Path
@@ -755,6 +756,56 @@ def test_text_input_missing_or_not_in_utf8_exits_2(
         assert err.startswith(f"error: {what} {bad}: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+def main_in_a_process(argv: list, stdin: str = "") -> tuple[int, str]:
+    """Exit code and stderr of the command line `argv`, run in a process of
+    its own that is killed after 60 seconds: a read that blocks fails the
+    test rather than hanging it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-m", "reqtrace.cli", *map(str, argv)],
+        env=env, input=stdin, capture_output=True, text=True, timeout=60,
+    )
+    return done.returncode, done.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_a_fifo_in_a_source_tree_is_an_unreadable_file(tmp_path, ds_source):
+    src = shutil.copytree(ds_source, tmp_path / "src")
+    (src / "p").mkdir()
+    fifo, folder, dangling = src / "p" / "B.java", src / "p" / "C.java", src / "D.java"
+    os.mkfifo(fifo)
+    folder.mkdir()
+    dangling.symlink_to(tmp_path / "nowhere.java")
+    code, stderr = main_in_a_process(
+        ["extract", "--src", src, "--out", tmp_path / "facts.xml"]
+    )
+    assert code == EXIT_OK
+    assert f"error: {fifo}:1: unreadable file: not a regular file\n" in stderr
+    assert f"error: {folder}:1: unreadable file: [Errno {errno.EISDIR}]" in stderr
+    assert f"error: {dangling}:1: unreadable file: [Errno {errno.ENOENT}]" in stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_a_fifo_in_the_requirement_directory_exits_2(
+    tmp_path, ds_source, ds_requirements
+):
+    reqs = shutil.copytree(ds_requirements, tmp_path / "reqs")
+    os.mkfifo(reqs / "Other.txt")
+    argv = ["trace", "--src", ds_source, "--reqs", reqs, "--out", tmp_path / "out"]
+    assert main_in_a_process(argv) == (
+        EXIT_CONFIG,
+        f"error: requirement file {reqs / 'Other.txt'}: not a regular file\n",
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin here")
+def test_a_named_input_is_read_if_it_is_a_pipe(tmp_path, ds_source, ds_requirements):
+    argv = ["trace", "--src", ds_source, "--reqs", ds_requirements]
+    argv += ["--stopwords", "/dev/stdin", "--out", tmp_path]
+    assert main_in_a_process(argv, stdin="the\n") == (EXIT_OK, "")
 
 
 def test_the_input_table_names_every_input_option():

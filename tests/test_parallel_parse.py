@@ -7,19 +7,22 @@ directory named like a source file.  The files written, stdout, stderr and
 the exit code must be byte-identical, also when a file's parse or check
 raises, and no worker process may outlive the command.  The parser gives
 no class that `validate_class` refuses, so the tests that need a refusal
-patch it (the workers are forked, so they run the patched one too).
+patch it (the workers are forked, so they run the patched one too).  The
+worker count itself is tested with the CPU count and the start methods
+patched, starting no process.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
 
 from reqtrace import javaparser, pipeline
-from reqtrace.cli import EXIT_CONFIG, EXIT_OK, main
+from reqtrace.cli import EXIT_CONFIG, EXIT_OK, _build_parser, main
 from reqtrace.errors import XmlSchemaError
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
@@ -137,6 +140,34 @@ def test_a_refusal_in_a_pool_is_the_refusal_of_one_process(
     assert stderr.count("\n") > 1  # the diagnostics of the files before it
 
 
+def test_a_refusal_is_raised_in_file_order_not_package_order(
+    tmp_path, monkeypatch, capsys, pools
+):
+    # `early` is the first package, but the first refusal is in `late`
+    src = tmp_path / "src"
+    files = {
+        "a/First.java": "package early; class Fine { }\n",
+        "b/Second.java": "package late; class RefusedFirst { }\n",
+        "c/Third.java": "package early; class RefusedLater implements Runnable { }\n",
+    }
+    for name, text in files.items():
+        (src / name).parent.mkdir(parents=True)
+        (src / name).write_text(text)
+    validate = pipeline.validate_class
+
+    def refusing(cls):
+        if cls.name.startswith("Refused"):
+            raise XmlSchemaError(f"{cls.name} refused", "class")
+        validate(cls)
+
+    monkeypatch.setattr(pipeline, "validate_class", refusing)
+    argv = ["extract", "--src", str(src)]
+    code, _, stderr, _ = in_both(argv, tmp_path, monkeypatch, capsys, pools)
+    assert code == EXIT_CONFIG
+    assert stderr.endswith("error: <class>: RefusedFirst refused\n")
+    assert "Third.java" not in stderr
+
+
 def test_a_duplicate_class_is_skipped_before_it_can_be_refused(
     corpus, tmp_path, monkeypatch, capsys, pools
 ):
@@ -174,3 +205,57 @@ def test_a_parse_that_raises_in_a_pool_raises_as_in_one_process(
     assert code == (RecursionError, "maximum recursion depth exceeded")
     assert (stdout, written) == ("", {})
     assert stderr  # the diagnostics of the files before it
+
+
+@pytest.mark.parametrize("command", ["extract", "trace"])
+def test_the_stages_in_a_pool_are_those_of_one_process(
+    corpus, tmp_path, monkeypatch, pools, command
+):
+    argv = [command, "--src", str(corpus / "src"), "--out", str(tmp_path)]
+    if command == "trace":
+        argv += ["--reqs", str(corpus / "reqs"), "--threshold", "0.15"]
+    args = _build_parser().parse_args(argv)
+    stages = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(javaparser, "_worker_count", lambda files: workers)
+        run = getattr(pipeline, command)(args, pipeline.Run())
+        stages[workers] = [(name, sizes) for name, _, sizes in run.stages]
+        assert multiprocessing.active_children() == []
+    assert pools == [2]
+    assert stages[2] == stages[1]
+    assert stages[1][0][0] == "javaparser.parse"
+
+
+@pytest.mark.parametrize(
+    "cpus, files, workers",
+    [
+        (1, 10 * javaparser.FILES_PER_WORKER, None),
+        (2, 2 * javaparser.FILES_PER_WORKER - 1, None),
+        (2, 2 * javaparser.FILES_PER_WORKER, 2),
+        (4, 2 * javaparser.FILES_PER_WORKER + 20, 2),
+    ],
+)
+def test_a_pool_has_a_worker_per_cpu_that_has_enough_files(
+    monkeypatch, pools, cpus, files, workers
+):
+    """`workers` None is below 2: the files are parsed in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"]
+    )
+    count = javaparser._worker_count(files)
+    assert count < 2 if workers is None else count == workers
+    assert pools == []
+
+
+def test_no_pool_without_the_fork_start_method(monkeypatch, pools):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert javaparser._worker_count(10 * javaparser.FILES_PER_WORKER) == 1
+    assert pools == []
+
+
+def test_no_pool_without_the_cpu_affinity_call(monkeypatch, pools):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert javaparser._worker_count(10 * javaparser.FILES_PER_WORKER) == 1
+    assert pools == []

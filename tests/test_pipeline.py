@@ -285,10 +285,9 @@ def test_cyclic_gc_state_is_restored_when_the_parse_raises(
 ):
     enabled_during_the_parse = []
 
-    def fail(src, per_class):
+    def fail(src, per_class, diagnostics):
         enabled_during_the_parse.append(gc.isenabled())
         raise RuntimeError("parse failed")
-        yield  # a generator, as `parse_source_files` is
 
     monkeypatch.setattr(pipeline, "parse_source_files", fail)
     with pytest.raises(RuntimeError, match="parse failed"):
