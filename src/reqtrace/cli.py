@@ -141,13 +141,17 @@ def main(argv: list[str] | None = None) -> int:
         try:
             getattr(pipeline, args.command)(args, run)
         finally:
-            # one write: to an unbuffered stderr, each `print` is a system call
-            sys.stderr.write(
-                "".join(
-                    f"{d.severity}: {d.file}:{d.line}: {d.message}\n"
-                    for d in run.diagnostics
+            # a write per 1,000 lines: to an unbuffered stderr each `print`
+            # is a system call, and one write of every line would hold a
+            # second copy of them all, above `extract`'s own peak
+            diagnostics = run.diagnostics
+            for at in range(0, len(diagnostics), 1000):
+                sys.stderr.write(
+                    "".join(
+                        f"{d.severity}: {d.file}:{d.line}: {d.message}\n"
+                        for d in diagnostics[at : at + 1000]
+                    )
                 )
-            )
         _write_all(run.files)
         print(run.summary, end="")
         return EXIT_OK

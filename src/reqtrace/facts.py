@@ -12,29 +12,37 @@ encodes each class on its own (`class_xml`), and `xml_chunks` puts the
 encoded classes between the package and document tags as a list of chunks,
 which a caller can write one after another: `save_facts_xml` joins them
 once, and `extract` writes them to its file unjoined, having encoded each
-class as soon as the parser kept it.  The reader is the target of
-ElementTree's own parser, so it accepts and rejects what a walk over the
-ElementTree of the document would, with the same messages, but builds no
-element tree.  The schema is one table,
-`_CONTAINERS`: for each container, the child tags it may hold, the message
-for any other, and how its record is made.  The reader keeps one frame per
-open container, with a list of records per allowed child tag, and makes
-the container's record from it when the container closes; a leaf is read
-from its start tag.  The parser is fed the document in 64 KiB slices,
-because its memory grows with what one `feed` call hands it: on a 1.1 MB
-document, fed whole, it peaked at 5.5 times the document size under
-tracemalloc, and in slices at 3.8 times.  A well-formedness error takes
-precedence over a schema error: the first schema violation is held and
-raised only when the parse has ended.  The model invariants
-(`validate_facts`) are checked last.
+class as soon as the parser kept it.  The reader (`read_facts_xml`) is the
+target of ElementTree's own parser, so it accepts and rejects what a walk
+over the ElementTree of the document would, with the same messages, but
+builds no element tree.  It hands each class to the caller's `per_class`
+as the class closes, and keeps only the class's name and the value
+returned: `trace --facts` keeps document texts, and `load_facts_xml`,
+which keeps the records themselves, is one call of it.  The schema is one
+table, `_CONTAINERS`: for each container, the child tags it may hold, the
+message for any other, and how its record is made.  The reader keeps one
+frame per open container, with a list of records per allowed child tag,
+and makes the container's record from it when the container closes; a
+leaf is read from its start tag.  The parser is fed the document in 64 KiB
+slices, because its memory grows with what one `feed` call hands it: on a
+1.1 MB document, fed whole, it peaked at 5.5 times the document size under
+tracemalloc, and in slices at 3.8 times.
+
+The reader checks the model invariants of `validate_facts` as it goes, in
+the order that function walks the facts: a package's name when the package
+opens, a class's name and `validate_class` when the class closes.  A
+well-formedness error takes precedence over a schema error, and a schema
+error over a model-invariant violation: the first of each kind is held and
+raised only when the parse has ended.
 """
 
 from __future__ import annotations
 
 import re
+import time
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 from xml.etree.ElementTree import ParseError, XMLParser
 
 from .errors import XmlParseError, XmlSchemaError
@@ -42,8 +50,11 @@ from .errors import XmlParseError, XmlSchemaError
 __all__ = [
     "CommentFact", "AttributeFact", "MethodFact", "ClassFact", "PackageFact",
     "CodeFacts", "METRICS", "validate_facts", "validate_class",
-    "load_facts_xml", "save_facts_xml", "class_xml", "xml_chunks", "class_metrics",
+    "read_facts_xml", "load_facts_xml", "save_facts_xml", "class_xml", "xml_chunks",
+    "class_metrics",
 ]
+
+T = TypeVar("T")
 
 COMMENT_KINDS = ("class-level", "method-level")
 
@@ -110,18 +121,22 @@ class CodeFacts:
 
 
 def validate_facts(facts: CodeFacts) -> None:
-    """Raise XmlSchemaError on any model-invariant violation."""
-    seen_packages = set()
+    """Raise XmlSchemaError on the first model-invariant violation."""
+    packages: set[str] = set()
     for package in facts.packages:
-        if package.name in seen_packages:
-            raise XmlSchemaError(f"duplicate package name {package.name!r}", "package")
-        seen_packages.add(package.name)
-        seen_classes = set()
+        _check_unique(package.name, packages, "package")
+        classes: set[str] = set()
         for cls in package.classes:
-            if cls.name in seen_classes:
-                raise XmlSchemaError(f"duplicate class name {cls.name!r}", "class")
-            seen_classes.add(cls.name)
+            _check_unique(cls.name, classes, "class")
             validate_class(cls)
+
+
+def _check_unique(name: str, seen: set[str], tag: str) -> None:
+    """Add `name` to the names `seen` of the `tag` elements of one container;
+    raise XmlSchemaError if it is there already."""
+    if name in seen:
+        raise XmlSchemaError(f"duplicate {tag} name {name!r}", tag)
+    seen.add(name)
 
 
 def validate_class(cls: ClassFact) -> None:
@@ -280,19 +295,21 @@ _SLICE = 64 * 1024
 # The schema, stated once.  For each container: the child tags it may hold,
 # in the order its record takes their tuples; the message for any other
 # child; and its record, made from its attributes and those tuples when it
-# closes.  Every container below the root needs a `name` attribute.  The
-# document ("") holds the root.  Every other tag is a leaf.
+# closes.  A class's record goes to `per_class`, and its package keeps the
+# class's name and the value returned.  Every container below the root
+# needs a `name` attribute.  The document ("") holds the root.  Every other
+# tag is a leaf.
 _CONTAINERS = {
     "": (("codefacts",), "root element must be <codefacts>", None),
     "codefacts": (
         ("package",),
         "expected <package>",
-        lambda attrs, packages: CodeFacts(packages, attrs.get("provenance", "")),
+        lambda attrs, packages: (attrs.get("provenance", ""), dict(packages)),
     ),
     "package": (
         ("class",),
         "expected <class>",
-        lambda attrs, classes: PackageFact(attrs["name"], classes),
+        lambda attrs, classes: (attrs["name"], classes),
     ),
     "class": (
         ("attribute", "method", "comment"),
@@ -307,25 +324,63 @@ _CONTAINERS = {
 }
 
 
+def read_facts_xml(
+    data: bytes, per_class: Callable[[str, ClassFact], T]
+) -> tuple[str, dict[str, tuple[tuple[str, T], ...]], float]:
+    """Read a code-facts document class by class, and return (provenance,
+    packages, `per_class` seconds): each package name, in document order,
+    maps to its classes in order, each its name and `per_class(package,
+    class)`.  Each class is checked (`validate_class`, and its name against
+    its package's other classes) before `per_class` sees it, and no class's
+    record is kept.
+
+    Raise the document's first well-formedness error, else its first schema
+    error, else the first model-invariant violation that `validate_facts`
+    would raise for its facts.
+    """
+    reader = _Reader(per_class)
+    provenance, packages = reader.read(data)
+    return provenance, packages, reader.seconds
+
+
 def load_facts_xml(data: bytes) -> CodeFacts:
-    """Parse a code-facts document, checking the schema and model invariants."""
-    facts = _Reader().read(data)
-    validate_facts(facts)
-    return facts
+    """The facts of a code-facts document: `read_facts_xml` with each
+    class's record kept, so it raises what that function raises."""
+    provenance, packages, _ = read_facts_xml(data, _record)
+    return CodeFacts(
+        tuple(
+            PackageFact(name, tuple(cls for _, cls in classes))
+            for name, classes in packages.items()
+        ),
+        provenance,
+    )
+
+
+def _record(package: str, cls: ClassFact) -> ClassFact:
+    return cls
 
 
 class _Reader:
-    """Builds the facts of one document as the target of ElementTree's
-    parser, with one frame per open container.
+    """Reads one document as the target of ElementTree's parser, with one
+    frame per open container, and hands each class to `per_class`.
 
     A frame holds a container's tag, its attributes and, for each child tag
     that `_CONTAINERS` allows it, the records read so far.  A container's
     record is made from its frame when it closes, and added to its parent's
-    frame.  A leaf is read from its start tag, and one count skips all it
-    holds.  Checks run in the order of a walk over the element tree: tags,
+    frame; a class's record is checked and handed to `per_class` there, in
+    `end`, and its package keeps only the class's name and the value
+    returned.  A leaf is read from its start tag, and one count skips all it
+    holds.
+
+    Schema checks run in the order of a walk over the element tree: tags,
     comment kinds and leaf names at start tags, and the names of containers
     at their end tags, after their children.  The first violation is kept,
-    and the events that follow are only parsed.
+    and the events that follow are only parsed.  The model invariants run
+    in the order of `validate_facts`: a package's name against the earlier
+    packages when it opens, a class's name against its package's earlier
+    classes and then `validate_class` when it closes.  The first violation
+    is held apart from the schema error, which wins over it; once one is
+    held, no class goes to `per_class`.
 
     The parser hands each run of character data to `text.append` itself,
     with no Python call in between, and every start tag empties `text`.  So
@@ -334,8 +389,13 @@ class _Reader:
     called for every run of indentation, at about 5% of the load time.)
     """
 
-    def __init__(self) -> None:
+    def __init__(self, per_class: Callable[[str, ClassFact], T]) -> None:
+        self.per_class = per_class
+        self.seconds = 0.0  # spent in `per_class`
         self.error: XmlSchemaError | None = None
+        self.violation: XmlSchemaError | None = None  # of a model invariant
+        self.packages: set[str] = set()
+        self.classes: set[str] = set()  # of the open package
         self.frames = [("", {}, {"codefacts": []})]
         self.skip = 0  # open elements inside or at a leaf
         self.text: list[str] = []
@@ -344,9 +404,9 @@ class _Reader:
         # `comment`: the parser would call a target's `comment` on <!-- -->)
         self.pending: tuple[list[CommentFact], str] | None = None
 
-    def read(self, data: bytes) -> CodeFacts:
+    def read(self, data: bytes) -> tuple[str, dict[str, tuple[tuple[str, T], ...]]]:
         """Parse `data`; raise its first well-formedness error, else its
-        first schema error."""
+        first schema error, else its first model-invariant violation."""
         parser = XMLParser(target=self)
         try:
             for at in range(0, len(data), _SLICE):
@@ -361,6 +421,8 @@ class _Reader:
             raise XmlParseError(str(exc), 1) from exc
         if self.error is not None:
             raise self.error
+        if self.violation is not None:
+            raise self.violation
         return self.frames[0][2]["codefacts"][0]
 
     def start(self, tag: str, attrs: dict[str, str]) -> None:
@@ -381,6 +443,8 @@ class _Reader:
         if tag in _CONTAINERS:
             children = _CONTAINERS[tag][0]
             self.frames.append((tag, attrs, {child: [] for child in children}))
+            if tag == "package":
+                self.open_package(attrs.get("name"))
             return
         self.skip = 1
         if tag == "comment":
@@ -419,7 +483,37 @@ class _Reader:
             self.error = XmlSchemaError("missing name attribute", tag)
             return
         record = _CONTAINERS[tag][2](attrs, *map(tuple, lists.values()))
+        if tag == "class":
+            record = self.take_class(record)
         self.frames[-1][2][tag].append(record)
+
+    def open_package(self, name: str | None) -> None:
+        """Check a package's `name` against the earlier packages.  Without
+        a name, the package fails the schema at its end tag."""
+        self.classes = set()
+        if self.violation is None and name is not None:
+            try:
+                _check_unique(name, self.packages, "package")
+            except XmlSchemaError as exc:
+                self.violation = exc
+
+    def take_class(self, cls: ClassFact) -> tuple[str, T] | None:
+        """`cls`'s name and `per_class` value, once `cls` is checked; None
+        once a violation is held, which `read` raises instead."""
+        if self.violation is not None:
+            return None
+        try:
+            _check_unique(cls.name, self.classes, "class")
+            validate_class(cls)
+        except XmlSchemaError as exc:
+            self.violation = exc
+            return None
+        # a package without a name fails the schema at its end tag
+        package = self.frames[-1][1].get("name", "")
+        start = time.perf_counter()
+        value = self.per_class(package, cls)
+        self.seconds += time.perf_counter() - start
+        return cls.name, value
 
 
 # --- metrics -------------------------------------------------------------

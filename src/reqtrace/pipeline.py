@@ -14,14 +14,16 @@ only under `--topics`), with sizes that the stage already holds.  Reading
 the requirement, stop-word and gold files is not a stage, and `evaluate`
 records none.
 
-No command holds the records of a whole source tree.  A `--src` command
-makes one call to `parse_source_files`: it turns each class into a value as
-its file is parsed (for `extract` its XML and counts, for `trace --src` its
-document text), adds each file's diagnostics to the `Run` as it goes, and
-returns the values kept, by package, for the command to join into chunks or
-name (`name_class_documents`, which `trace --facts` shares).  So what
-`extract` holds grows with the XML it will write, and `trace --src` with the
-documents; `trace --facts` holds the loaded records until they are built.
+No command holds the records of a whole source tree or facts file.  A
+`--src` command makes one call to `parse_source_files`: it turns each class
+into a value as its file is parsed (for `extract` its XML and counts, for
+`trace --src` its document text), adds each file's diagnostics to the `Run`
+as it goes, and returns the values kept, by package, for the command to
+join into chunks or name (`name_class_documents`).  `trace --facts` makes
+one call to `read_facts_xml`, which turns each class into its document text
+as the class is read, and names them the same way.  So what `extract` holds
+grows with the XML it will write, and `trace` with the documents (and, from
+a facts file, with the file's bytes, held while it is read).
 
 A tree of at least `javaparser.FILES_PER_WORKER` files for each of two or
 more CPUs is parsed by a pool of forked worker processes, which send back
@@ -30,7 +32,8 @@ this process.  Either way the files, diagnostics and summary are the same,
 and no worker outlives the command.  A stage that a walk feeds
 (`javaparser.parse`, and `facts.save` or `corpus.build`) adds up the time
 of its steps for every file, wherever they ran: on a pool its time can
-exceed the command's.
+exceed the command's.  Likewise `corpus.build` holds the time that
+`read_facts_xml` spent making documents, and `facts.load` the rest.
 
 Each command runs with the cyclic collector paused, and its state is
 restored when the command returns or raises.  A command makes many objects
@@ -57,10 +60,9 @@ from .errors import EmptyCorpusError, read_input, refused
 from .facts import (
     METRICS,
     ClassFact,
-    CodeFacts,
     class_metrics,
     class_xml,
-    load_facts_xml,
+    read_facts_xml,
     validate_class,
     xml_chunks,
 )
@@ -111,11 +113,19 @@ def _diagnostic_counts(diagnostics: list[ParseDiagnostic]) -> dict[str, int]:
     return {"warnings": warnings, "errors": len(diagnostics) - warnings}
 
 
-def _load(path: Path, run: Run) -> CodeFacts:
-    with run.stage("facts.load") as sizes, refused("facts file", path):
+def _load(
+    path: Path, run: Run
+) -> tuple[dict[str, tuple[tuple[str, str], ...]], float]:
+    """The classes of the facts file `path` by package, each its name and
+    document text, and the seconds taken to make the texts, which the stage
+    `facts.load` leaves out."""
+    start = time.perf_counter()
+    with refused("facts file", path):
         data = path.read_bytes()  # freed on return, before the later stages
-        sizes["bytes"] = len(data)
-        return load_facts_xml(data)
+        _, packages, build_s = read_facts_xml(data, corpus_mod.class_document_text)
+    load_s = time.perf_counter() - start - build_s
+    run.stages.append(("facts.load", load_s, {"bytes": len(data)}))
+    return packages, build_s
 
 
 def _metrics_summary(metrics: Counter[str]) -> str:
@@ -167,22 +177,21 @@ def _class_documents(
     args: argparse.Namespace, run: Run
 ) -> tuple[corpus_mod.DocumentCorpus, float]:
     """The class documents of `args.facts` or `args.src`, and the seconds
-    taken to make them.  No class's records outlive this call: those of a
-    Java file become its classes' document texts as the file is parsed."""
-    clock = time.perf_counter
+    taken to make them.  No class's records outlive their reading: each
+    class becomes its document text as it is read from the facts file, or
+    as its Java file is parsed."""
     if args.facts is not None:
-        facts = _load(args.facts, run)
-        start = clock()
-        return corpus_mod.build_class_documents(facts), clock() - start
-    packages, parse_s, build_s = parse_source_files(
-        args.src, corpus_mod.class_document_text, run.diagnostics
-    )
-    run.stages.append(
-        ("javaparser.parse", parse_s, _diagnostic_counts(run.diagnostics))
-    )
-    start = clock()
+        packages, build_s = _load(args.facts, run)
+    else:
+        packages, parse_s, build_s = parse_source_files(
+            args.src, corpus_mod.class_document_text, run.diagnostics
+        )
+        run.stages.append(
+            ("javaparser.parse", parse_s, _diagnostic_counts(run.diagnostics))
+        )
+    start = time.perf_counter()
     documents = corpus_mod.name_class_documents(packages.items())
-    return documents, build_s + clock() - start
+    return documents, build_s + time.perf_counter() - start
 
 
 @_collector_paused

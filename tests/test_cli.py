@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from reqtrace import cli, fca
+from reqtrace import cli, fca, pipeline
 from reqtrace.cli import EXIT_CONFIG, EXIT_EMPTY_CORPUS, EXIT_OK, main
+from reqtrace.errors import ConfigurationError
+from reqtrace.javaparser import ParseDiagnostic
 from reqtrace.lsi import SimilarityMatrix
 
 from test_lsi import query_matrix, svd_cosines, synthetic
@@ -445,6 +447,33 @@ def test_parse_errors_do_not_abort_extract_or_trace(
     assert extracted == traced == (EXIT_OK, message)
     assert '<class name="Broken">' in (tmp_path / "facts.xml").read_text("utf-8")
     assert "Broken" in traced_classes(tmp_path / "out")
+
+
+def test_diagnostics_are_written_in_batches_also_when_a_later_stage_fails(
+    tmp_path, monkeypatch
+):
+    diagnostics = [
+        ParseDiagnostic("warning", f"F{i}.java", i, "m") for i in range(2345)
+    ]
+
+    def extract(args, run):
+        run.diagnostics += diagnostics
+        raise ConfigurationError("a later stage failed")
+
+    writes = []
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(pipeline, "extract", extract)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    code = main(["extract", "--src", str(tmp_path), "--out", str(tmp_path / "f.xml")])
+    assert code == EXIT_CONFIG
+    lines = "".join(f"warning: F{i}.java:{i}: m\n" for i in range(2345))
+    assert sys.stderr.getvalue() == lines + "error: a later stage failed\n"
+    assert [text.count("\n") for text in writes[:3]] == [1000, 1000, 345]
 
 
 def test_java_file_not_in_utf8_is_read_as_latin1(

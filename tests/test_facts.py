@@ -9,6 +9,12 @@ from xml.sax.saxutils import escape, quoteattr
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from reqtrace.corpus import (
+    DocumentCorpus,
+    build_class_documents,
+    class_document_text,
+    name_class_documents,
+)
 from reqtrace.errors import XmlParseError, XmlSchemaError
 from reqtrace.facts import (
     _SLICE,
@@ -24,6 +30,7 @@ from reqtrace.facts import (
     _quote,
     class_metrics,
     load_facts_xml,
+    read_facts_xml,
     save_facts_xml,
     validate_facts,
 )
@@ -502,8 +509,21 @@ def outcome(load, data: bytes):
         return XmlParseError, f"line 1: {exc}", 1
 
 
+def per_class_documents(data: bytes) -> DocumentCorpus:
+    """The documents that `trace --facts` makes of `data`: each class turned
+    into its text as it is read, and no facts built."""
+    _, packages, _ = read_facts_xml(data, class_document_text)
+    return name_class_documents(packages.items())
+
+
 def assert_reads_as_the_tree_walk(data: bytes) -> None:
-    assert outcome(load_facts_xml, data) == outcome(tree_walk_load, data)
+    """`load_facts_xml` gives the tree walk's facts or error, and the
+    per-class read gives the documents of those facts or the same error."""
+    expected = outcome(tree_walk_load, data)
+    assert outcome(load_facts_xml, data) == expected
+    if isinstance(expected, CodeFacts):
+        expected = build_class_documents(expected)
+    assert outcome(per_class_documents, data) == expected
 
 
 def in_class(body: str) -> bytes:
@@ -626,6 +646,25 @@ HAND_WRITTEN = {
     "duplicate class": (
         b'<codefacts><package name="p"><class name="C"/><class name="C"/>'
         b"</package></codefacts>"
+    ),
+    # a schema error wins over a model-invariant violation before it, and
+    # the first violation in the order of `validate_facts` over the rest
+    "invariant violation before a schema error": (
+        b'<codefacts><package name="p"><class name=""/><bogus/></package>'
+        b"</codefacts>"
+    ),
+    "invariant violation then truncation": in_class('<attribute name=""/>')[:-20],
+    "duplicate package whose class breaks an invariant": (
+        b'<codefacts><package name="p"/><package name="p"><class name=""/>'
+        b"</package></codefacts>"
+    ),
+    "duplicate class after a class that breaks an invariant": (
+        b'<codefacts><package name="p"><class name="C"><attribute name=""/>'
+        b'</class><class name="C"/></package></codefacts>'
+    ),
+    "duplicate class that also breaks an invariant": (
+        b'<codefacts><package name="p"><class name="C"/><class name="C">'
+        b'<attribute name=""/></class></package></codefacts>'
     ),
     "empty document": b"",
     "only a declaration": b'<?xml version="1.0"?>',
@@ -754,9 +793,10 @@ def test_model_violation_is_neither_written_nor_read(facts, document, message):
         save_facts_xml(facts)
     assert str(info.value) == message
     if document is not None:
-        with pytest.raises(XmlSchemaError) as info:
-            load_facts_xml(document)
-        assert str(info.value) == message
+        for read in (load_facts_xml, per_class_documents):
+            with pytest.raises(XmlSchemaError) as info:
+                read(document)
+            assert str(info.value) == message
         assert_reads_as_the_tree_walk(document)
 
 

@@ -5,7 +5,8 @@ Each command writes its outputs chunk by chunk, so the Python memory it
 holds at its peak (tracemalloc's count) stays within a small multiple of
 the facts XML, and the CSV dumps add less than the largest of them.
 `trace --src` turns each class into its document text as its file is
-parsed, so it never holds the records of the whole tree.  Every command
+parsed, and `trace --facts` as the class is read from the facts file, so
+neither holds the records of the whole input.  Every command
 runs once untraced first, so that lazy set-up (compiled patterns, imports)
 is not counted, and parses in this process: tracemalloc does not see into
 worker processes.  The corpus is `perfbench/corpus_gen.py`'s, at 300
@@ -21,6 +22,7 @@ import pytest
 
 from reqtrace import javaparser
 from reqtrace.cli import EXIT_OK, main
+from reqtrace.facts import load_facts_xml
 from reqtrace.javaparser import parse_source_tree
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
@@ -86,5 +88,25 @@ def test_trace_from_sources_holds_less_than_the_records_of_the_tree(
     del facts
     argv = ["trace", "--src", src, "--reqs", str(corpus / "reqs")]
     peak = traced_peak(argv + ["--threshold", "0.15", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert peak < records
+
+
+def test_trace_from_facts_holds_less_than_the_records_of_the_file(
+    tmp_path, corpus, capsys
+):
+    facts_xml = tmp_path / "facts.xml"
+    argv = ["extract", "--src", str(corpus / "src"), "--out", str(facts_xml)]
+    assert main(argv) == EXIT_OK
+    data = facts_xml.read_bytes()
+    tracemalloc.start()
+    try:
+        facts = load_facts_xml(data)
+        records = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del facts, data
+    argv = ["trace", "--facts", str(facts_xml), "--reqs", str(corpus / "reqs")]
+    peak = traced_peak(argv + ["--threshold", "0.15", "--out", str(tmp_path / "out")])
     capsys.readouterr()
     assert peak < records
