@@ -42,7 +42,7 @@ class XmlSchemaError(ReqTraceError):
 
     def __reduce__(self):
         # the default would call the class with the formatted text alone, so
-        # a refusal made in a worker process could not reach its parent
+        # this error, raised in a worker process, could not reach its parent
         return type(self), (self.message, self.element)
 
 

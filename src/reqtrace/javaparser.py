@@ -20,9 +20,10 @@ like an entry named *.java that cannot be read or is not a regular file,
 is an error.  Each file is parsed on its own, so a large tree is parsed by
 worker processes: each reads, decodes and parses a file and turns each of
 its classes into the value that the caller asks for (XML bytes, a document
-text), and only the values come back.  In file order, the parent skips a
-class that its package already holds, raises what making a kept class's
-value raised, and groups the values by package.
+text), and only the values come back.  In file order, the parent raises
+what a file's parse or values raised, skips a class that its package
+already holds, and groups the values by package.  No class is checked:
+the parser builds only classes that hold the model invariants of `facts`.
 
 Comments never reach the token list: the lexer sets each nonempty one
 aside with the index of the token after it, and the cursor hands them out
@@ -914,16 +915,17 @@ def parse_source_files(
 
     A file is read as UTF-8, or else decoded as ISO-8859-1, with a warning;
     either way less a leading UTF-8 byte-order mark.  A class whose package
-    already holds a class of its name is skipped, with a warning.  What
-    `per_class` raises for a kept class is raised at that class, once its
-    file's diagnostics are appended.
+    already holds a class of its name is skipped, with a warning.
+    `per_class` is called on every class parsed, kept or not, and takes it
+    as the parser built it, which holds the model invariants of `facts`.
 
     With at least two CPUs to run on and `FILES_PER_WORKER` files for each,
     the files are parsed by a pool of that many forked worker processes,
     in order, and only what `per_class` returns comes back: so `per_class`
-    and its values must pickle.  Whatever a file's parse raises is raised
-    here, in file order.  The pool's pending tasks are cancelled, and its
-    workers joined, before this returns or raises.
+    and its values must pickle.  Whatever a file's parse or `per_class`
+    raises is raised here, in file order, before that file's diagnostics
+    are appended.  The pool's pending tasks are cancelled, and its workers
+    joined, before this returns or raises.
     """
     entries = _java_files(root)
     files = [entry for entry in entries if isinstance(entry, str)]
@@ -961,9 +963,9 @@ def _parse_file(
     per_class: Callable[[str, ClassFact], T], file: str
 ) -> tuple | ParseDiagnostic | Exception:
     """One file as (package, classes, diagnostics, parse seconds, `per_class`
-    seconds), each class as its name, value and what `per_class` raised or
-    None; an unreadable file's error; or what parsing raised: this runs in a
-    worker process, and a task that raises would lose its other files."""
+    seconds), each class as its name and value; an unreadable file's error;
+    or what parsing or `per_class` raised: this runs in a worker process,
+    and a task that raises would lose its other files."""
     clock = time.perf_counter
     start = clock()
     try:
@@ -983,12 +985,7 @@ def _parse_file(
         diagnostics += file_diagnostics
         parsed = clock()
         package = fragment.name
-        classes = []
-        for cls in fragment.classes:
-            try:
-                classes.append((cls.name, per_class(package, cls), None))
-            except Exception as exc:  # raised only if the class is kept
-                classes.append((cls.name, None, exc))
+        classes = [(cls.name, per_class(package, cls)) for cls in fragment.classes]
         return package, classes, diagnostics, parsed - start, clock() - parsed
     except Exception as exc:  # the parent raises it, in file order
         return exc
@@ -1017,18 +1014,14 @@ def _kept(
         per_class_s += file_per_class_s
         kept = packages.setdefault(package, [])
         kept_names = names.setdefault(package, set())
-        refusal = None
-        for name, value, raised in classes:
+        for name, value in classes:
             if name in kept_names:
                 message = f"duplicate class {name!r} in package {package!r} skipped"
                 file_diagnostics.append(ParseDiagnostic("warning", entry, 1, message))
                 continue
             kept_names.add(name)
             kept.append((name, value))
-            refusal = refusal or raised
         diagnostics += file_diagnostics
-        if refusal is not None:
-            raise refusal
     return packages, parse_s, per_class_s
 
 

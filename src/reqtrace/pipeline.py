@@ -38,9 +38,12 @@ exceed the command's.  Likewise `corpus.build` holds the time that
 Each command runs with the cyclic collector paused, and its state is
 restored when the command returns or raises.  A command makes many objects
 that live to its end and almost no reference cycles, so a collection would
-only walk them again and again: with the collector on, it took about a
-quarter of `facts.load` on the 600 classes of a facts-dense `trace --facts`.
-The records are freed by their reference counts when the command returns.
+only walk them again and again.  With the collector on, on a 2-vCPU host,
+this process alone ran 18-21 young collections in a facts-dense `trace
+--facts` and an src-1k `trace --src` and 37-39 in an extract-3k `extract`,
+2-9 ms in all and none of generation 2, while the pool's workers collect
+too; the median wall time of each grew by 1.5-4%.  The records are freed
+by their reference counts when the command returns.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .facts import (
     class_metrics,
     class_xml,
     read_facts_xml,
-    validate_class,
     xml_chunks,
 )
 from .javaparser import (
@@ -144,9 +146,9 @@ def _reports(
 
 
 def _encoded(package: str, cls: ClassFact) -> tuple[bytes, list[int]]:
-    """`cls` checked, encoded, and counted in `METRICS[1:]` order, in a list:
-    CPython would keep up to 2,000 freed tuples of counts for reuse."""
-    validate_class(cls)
+    """`cls` encoded, and counted in `METRICS[1:]` order, in a list: CPython
+    would keep up to 2,000 freed tuples of counts for reuse.  A parsed class
+    holds the model invariants by construction, so it is not checked."""
     return class_xml(cls), list(class_metrics(cls).values())
 
 

@@ -39,7 +39,7 @@ def test_every_error_class_has_a_sample():
 
 @pytest.mark.parametrize("error", SAMPLES, ids=repr)
 def test_an_error_survives_pickle(error):
-    # A worker process hands its refusal to its parent pickled.
+    # A worker process hands whatever it raises to its parent pickled.
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is type(error)
     assert str(copy) == str(error)

@@ -13,7 +13,8 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from reqtrace.cli import EXIT_OK, main
+from reqtrace import pipeline
+from reqtrace.cli import EXIT_OK, _build_parser, main
 from reqtrace.errors import ConfigurationError
 from reqtrace.facts import (
     AttributeFact,
@@ -941,6 +942,8 @@ def kind_text(token: str) -> tuple[str, str]:
 
 
 class TestMutatedSources:
+    # `extract` writes each parsed class unchecked, so what it writes must
+    # read back as the facts of the tree: the parser holds the invariants.
     @settings(max_examples=150, deadline=None)
     @given(mutated_ds_sources())
     def test_parse_never_raises_and_facts_round_trip(self, text):
@@ -948,7 +951,12 @@ class TestMutatedSources:
         with tempfile.TemporaryDirectory() as root:
             Path(root, "Fuzz.java").write_text(text, encoding="utf-8")
             facts, _ = parse_source_tree(root)
+            out = Path(root, "facts.xml")
+            argv = ["extract", "--src", root, "--out", str(out)]
+            args = _build_parser().parse_args(argv)
+            extracted = b"".join(pipeline.extract(args, pipeline.Run()).files[out])
         assert load_facts_xml(save_facts_xml(facts)) == facts
+        assert load_facts_xml(extracted) == facts
 
 
 class TestLargeClasses:

@@ -4,12 +4,13 @@ Each command runs with the worker count forced to 1 and to 2, on a
 `perfbench/corpus_gen.py` tree with more files than a pool needs, plus a
 class declared twice in one package, a file that is not UTF-8 and a
 directory named like a source file.  The files written, stdout, stderr and
-the exit code must be byte-identical, also when a file's parse or check
-raises, and no worker process may outlive the command.  The parser gives
-no class that `validate_class` refuses, so the tests that need a refusal
-patch it (the workers are forked, so they run the patched one too).  The
-worker count itself is tested with the CPU count and the start methods
-patched, starting no process.
+the exit code must be byte-identical, also when a file's parse or the
+making of a class's value raises, and no worker process may outlive the
+command.  The parser gives no class that the model refuses, and `extract`
+does not check one, so the tests of a refusal patch `pipeline.class_xml`
+to raise one (the workers are forked, so they run the patched one too).
+The worker count itself is tested with the CPU count and the start
+methods patched, starting no process.
 """
 
 from __future__ import annotations
@@ -122,14 +123,14 @@ def test_a_refusal_in_a_pool_is_the_refusal_of_one_process(
 ):
     files = sorted((corpus / "src").rglob("*.java"))
     refused = files[len(files) // 2].stem
-    validate = pipeline.validate_class
+    encode = pipeline.class_xml
 
     def refusing(cls):
         if cls.name == refused:
             raise XmlSchemaError(f"{cls.name} refused", "class")
-        validate(cls)
+        return encode(cls)
 
-    monkeypatch.setattr(pipeline, "validate_class", refusing)
+    monkeypatch.setattr(pipeline, "class_xml", refusing)
     argv = ["extract", "--src", str(corpus / "src")]
     code, stdout, stderr, written = in_both(
         argv, tmp_path, monkeypatch, capsys, pools, "facts.xml"
@@ -153,36 +154,19 @@ def test_a_refusal_is_raised_in_file_order_not_package_order(
     for name, text in files.items():
         (src / name).parent.mkdir(parents=True)
         (src / name).write_text(text)
-    validate = pipeline.validate_class
+    encode = pipeline.class_xml
 
     def refusing(cls):
         if cls.name.startswith("Refused"):
             raise XmlSchemaError(f"{cls.name} refused", "class")
-        validate(cls)
+        return encode(cls)
 
-    monkeypatch.setattr(pipeline, "validate_class", refusing)
+    monkeypatch.setattr(pipeline, "class_xml", refusing)
     argv = ["extract", "--src", str(src)]
     code, _, stderr, _ = in_both(argv, tmp_path, monkeypatch, capsys, pools)
     assert code == EXIT_CONFIG
     assert stderr.endswith("error: <class>: RefusedFirst refused\n")
     assert "Third.java" not in stderr
-
-
-def test_a_duplicate_class_is_skipped_before_it_can_be_refused(
-    corpus, tmp_path, monkeypatch, capsys, pools
-):
-    validate = pipeline.validate_class
-
-    def refusing_the_second_copy(cls):
-        if cls.name == "Twice" and len(cls.attributes) > 1:
-            raise XmlSchemaError("the second copy was checked", "class")
-        validate(cls)
-
-    monkeypatch.setattr(pipeline, "validate_class", refusing_the_second_copy)
-    argv = ["extract", "--src", str(corpus / "src")]
-    code, _, stderr, _ = in_both(argv, tmp_path, monkeypatch, capsys, pools)
-    assert code == EXIT_OK
-    assert "duplicate class 'Twice' in package 'extra' skipped" in stderr
 
 
 def test_a_parse_that_raises_in_a_pool_raises_as_in_one_process(

@@ -20,6 +20,7 @@ from reqtrace.javaparser import parse_source_tree
 from test_facts import one_pass_metrics
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+BENCHMARK = Path(__file__).parent.parent / "BENCHMARK.json"
 
 FULL_RANK_SRC_STAGES = [
     "javaparser.parse",
@@ -184,6 +185,21 @@ def test_trace_gives_the_cli_bytes_and_stages(
     assert capsys.readouterr().out == run.summary
     assert [name for name, _, _ in run.stages] == stages
     assert all(seconds >= 0.0 for _, seconds, _ in run.stages)
+
+
+def test_every_stage_is_named_as_a_benchmark_layer(
+    tmp_path, ds_source, ds_requirements, ds_gold, ds_facts
+):
+    layers = {layer["name"] for layer in json.loads(BENCHMARK.read_text())["per_layer"]}
+    extract = ["extract", "--src", str(ds_source), "--out", str(tmp_path / "f.xml")]
+    runs = [
+        run_command(extract),
+        run_command(src_argv(tmp_path / "src", ds_source, ds_requirements, ds_gold)),
+        run_command(topics_argv(tmp_path / "facts", ds_facts, ds_requirements)),
+    ]
+    names = {name for run in runs for name, _, _ in run.stages}
+    assert {"facts.save", "facts.load", "lsi.svd"} <= names
+    assert {f"{name}_s" for name in names} <= layers
 
 
 @pytest.mark.parametrize("variant", ["src full rank", "facts topics 2"])
