@@ -14,7 +14,7 @@ which a caller can write one after another: `save_facts_xml` joins them
 once, and `extract` writes them to its file unjoined, having encoded each
 class as soon as the parser kept it.  The reader (`read_facts_xml`) is the
 target of ElementTree's own parser, so it accepts and rejects what a walk
-over the ElementTree of the document would, with the same messages, but
+over the ElementTree of the document would, with the same message for one fault, but
 builds no element tree.  It hands each class to the caller's `per_class`
 as the class closes, and keeps only the class's name and the value
 returned: `trace --facts` keeps document texts, and `load_facts_xml`,
@@ -28,12 +28,12 @@ slices, because its memory grows with what one `feed` call hands it: on a
 1.1 MB document, fed whole, it peaked at 5.5 times the document size under
 tracemalloc, and in slices at 3.8 times.
 
-The reader checks the model invariants of `validate_facts` as it goes, in
-the order that function walks the facts: a package's name when the package
-opens, a class's name and `validate_class` when the class closes.  A
-well-formedness error takes precedence over a schema error, and a schema
-error over a model-invariant violation: the first of each kind is held and
-raised only when the parse has ended.
+The reader checks the schema and the model invariants of `validate_facts`
+as it goes: a package's name when the package opens, a class's name and
+`validate_class` when the class closes.  A document is refused with its
+first fault, in document order, whether that is malformed XML, a schema
+error or a broken invariant: the reader raises a fault where it finds it,
+and the parser stops there.
 """
 
 from __future__ import annotations
@@ -334,9 +334,8 @@ def read_facts_xml(
     its package's other classes) before `per_class` sees it, and no class's
     record is kept.
 
-    Raise the document's first well-formedness error, else its first schema
-    error, else the first model-invariant violation that `validate_facts`
-    would raise for its facts.
+    Raise the document's first fault, in document order: a well-formedness
+    error, a schema error, or a model-invariant violation.
     """
     reader = _Reader(per_class)
     provenance, packages = reader.read(data)
@@ -372,15 +371,14 @@ class _Reader:
     returned.  A leaf is read from its start tag, and one count skips all it
     holds.
 
-    Schema checks run in the order of a walk over the element tree: tags,
-    comment kinds and leaf names at start tags, and the names of containers
-    at their end tags, after their children.  The first violation is kept,
-    and the events that follow are only parsed.  The model invariants run
-    in the order of `validate_facts`: a package's name against the earlier
-    packages when it opens, a class's name against its package's earlier
-    classes and then `validate_class` when it closes.  The first violation
-    is held apart from the schema error, which wins over it; once one is
-    held, no class goes to `per_class`.
+    Each check runs at the event that completes what it checks, and raises
+    there: tags, comment kinds and leaf names at start tags; a package's
+    name against the earlier packages when it opens; the names of
+    containers at their end tags, after their children; and, when a class
+    closes, its name against its package's earlier classes and then
+    `validate_class`.  The parser passes what a target raises out of `feed`
+    and stops, and it reports malformed XML only where it reaches it, so
+    the first fault raised is the first in the document.
 
     The parser hands each run of character data to `text.append` itself,
     with no Python call in between, and every start tag empties `text`.  So
@@ -392,8 +390,6 @@ class _Reader:
     def __init__(self, per_class: Callable[[str, ClassFact], T]) -> None:
         self.per_class = per_class
         self.seconds = 0.0  # spent in `per_class`
-        self.error: XmlSchemaError | None = None
-        self.violation: XmlSchemaError | None = None  # of a model invariant
         self.packages: set[str] = set()
         self.classes: set[str] = set()  # of the open package
         self.frames = [("", {}, {"codefacts": []})]
@@ -405,8 +401,7 @@ class _Reader:
         self.pending: tuple[list[CommentFact], str] | None = None
 
     def read(self, data: bytes) -> tuple[str, dict[str, tuple[tuple[str, T], ...]]]:
-        """Parse `data`; raise its first well-formedness error, else its
-        first schema error, else its first model-invariant violation."""
+        """Parse `data`; raise its first fault."""
         parser = XMLParser(target=self)
         try:
             for at in range(0, len(data), _SLICE):
@@ -419,18 +414,12 @@ class _Reader:
             # is on line 1, through Python's codecs: an unknown name raises
             # LookupError, a multi-byte codec ValueError
             raise XmlParseError(str(exc), 1) from exc
-        if self.error is not None:
-            raise self.error
-        if self.violation is not None:
-            raise self.violation
         return self.frames[0][2]["codefacts"][0]
 
     def start(self, tag: str, attrs: dict[str, str]) -> None:
         if self.pending is not None:
             self.finish_comment()
         self.text.clear()
-        if self.error is not None:
-            return
         if self.skip:
             self.skip += 1
             return
@@ -438,27 +427,28 @@ class _Reader:
         try:
             records = lists[tag]
         except KeyError:
-            self.error = XmlSchemaError(_CONTAINERS[parent][1], tag)
-            return
+            raise XmlSchemaError(_CONTAINERS[parent][1], tag) from None
         if tag in _CONTAINERS:
             children = _CONTAINERS[tag][0]
             self.frames.append((tag, attrs, {child: [] for child in children}))
             if tag == "package":
-                self.open_package(attrs.get("name"))
+                # a package without a name fails the schema at its end tag
+                self.classes = set()
+                if "name" in attrs:
+                    _check_unique(attrs["name"], self.packages, "package")
             return
         self.skip = 1
         if tag == "comment":
             kind = attrs.get("kind")
-            if kind in COMMENT_KINDS:
-                self.pending = (records, kind)
-            else:
+            if kind not in COMMENT_KINDS:
                 message = f"comment kind must be one of {COMMENT_KINDS}"
-                self.error = XmlSchemaError(message, tag)
+                raise XmlSchemaError(message, tag)
+            self.pending = (records, kind)
             return
         name = attrs.get("name")
         if name is None:
-            self.error = XmlSchemaError("missing name attribute", tag)
-        elif tag == "attribute":
+            raise XmlSchemaError("missing name attribute", tag)
+        if tag == "attribute":
             records.append(AttributeFact(name, attrs.get("type", "")))
         elif tag in ("param", "local"):
             records.append((name, attrs.get("type", "")))
@@ -471,8 +461,6 @@ class _Reader:
         self.pending = None
 
     def end(self, tag: str) -> None:
-        if self.error is not None:
-            return
         if self.skip:
             if self.pending is not None:
                 self.finish_comment()
@@ -480,34 +468,16 @@ class _Reader:
             return
         _, attrs, lists = self.frames.pop()
         if tag != "codefacts" and "name" not in attrs:
-            self.error = XmlSchemaError("missing name attribute", tag)
-            return
+            raise XmlSchemaError("missing name attribute", tag)
         record = _CONTAINERS[tag][2](attrs, *map(tuple, lists.values()))
         if tag == "class":
             record = self.take_class(record)
         self.frames[-1][2][tag].append(record)
 
-    def open_package(self, name: str | None) -> None:
-        """Check a package's `name` against the earlier packages.  Without
-        a name, the package fails the schema at its end tag."""
-        self.classes = set()
-        if self.violation is None and name is not None:
-            try:
-                _check_unique(name, self.packages, "package")
-            except XmlSchemaError as exc:
-                self.violation = exc
-
-    def take_class(self, cls: ClassFact) -> tuple[str, T] | None:
-        """`cls`'s name and `per_class` value, once `cls` is checked; None
-        once a violation is held, which `read` raises instead."""
-        if self.violation is not None:
-            return None
-        try:
-            _check_unique(cls.name, self.classes, "class")
-            validate_class(cls)
-        except XmlSchemaError as exc:
-            self.violation = exc
-            return None
+    def take_class(self, cls: ClassFact) -> tuple[str, T]:
+        """`cls`'s name and `per_class` value, once `cls` is checked."""
+        _check_unique(cls.name, self.classes, "class")
+        validate_class(cls)
         # a package without a name fails the schema at its end tag
         package = self.frames[-1][1].get("name", "")
         start = time.perf_counter()

@@ -83,6 +83,7 @@ from .facts import (
     CommentFact,
     MethodFact,
     PackageFact,
+    _record,
     _slot_init,
 )
 
@@ -921,27 +922,54 @@ def parse_source_files(
 
     With at least two CPUs to run on and `FILES_PER_WORKER` files for each,
     the files are parsed by a pool of that many forked worker processes,
-    in order, and only what `per_class` returns comes back: so `per_class`
+    in order (the walk's errors pass through it unchanged, in their
+    places), and only what `per_class` returns comes back: so `per_class`
     and its values must pickle.  Whatever a file's parse or `per_class`
     raises is raised here, in file order, before that file's diagnostics
     are appended.  The pool's pending tasks are cancelled, and its workers
     joined, before this returns or raises.
     """
     entries = _java_files(root)
-    files = [entry for entry in entries if isinstance(entry, str)]
     parse = partial(_parse_file, per_class)
-    workers = _worker_count(len(files))
-    if workers < 2:
-        return _kept(entries, map(parse, files), diagnostics)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    workers = _worker_count(sum(isinstance(entry, str) for entry in entries))
+    packages: dict[str, list[tuple[str, T]]] = {}
+    names: dict[str, set[str]] = {}  # package name -> names of its kept classes
+    parse_s = per_class_s = 0.0
+    pool = None
     try:
-        parsed = pool.map(parse, files, chunksize=FILES_PER_WORKER)
-        return _kept(entries, parsed, diagnostics)
+        if workers < 2:
+            parsed = map(parse, entries)
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+            parsed = pool.map(parse, entries, chunksize=FILES_PER_WORKER)
+        for result in parsed:
+            if isinstance(result, Exception):
+                raise result
+            if isinstance(result, ParseDiagnostic):
+                diagnostics.append(result)
+                continue
+            file, package, classes, file_diagnostics, file_parse_s, file_per_class_s = (
+                result
+            )
+            parse_s += file_parse_s
+            per_class_s += file_per_class_s
+            kept = packages.setdefault(package, [])
+            kept_names = names.setdefault(package, set())
+            for name, value in classes:
+                if name not in kept_names:
+                    kept_names.add(name)
+                    kept.append((name, value))
+                    continue
+                message = f"duplicate class {name!r} in package {package!r} skipped"
+                file_diagnostics.append(ParseDiagnostic("warning", file, 1, message))
+            diagnostics += file_diagnostics
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return packages, parse_s, per_class_s
 
 
 def _worker_count(files: int) -> int:
@@ -960,69 +988,38 @@ def _worker_count(files: int) -> int:
 
 
 def _parse_file(
-    per_class: Callable[[str, ClassFact], T], file: str
+    per_class: Callable[[str, ClassFact], T], entry: str | ParseDiagnostic
 ) -> tuple | ParseDiagnostic | Exception:
-    """One file as (package, classes, diagnostics, parse seconds, `per_class`
-    seconds), each class as its name and value; an unreadable file's error;
-    or what parsing or `per_class` raised: this runs in a worker process,
-    and a task that raises would lose its other files."""
+    """One entry of `_java_files`: a file as (path, package, classes,
+    diagnostics, parse seconds, `per_class` seconds), each class as its name
+    and value; an error, for an entry that is one or a file that cannot be
+    read; or what parsing or `per_class` raised: this runs in a worker
+    process, and a task that raises would lose its other files."""
+    if isinstance(entry, ParseDiagnostic):
+        return entry
     clock = time.perf_counter
     start = clock()
     try:
         diagnostics: list[ParseDiagnostic] = []
-        path = Path(file)
+        path = Path(entry)
         try:
             text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError:
             text = path.read_text(encoding="iso-8859-1")
             text = text.removeprefix("\xef\xbb\xbf")  # a UTF-8 byte-order mark
             diagnostics.append(
-                ParseDiagnostic("warning", file, 1, "not UTF-8; decoded as ISO-8859-1")
+                ParseDiagnostic("warning", entry, 1, "not UTF-8; decoded as ISO-8859-1")
             )
         except OSError as exc:
-            return ParseDiagnostic("error", file, 1, f"unreadable file: {exc}")
-        fragment, file_diagnostics = parse_compilation_unit(text, file)
+            return ParseDiagnostic("error", entry, 1, f"unreadable file: {exc}")
+        fragment, file_diagnostics = parse_compilation_unit(text, entry)
         diagnostics += file_diagnostics
         parsed = clock()
         package = fragment.name
         classes = [(cls.name, per_class(package, cls)) for cls in fragment.classes]
-        return package, classes, diagnostics, parsed - start, clock() - parsed
+        return entry, package, classes, diagnostics, parsed - start, clock() - parsed
     except Exception as exc:  # the parent raises it, in file order
         return exc
-
-
-def _kept(
-    entries: list[str | ParseDiagnostic],
-    parsed: Iterable[tuple | ParseDiagnostic | Exception],
-    diagnostics: list[ParseDiagnostic],
-) -> tuple[dict[str, list[tuple[str, T]]], float, float]:
-    """What `parse_source_files` returns for `entries`, each file as
-    `parsed` gives it."""
-    packages: dict[str, list[tuple[str, T]]] = {}
-    names: dict[str, set[str]] = {}  # package name -> names of its kept classes
-    parse_s = per_class_s = 0.0
-    parsed = iter(parsed)
-    for entry in entries:
-        result = entry if isinstance(entry, ParseDiagnostic) else next(parsed)
-        if isinstance(result, Exception):
-            raise result
-        if isinstance(result, ParseDiagnostic):
-            diagnostics.append(result)
-            continue
-        package, classes, file_diagnostics, file_parse_s, file_per_class_s = result
-        parse_s += file_parse_s
-        per_class_s += file_per_class_s
-        kept = packages.setdefault(package, [])
-        kept_names = names.setdefault(package, set())
-        for name, value in classes:
-            if name in kept_names:
-                message = f"duplicate class {name!r} in package {package!r} skipped"
-                file_diagnostics.append(ParseDiagnostic("warning", entry, 1, message))
-                continue
-            kept_names.add(name)
-            kept.append((name, value))
-        diagnostics += file_diagnostics
-    return packages, parse_s, per_class_s
 
 
 def _java_files(root: str | Path) -> list[str | ParseDiagnostic]:
@@ -1092,10 +1089,6 @@ def parse_source_tree(root: str | Path) -> tuple[CodeFacts, list[ParseDiagnostic
     The provenance is `source_provenance(root)`.
     """
     diagnostics: list[ParseDiagnostic] = []
-    kept, _, _ = parse_source_files(root, _class_itself, diagnostics)
+    kept, _, _ = parse_source_files(root, _record, diagnostics)
     packages = [PackageFact(name, tuple(c for _, c in cs)) for name, cs in kept.items()]
     return CodeFacts(tuple(packages), source_provenance(root)), diagnostics
-
-
-def _class_itself(package: str, cls: ClassFact) -> ClassFact:
-    return cls

@@ -888,6 +888,17 @@ def test_facts_that_break_a_model_invariant_exit_2(tmp_path, ds_requirements, ca
     assert not out.exists()
 
 
+def test_facts_are_refused_with_their_first_fault(tmp_path, ds_requirements, capsys):
+    facts = tmp_path / "facts.xml"
+    # a schema fault, then a document cut short
+    facts.write_bytes(b'<codefacts><package name="p"><class name="C"><bogus/>')
+    out = tmp_path / "out"
+    assert trace(out, ds_requirements, "--facts", str(facts)) == EXIT_CONFIG
+    message = "<bogus>: unexpected element inside <class>"
+    assert capsys.readouterr().err == f"error: facts file {facts}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.fixture()
 def misspelt_gold(tmp_path) -> Path:
     gold = tmp_path / "gold.json"

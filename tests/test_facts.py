@@ -9,6 +9,7 @@ from xml.sax.saxutils import escape, quoteattr
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from reqtrace import facts as facts_module
 from reqtrace.corpus import (
     DocumentCorpus,
     build_class_documents,
@@ -32,6 +33,7 @@ from reqtrace.facts import (
     load_facts_xml,
     read_facts_xml,
     save_facts_xml,
+    validate_class,
     validate_facts,
 )
 from reqtrace.javaparser import ParseDiagnostic
@@ -230,6 +232,7 @@ class TestRoundTrip:
     def test_generated_round_trip(self, facts):
         data = save_facts_xml(facts)
         assert load_facts_xml(data) == facts == tree_walk_load(data)
+        assert pull_parser_load(data) == facts
 
     def test_escaping(self):
         facts = CodeFacts(
@@ -392,11 +395,13 @@ class TestMetrics:
             assert after[label] >= before[label]
 
 
-# --- the streaming reader against the tree walk it replaced ---------------
+# --- the streaming reader against two references --------------------------
 
 
 def tree_walk_load(data: bytes) -> CodeFacts:
-    """The reference reader: build the whole ElementTree, then walk it."""
+    """The reference for the facts of a valid document: build the whole
+    ElementTree, then walk it.  Of a document with two faults, it may name
+    either."""
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -492,6 +497,88 @@ def _read_comment(comment_el: ET.Element) -> CommentFact:
     return CommentFact(text=comment_el.text or "", kind=kind)
 
 
+# For each container of the schema ("" for the document), the tags it may
+# hold and the message for any other.  Every other tag is a leaf, and what
+# a leaf holds is not read.
+PULL_SCHEMA = {
+    "": ({"codefacts"}, "root element must be <codefacts>"),
+    "codefacts": ({"package"}, "expected <package>"),
+    "package": ({"class"}, "expected <class>"),
+    "class": ({"attribute", "method", "comment"}, "unexpected element inside <class>"),
+    "method": (
+        {"param", "local", "comment", "access", "invoke"},
+        "unexpected element inside <method>",
+    ),
+}
+
+
+def pull_parser_load(data: bytes) -> CodeFacts:
+    """The reference for the first fault of a document: ElementTree's pull
+    parser, with each check made at the event that completes what it checks,
+    in document order, and the records built by the tree walk's helpers.
+
+    Tags, comment kinds and leaf names are checked at start events, and a
+    package's name against the earlier packages there too.  At end events a
+    container's name is checked, and a class's name against its package's
+    other classes, and then the class by `validate_class`.  The pull parser
+    queues a parse error after the events before it, and a truncated
+    document fails at `close`."""
+    parser = ET.XMLPullParser(("start", "end"))
+    containers = [""]  # the tags of the open containers
+    in_leaf = 0  # open elements at or inside a leaf
+    provenance, packages, package_names = "", [], set()
+    classes: list[ClassFact] = []
+    class_names: set[str] = set()
+
+    def unique(name: str, seen: set[str], tag: str) -> None:
+        if name in seen:
+            raise XmlSchemaError(f"duplicate {tag} name {name!r}", tag)
+        seen.add(name)
+
+    try:
+        parser.feed(data)
+        for event, element in parser.read_events():
+            tag = element.tag
+            if in_leaf:
+                in_leaf += 1 if event == "start" else -1
+            elif event == "start":
+                allowed, message = PULL_SCHEMA[containers[-1]]
+                if tag not in allowed:
+                    raise XmlSchemaError(message, tag)
+                if tag not in PULL_SCHEMA:
+                    in_leaf = 1
+                    if tag == "comment":
+                        _read_comment(element)  # checks its kind
+                    else:
+                        _require_name(element)
+                    continue
+                containers.append(tag)
+                if tag == "package":
+                    classes, class_names = [], set()
+                    if "name" in element.attrib:
+                        unique(element.get("name"), package_names, "package")
+            else:
+                containers.pop()
+                if tag == "codefacts":
+                    provenance = element.get("provenance", "")
+                    continue
+                name = _require_name(element)
+                if tag == "class":
+                    unique(name, class_names, "class")
+                    cls = _read_class(element)
+                    validate_class(cls)
+                    classes.append(cls)
+                elif tag == "package":
+                    packages.append(PackageFact(name, tuple(classes)))
+        parser.close()
+    except ET.ParseError as exc:
+        raise XmlParseError(str(exc), exc.position[0]) from exc
+    except (LookupError, ValueError) as exc:
+        # the codec of an unknown or multi-byte declared encoding
+        raise XmlParseError(str(exc), 1) from exc
+    return CodeFacts(tuple(packages), provenance)
+
+
 def outcome(load, data: bytes):
     """What `load` makes of `data`: the facts, or the error it raises."""
     try:
@@ -502,7 +589,7 @@ def outcome(load, data: bytes):
         return type(exc), str(exc), exc.element
     except (LookupError, ValueError) as exc:
         # ElementTree lets the codec error of an unknown or multi-byte
-        # declared encoding out; `load_facts_xml` must report it as a parse
+        # declared encoding out; the readers must report it as a parse
         # error at the declaration
         if load is not tree_walk_load:
             raise
@@ -516,10 +603,15 @@ def per_class_documents(data: bytes) -> DocumentCorpus:
     return name_class_documents(packages.items())
 
 
-def assert_reads_as_the_tree_walk(data: bytes) -> None:
-    """`load_facts_xml` gives the tree walk's facts or error, and the
-    per-class read gives the documents of those facts or the same error."""
-    expected = outcome(tree_walk_load, data)
+def assert_reads_as_the_references(data: bytes) -> None:
+    """`load_facts_xml` gives the facts or the first fault that the pull
+    parser finds, and the per-class read gives the documents of those facts
+    or the same fault.  If either reference reads facts, the other reads the
+    same facts."""
+    expected = outcome(pull_parser_load, data)
+    walked = outcome(tree_walk_load, data)
+    if isinstance(expected, CodeFacts) or isinstance(walked, CodeFacts):
+        assert walked == expected
     assert outcome(load_facts_xml, data) == expected
     if isinstance(expected, CodeFacts):
         expected = build_class_documents(expected)
@@ -647,8 +739,7 @@ HAND_WRITTEN = {
         b'<codefacts><package name="p"><class name="C"/><class name="C"/>'
         b"</package></codefacts>"
     ),
-    # a schema error wins over a model-invariant violation before it, and
-    # the first violation in the order of `validate_facts` over the rest
+    # each document holds two faults, and is refused with the first
     "invariant violation before a schema error": (
         b'<codefacts><package name="p"><class name=""/><bogus/></package>'
         b"</codefacts>"
@@ -682,7 +773,7 @@ HAND_WRITTEN = {
 class TestStreamingReader:
     @pytest.mark.parametrize("data", HAND_WRITTEN.values(), ids=HAND_WRITTEN.keys())
     def test_hand_written_document(self, data):
-        assert_reads_as_the_tree_walk(data)
+        assert_reads_as_the_references(data)
 
     def test_leaf_content_and_comment_text(self):
         facts = load_facts_xml(HAND_WRITTEN["text after a child in a comment"])
@@ -697,22 +788,53 @@ class TestStreamingReader:
             load_facts_xml(HAND_WRITTEN["namespaced package"])
         assert info.value.element == "{urn:facts}package"
 
-    def test_syntax_error_wins_over_an_earlier_schema_violation(self):
-        with pytest.raises(XmlParseError) as info:
-            load_facts_xml(HAND_WRITTEN["schema violation before a syntax error"])
-        assert "mismatched tag" in str(info.value)
+    def test_the_first_fault_in_the_document_wins(self):
+        first_faults = {
+            "schema violation before a syntax error": (
+                "<bogus>: unexpected element inside <class>"
+            ),
+            "invariant violation before a schema error": (
+                "<class>: class with empty name"
+            ),
+        }
+        for name, message in first_faults.items():
+            for read in (load_facts_xml, per_class_documents):
+                with pytest.raises(XmlSchemaError) as info:
+                    read(HAND_WRITTEN[name])
+                assert str(info.value) == message
 
     @seed(10)
     @settings(max_examples=400)
     @given(code_facts(), st.data())
     def test_mutated_documents(self, facts, data):
         document = data.draw(mutated(save_facts_xml(facts)))
-        assert_reads_as_the_tree_walk(document)
+        assert_reads_as_the_references(document)
 
     def test_document_of_several_slices(self):
         assert len(SLICED) > 2 * _SLICE
         assert SLICED[_SLICE - 1 : _SLICE + 2].decode("utf-8") == "✓"
         assert load_facts_xml(SLICED) == tree_walk_load(SLICED)
+
+    def test_a_refusal_stops_the_reading(self, monkeypatch):
+        fed = []
+
+        class CountingParser(facts_module.XMLParser):
+            def feed(self, data):
+                fed.append(len(data))
+                super().feed(data)
+
+        monkeypatch.setattr(facts_module, "XMLParser", CountingParser)
+        data = save_facts_xml(large_facts(150))
+        second = data.index(b"<class ", data.index(b"<class ") + 1)
+        at = data.index(b"\n", second)
+        data = data[:at] + b"<bogus/>" + data[at:]
+        assert len(data) > 3 * _SLICE
+        seen = []
+        with pytest.raises(XmlSchemaError) as info:
+            read_facts_xml(data, lambda package, cls: seen.append(cls.name))
+        assert str(info.value) == "<bogus>: unexpected element inside <class>"
+        assert fed == [_SLICE]
+        assert seen == ["Class0x0"]  # the one class closed before the fault
 
     @seed(13)
     @settings(max_examples=200)
@@ -720,7 +842,7 @@ class TestStreamingReader:
     def test_edits_past_the_first_slice(self, data):
         document = data.draw(mutated(SLICED, after=_SLICE + 2))
         assert document[: _SLICE + 2] == SLICED[: _SLICE + 2]
-        assert_reads_as_the_tree_walk(document)
+        assert_reads_as_the_references(document)
 
 
 def one_class(cls: ClassFact) -> CodeFacts:
@@ -797,7 +919,7 @@ def test_model_violation_is_neither_written_nor_read(facts, document, message):
             with pytest.raises(XmlSchemaError) as info:
                 read(document)
             assert str(info.value) == message
-        assert_reads_as_the_tree_walk(document)
+        assert_reads_as_the_references(document)
 
 
 @st.composite
