@@ -410,9 +410,11 @@ class _Reader:
         except ParseError as exc:
             raise XmlParseError(str(exc), exc.position[0]) from exc
         except (LookupError, ValueError) as exc:
-            # the parser decodes the encoding of the XML declaration, which
-            # is on line 1, through Python's codecs: an unknown name raises
-            # LookupError, a multi-byte codec ValueError
+            if exc.__traceback__.tb_next is not None:
+                raise  # from Python code under `feed`: a callback or `per_class`
+            # the parser itself decodes the encoding of the XML declaration,
+            # which is on line 1, through Python's codecs: an unknown name
+            # raises LookupError, a multi-byte codec ValueError
             raise XmlParseError(str(exc), 1) from exc
         return self.frames[0][2]["codefacts"][0]
 

@@ -836,6 +836,18 @@ class TestStreamingReader:
         assert fed == [_SLICE]
         assert seen == ["Class0x0"]  # the one class closed before the fault
 
+    @pytest.mark.parametrize(
+        "error", [KeyError("C"), ValueError("write to closed file")], ids=repr
+    )
+    def test_what_per_class_raises_comes_out_as_itself(self, error):
+        # only the parser's own decoding errors are faults of line 1
+        def per_class(package, cls):
+            raise error
+
+        with pytest.raises(type(error)) as info:
+            read_facts_xml(save_facts_xml(SAMPLE), per_class)
+        assert info.value is error
+
     @seed(13)
     @settings(max_examples=200)
     @given(st.data())

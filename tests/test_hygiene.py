@@ -184,11 +184,11 @@ ALLOWED_READS = {
 }
 
 
-def file_reads(source: str) -> list[str]:
-    """Calls that open or read a file, each as "definition: call", where the
-    definition is the module-level function or class that holds the call, or
-    "<module>" for any other statement."""
-    reads = []
+def calls_named(source: str, names: tuple[str, ...]) -> list[str]:
+    """Calls of a function or method of one of `names`, each as "definition:
+    name", where the definition is the module-level function or class that
+    holds the call, or "<module>" for any other statement."""
+    calls = []
     for node in ast.parse(source).body:
         where = getattr(node, "name", "<module>")
         for call in ast.walk(node):
@@ -196,9 +196,14 @@ def file_reads(source: str) -> list[str]:
                 continue
             func = call.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-            if name in FILE_READS:
-                reads.append(f"{where}: {name}")
-    return reads
+            if name in names:
+                calls.append(f"{where}: {name}")
+    return calls
+
+
+def file_reads(source: str) -> list[str]:
+    """Calls that open or read a file (`calls_named`)."""
+    return calls_named(source, FILE_READS)
 
 
 def test_checker_finds_every_call_that_reads_a_file():
@@ -222,6 +227,45 @@ def test_only_the_allowed_places_read_a_file(path):
     allowed = ALLOWED_READS.get(path.name, set())
     reads = file_reads(path.read_text(encoding="utf-8"))
     assert [read for read in reads if read not in allowed] == []
+
+
+PROCESS_STARTS = ("fork", "forkpty", "ProcessPoolExecutor", "Pool", "Process", "Popen")
+
+# Where a module may start a process: the pool that parses a source tree,
+# and the reader of a facts file.  Each one kills or joins what it started
+# before its command returns, and its tests check that no process outlives
+# the command.
+ALLOWED_STARTS = {
+    "javaparser.py": {"parse_source_files: ProcessPoolExecutor"},
+    "pipeline.py": {"_load: fork"},
+}
+
+
+def process_starts(source: str) -> list[str]:
+    """Calls that start a process (`calls_named`)."""
+    return calls_named(source, PROCESS_STARTS)
+
+
+def test_checker_finds_every_call_that_starts_a_process():
+    source = (
+        "import os, subprocess\nfrom concurrent import futures\n"
+        "def f():\n    return os.fork()\n"
+        "class C:\n    def m(self):\n        return futures.ProcessPoolExecutor(2)\n"
+        "CHILD = subprocess.Popen(['true'])\nFORK = os.fork\n"
+        "def g(context):\n    return context.Process(), os.forkpty(), os.getpid()\n"
+    )
+    assert process_starts(source) == [
+        "f: fork", "C: ProcessPoolExecutor", "<module>: Popen", "g: Process",
+        "g: forkpty",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_the_allowed_places_start_a_process(path):
+    # A process that a command starts must not outlive it.
+    allowed = ALLOWED_STARTS.get(path.name, set())
+    starts = process_starts(path.read_text(encoding="utf-8"))
+    assert [start for start in starts if start not in allowed] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import os
+import pickle
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ import pytest
 from reqtrace import javaparser, pipeline
 from reqtrace.cli import EXIT_CONFIG, EXIT_OK, _build_parser, main
 from reqtrace.errors import XmlSchemaError
+from reqtrace.javaparser import ParseDiagnostic
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
@@ -243,3 +245,14 @@ def test_no_pool_without_the_cpu_affinity_call(monkeypatch, pools):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert javaparser._worker_count(10 * javaparser.FILES_PER_WORKER) == 1
     assert pools == []
+
+
+@pytest.mark.parametrize("severity", ["warning", "error"])
+def test_a_diagnostic_pickles_as_its_four_fields(severity):
+    # a pool sends each file's diagnostics back to the command
+    diagnostic = ParseDiagnostic(severity, "a/B.java", 7, "annotation @Override ignored")
+    assert diagnostic.__reduce__() == (
+        ParseDiagnostic, (severity, "a/B.java", 7, "annotation @Override ignored")
+    )
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(diagnostic, protocol)) == diagnostic
