@@ -26,14 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .errors import ParameterError
 from .lsi import (
     SIMILARITY_DECIMALS,
     SimilarityMatrix,
     csv_lines,
     format_similarity,
+    np,
 )
 
 __all__ = [

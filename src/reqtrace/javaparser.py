@@ -933,7 +933,9 @@ def parse_source_files(
     and its values must pickle.  Whatever a file's parse or `per_class`
     raises is raised here, in file order, before that file's diagnostics
     are appended.  The pool's pending tasks are cancelled, and its workers
-    joined, before this returns or raises.
+    joined, before this returns or raises.  If a worker cannot be forked,
+    say at the user's process limit, the workers that were are killed and
+    joined, and the files are parsed in this process, as with one CPU.
     """
     entries = _java_files(root)
     parse = partial(_parse_file, per_class)
@@ -949,8 +951,15 @@ def parse_source_files(
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
-            parsed = pool.map(parse, entries, chunksize=FILES_PER_WORKER)
+            running = set(multiprocessing.active_children())
+            try:
+                pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+                parsed = pool.map(parse, entries, chunksize=FILES_PER_WORKER)
+            except OSError:  # a fork failed, say at the user's process limit
+                for worker in set(multiprocessing.active_children()) - running:
+                    worker.kill()
+                    worker.join()
+                parsed = map(parse, entries)
         for result in parsed:
             if isinstance(result, Exception):
                 raise result

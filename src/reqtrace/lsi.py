@@ -30,19 +30,42 @@ Gram matrix, AᵀA or AAᵀ, not from a thin SVD of the t x d TDM.  The
 price is resolution: a singular value s is seen through s², so values
 below about sqrt(max(t, d) * eps) times the largest are rounding, both
 in the rank cut and in the norm of a reconstructed document.
+
+numpy is bound lazily (`_lazy`): it is loaded when the first of its names
+is read, not when this module is imported.  `extract` never computes with
+it, and its import was half the start-up of every command.  A `trace`
+loads it at its first LSI step; `fca` takes `np` from here.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib.util
+import sys
 from dataclasses import dataclass
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .errors import DegenerateMatrixError, EmptyCorpusError, ParameterError
 from .textprep import TermBag
+
+
+def _lazy(name: str) -> ModuleType:
+    """Module `name`, loaded when one of its names is first read, or at
+    once if it is loaded already; `ModuleNotFoundError` if it is missing."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy("numpy")
 
 __all__ = [
     "Vocabulary",

@@ -36,7 +36,10 @@ Processes are forked in two places.  A tree of at least
 by a pool of forked worker processes, which send back only those values, in
 file order; a smaller tree, or one CPU, is parsed in this process.  The
 facts reader is forked wherever `os.fork` exists, and elsewhere its step
-runs in this process when the first class is asked for.  Either way the
+runs in this process when the first class is asked for.  A fork that fails,
+say at the user's process limit, is no error: the tree is parsed in this
+process, after the workers that were forked are killed and joined, and the
+facts file is read here as where `os.fork` does not exist.  Either way the
 files, diagnostics, summary and refusals are the same: the reader sends
 back whatever the read raised, and this process raises it as the facts
 file's refusal, after those of the inputs read before it.  A reader that
@@ -147,9 +150,10 @@ def _load(path: Path) -> Iterator[Iterator[object]]:
     classes, each its package, name and document text, then either (the
     file's size in bytes, the seconds taken to make the texts) or whatever
     the read raised.  The iterator ends early only if the reader ends
-    without a result.  Where processes cannot be forked, the read runs in
-    this process when the first message is asked for.  The reader is
-    killed, if it still runs, and reaped before this returns or raises."""
+    without a result.  Where processes cannot be forked, or the fork fails,
+    the read runs in this process when the first message is asked for.
+    The reader is killed, if it still runs, and reaped before this returns
+    or raises."""
 
     def read(send: Callable[[object], object]) -> None:
         batch: list[tuple[str, str, str]] = []
@@ -185,7 +189,10 @@ def _load(path: Path) -> Iterator[Iterator[object]]:
     read_fd, write_fd = os.pipe()
     with os.fdopen(read_fd, "rb") as pipe_in, os.fdopen(write_fd, "wb") as pipe_out:
         _widen(write_fd)
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:  # say, at the user's process limit
+            pid = None
         if pid == 0:  # the reader
             status = 1
             try:
@@ -195,6 +202,9 @@ def _load(path: Path) -> Iterator[Iterator[object]]:
                 status = 0
             finally:
                 os._exit(status)
+        if pid is None:
+            yield _sent(read)
+            return
         pipe_out.close()
         try:
             _run_on(first)

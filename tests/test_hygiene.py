@@ -304,3 +304,57 @@ def test_importing_the_cli_loads_no_package_a_run_does_not_use():
     ).stdout.split()
     assert "reqtrace.cli" in loaded
     assert [name for name in UNUSED_PACKAGES if name in loaded] == []
+
+
+
+def fresh_interpreter(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """`code` with `argv`, run by a new interpreter that imports from src."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+
+
+def test_importing_the_cli_or_extracting_loads_no_numpy_module(tmp_path, ds_source):
+    # numpy is bound lazily in `lsi`: its stub module may be in sys.modules,
+    # but none of numpy's own modules is loaded until LSI reads a name of it
+    argv = ["extract", "--src", str(ds_source), "--out", str(tmp_path / "facts.xml")]
+    code = (
+        "import sys\nimport reqtrace.cli\nprint(*sorted(sys.modules))\n"
+        "code = reqtrace.cli.main(sys.argv[1:])\nprint(*sorted(sys.modules))\n"
+        "sys.exit(code)"
+    )
+    done = fresh_interpreter(code, *argv)
+    assert done.returncode == 0
+    lines = done.stdout.splitlines()
+    imported, extracted = lines[0].split(), lines[-1].split()
+    for loaded in (imported, extracted):
+        assert [name for name in loaded if name.startswith("numpy.")] == []
+    # the modules of `trace` are still compiled on import, not in its run
+    modules = ("lsi", "fca", "links", "evaluation", "textprep", "porter")
+    assert [m for m in modules if f"reqtrace.{m}" not in imported] == []
+
+
+@pytest.mark.parametrize("topics", [[], ["--topics", "2"]], ids=["full rank", "k=2"])
+def test_a_trace_that_loads_numpy_in_its_run_writes_what_this_process_writes(
+    tmp_path, capsys, ds_source, ds_requirements, ds_gold, topics
+):
+    from reqtrace.cli import main
+
+    argv = ["trace", "--src", str(ds_source), "--reqs", str(ds_requirements)]
+    argv += ["--gold", str(ds_gold), "--dump-intermediates", *topics]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    code = main([*argv, "--out", str(here)])
+    stdout, stderr = capsys.readouterr()
+    done = fresh_interpreter(
+        "import sys\nfrom reqtrace.cli import main\ncode = main(sys.argv[1:])\n"
+        "assert [name for name in sys.modules if name.startswith('numpy.')]\n"
+        "sys.exit(code)",
+        *argv, "--out", str(fresh),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, stdout, stderr)
+    assert code == 0
+    written = {path.name: path.read_bytes() for path in sorted(here.iterdir())}
+    assert len(written) == 9
+    assert {path.name: path.read_bytes() for path in sorted(fresh.iterdir())} == written

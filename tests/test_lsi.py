@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 import tracemalloc
 
 import numpy as np
@@ -590,3 +591,31 @@ class TestMemory:
             tracemalloc.stop()
         assert full_rank_peak < quarter_dense
         assert topics_peak < quarter_dense
+
+
+class TestLazyImport:
+    """`lsi._lazy`, which binds numpy: a module is run at the first read of
+    one of its names, not when it is bound."""
+
+    def test_a_module_runs_at_its_first_name_read(self, tmp_path, monkeypatch):
+        (tmp_path / "lazy_probe.py").write_text(
+            "from pathlib import Path\nPath(__file__).with_suffix('.ran').touch()\n"
+            "VALUE = 7\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, "lazy_probe", raising=False)
+        probe = lsi._lazy("lazy_probe")
+        assert sys.modules["lazy_probe"] is probe
+        assert not (tmp_path / "lazy_probe.ran").exists()
+        assert probe.VALUE == 7
+        assert (tmp_path / "lazy_probe.ran").exists()
+
+    def test_a_loaded_module_is_returned_as_it_is(self):
+        assert lsi._lazy("csv") is csv
+        assert lsi._lazy("numpy") is sys.modules["numpy"]
+
+    def test_a_missing_module_is_refused_at_once(self):
+        with pytest.raises(ModuleNotFoundError, match="no_such_module") as caught:
+            lsi._lazy("no_such_module")
+        assert caught.value.name == "no_such_module"
+        assert "no_such_module" not in sys.modules
