@@ -17,13 +17,19 @@ The count matrices are sparse: only their nonzero cells are held, sorted
 by term, so that each term's cells form its posting list (Manning,
 Raghavan & Schütze, *Introduction to IR*, ch. 6-7).  Nothing builds a
 dense t x d or t x q array; `cells` makes one on demand for inspection.
-Dot products are summed term at a time over the postings of the terms a
-column actually holds.  Counts are integers, so every dot product and
-squared norm is an integer, and float64 sums of integers below 2⁵³
-(about 9e15, far beyond any corpus's counts) are exact in any order: the
-full-rank cosines and the Gram matrix below equal, bit for bit, a dense
-product of the counts.  Products with the singular vectors are not
-integer sums, so they match a dense product only up to rounding.
+Every product of two count matrices, the Gram matrix AᵀA or AAᵀ and the
+query-document dots QᵀD, comes from one kernel, `_dots`: the few terms
+in more than an eighth of the columns form a dense block multiplied by
+BLAS, and every other term adds the products of its own pairs of cells,
+a bounded chunk of pairs per bincount.  Counts are integers, so every dot
+product and squared norm is an integer, and float64 sums of integers
+below 2⁵³ (about 9e15, far beyond any corpus's counts) are exact in any
+order: these products, and so the full-rank cosines, equal a dense
+product of the counts bit for bit.  Products with the singular vectors
+are not integer sums, so they match a dense product only up to rounding.
+Under truncation, when d <= t, the query side goes through the exact QᵀA
+and the right singular vectors V; the t x k left ones are made only when
+read (`cosine_similarity_matrix`, `LsiSpace`).
 
 `truncated_svd` takes the SVD from an eigendecomposition of the smaller
 Gram matrix, AᵀA or AAᵀ, not from a thin SVD of the t x d TDM.  The
@@ -43,6 +49,8 @@ import csv
 import importlib.util
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 from types import ModuleType, SimpleNamespace
 from typing import Iterable, Iterator
 
@@ -88,6 +96,7 @@ __all__ = [
 ]
 
 SIMILARITY_DECIMALS = 9  # places of every cosine written to csm.csv
+_CHUNK = 1 << 14  # cell pairs that `_dots` sums in one bincount
 
 
 @dataclass(frozen=True)
@@ -179,20 +188,29 @@ class TermQueryMatrix(_CountMatrix):
 
 @dataclass(frozen=True, eq=False)
 class LsiSpace:
-    """Rank-k topic space of a TDM.
+    """Rank-k topic space of a TDM A (t x d).
 
-    `left_vectors` holds orthonormal term-topic columns (t x k),
-    `singular_values` the k strictly positive weights in nonincreasing
-    order, and `doc_coords` one row per document (d x k): the right
-    singular vectors, i.e. exactly what folding the document's own count
-    column back in would produce.
+    `singular_values` holds the k strictly positive weights in
+    nonincreasing order, and `doc_coords` one row per document (d x k): the
+    right singular vectors V, i.e. exactly what folding the document's own
+    count column back in would produce.  `left_vectors` holds the
+    orthonormal term-topic columns U (t x k).  When d <= t no similarity
+    needs them, so they are made on first read, as A V / s; when d > t the
+    eigensolver gives them as `found_left`.
     """
 
     k: int
-    left_vectors: np.ndarray
     singular_values: np.ndarray
     doc_coords: np.ndarray
     doc_names: tuple[str, ...]
+    counts: _Nonzeros  # A, t x d
+    found_left: np.ndarray | None = None
+
+    @cached_property
+    def left_vectors(self) -> np.ndarray:
+        if self.found_left is not None:
+            return self.found_left
+        return self.counts.times(self.doc_coords) / self.singular_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,23 +232,28 @@ def build_vocabulary(corpus: list[TermBag]) -> Vocabulary:
 
 def _count_nonzeros(bags: list[TermBag], vocab: Vocabulary) -> _Nonzeros:
     """Terms x bags counts; terms outside `vocab` and zero counts are dropped."""
-    rows: list[int] = []
-    columns: list[int] = []
-    counts: list[int] = []
-    for j, bag in enumerate(bags):
-        for term, count in bag.counts.items():
-            row = vocab.index.get(term)
-            if row is not None and count:
-                rows.append(row)
-                columns.append(j)
-                counts.append(count)
-    by_row = np.array(rows, dtype=np.intp)
-    order = np.argsort(by_row, kind="stable")
+    lengths = [len(bag.counts) for bag in bags]
+    cells = sum(lengths)
+    terms = chain.from_iterable(bag.counts for bag in bags)
+    rows = np.fromiter(
+        map(vocab.index.get, terms, repeat(-1)),
+        dtype=np.intp,
+        count=cells,
+    )
+    counts = np.fromiter(
+        chain.from_iterable(bag.counts.values() for bag in bags),
+        dtype=np.int64,
+        count=cells,
+    )
+    columns = np.repeat(np.arange(len(bags), dtype=np.intp), lengths)
+    kept = (rows >= 0) & (counts != 0)
+    rows = rows[kept]
+    order = np.argsort(rows, kind="stable")
     return _Nonzeros(
         shape=(len(vocab), len(bags)),
-        rows=by_row[order],
-        columns=np.array(columns, dtype=np.intp)[order],
-        counts=np.array(counts, dtype=np.int64)[order],
+        rows=rows[order],
+        columns=columns[kept][order],
+        counts=counts[kept][order],
     )
 
 
@@ -250,56 +273,58 @@ def build_tqm(queries: list[TermBag], vocab: Vocabulary) -> TermQueryMatrix:
     )
 
 
-def _gather(first: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """The ranges first[i]..last[i]-1, concatenated."""
-    lengths = last - first
-    shifts = np.repeat(first - np.cumsum(lengths) + lengths, lengths)
-    return shifts + np.arange(len(shifts))
+def _dots(left: _Nonzeros, right: _Nonzeros) -> np.ndarray:
+    """leftᵀ·right, a x b, of a t x a and a t x b count matrix, exactly.
 
-
-def _add_dots(docs: _Nonzeros, queries: _Nonzeros, out: np.ndarray) -> np.ndarray:
-    """Add Qᵀ·D, q x d, to `out`, term at a time over D's postings.
-
-    D and Q share their rows.  Each query gathers the postings of its own
-    terms only, and one bincount sums them per document.
+    A row in more than an eighth of either side's columns (a common word)
+    goes into one dense block per side, whose product gives its share of
+    every cell; fewer than 8 * nnz / width rows qualify on each side.  The
+    result starts as that product, and every other row adds only the pairs
+    of its own cells: one bincount per chunk of at most `_CHUNK` pairs,
+    into a slab of at most max(`_CHUNK`, b) cells, so that no second a x b
+    array is made.  Both sum integers below 2⁵³, so the result equals a
+    dense product of the counts bit for bit.
     """
-    starts = docs.starts()
-    by_query = queries.transposed()
-    query_starts = by_query.starts()
-    for j in range(by_query.shape[0]):
-        cells = slice(query_starts[j], query_starts[j + 1])
-        terms = by_query.columns[cells]
-        first, last = starts[terms], starts[terms + 1]
-        postings = _gather(first, last)
-        weights = np.repeat(by_query.counts[cells], last - first)
-        out[j] += np.bincount(
-            docs.columns[postings],
-            weights=weights * docs.counts[postings],
-            minlength=docs.shape[1],
-        )
-    return out
-
-
-def _gram(side: _Nonzeros) -> np.ndarray:
-    """SᵀS of the sparse S, exactly.
-
-    A row in more than an eighth of the columns (a common word) goes into
-    one dense block, whose product adds its full outer product; at most
-    8 * nnz / width rows qualify, so the block holds at most 8 * nnz cells.
-    Every other row adds only the pairs of its own cells, through
-    `_add_dots`.  Both sum integers, so the result is exact.
-    """
-    width = side.shape[1]
-    frequency = np.diff(side.starts())
-    heavy_rows = frequency > width / 8
-    heavy = heavy_rows[side.rows]
-    block = np.zeros((int(heavy_rows.sum()), width))
+    a, b = left.shape[1], right.shape[1]
+    left_starts, right_starts = left.starts(), right.starts()
+    heavy_rows = (np.diff(left_starts) > a / 8) | (np.diff(right_starts) > b / 8)
     block_row = np.cumsum(heavy_rows) - 1
-    block[block_row[side.rows[heavy]], side.columns[heavy]] = side.counts[heavy]
-    light = _Nonzeros(
-        side.shape, side.rows[~heavy], side.columns[~heavy], side.counts[~heavy]
-    )
-    return _add_dots(light, light, block.T @ block)
+
+    def block(side: _Nonzeros) -> np.ndarray:
+        heavy = heavy_rows[side.rows]
+        cells = np.zeros((int(heavy_rows.sum()), side.shape[1]))
+        cells[block_row[side.rows[heavy]], side.columns[heavy]] = side.counts[heavy]
+        return cells
+
+    left_block = block(left)
+    out = left_block.T @ (left_block if right is left else block(right))
+    # Each light cell of `left`, by column, pairs with the cells of its row
+    # in `right`; pair p belongs to cell `cell` when pair_at[cell] <= p.
+    by_column = left.transposed()
+    light = ~heavy_rows[by_column.columns]
+    columns = by_column.rows[light]
+    terms = by_column.columns[light]
+    weights = by_column.counts[light]
+    first = right_starts[terms]
+    pair_at = np.concatenate(([0], np.cumsum(right_starts[terms + 1] - first)))
+    column_pairs = pair_at[np.searchsorted(columns, np.arange(a + 1))]
+    first -= pair_at[:-1]  # + pair index = the pair's cell in `right`
+    pair = 0
+    while pair < pair_at[-1]:
+        top = int(np.searchsorted(column_pairs, pair, side="right")) - 1
+        rows = min(max(1, _CHUNK // b), a - top)  # of `out`, in this slab
+        stop = min(pair + _CHUNK, int(column_pairs[top + rows]))
+        pairs = np.arange(pair, stop)
+        cell = np.searchsorted(pair_at, pairs, side="right") - 1
+        postings = first[cell] + pairs
+        slab = np.bincount(
+            (columns[cell] - top) * b + right.columns[postings],
+            weights=weights[cell] * right.counts[postings],
+            minlength=rows * b,
+        )
+        out[top : top + rows] += slab.reshape(rows, b)
+        pair = stop
+    return out
 
 
 def check_topics(k: int, rank: int | None = None) -> None:
@@ -313,14 +338,16 @@ def check_topics(k: int, rank: int | None = None) -> None:
 def truncated_svd(tdm: TermDocumentMatrix, k: int) -> LsiSpace:
     """Best rank-k factorization of the TDM, from its smaller Gram matrix.
 
-    The eigendecomposition of AᵀA (d x d, when d <= t) or AAᵀ (t x t)
-    gives the right or left singular vectors and the squared singular
-    values; one product gives the other side, U = A V / s or V = Aᵀ U / s.
-    Eigenvalues resolve singular values only down to about √eps times the
-    largest, so a topic whose eigenvalue is within the Gram matrix's own
-    rounding, λ <= max(t, d) * eps * λ₁, is discarded: the effective k
-    never exceeds the numerical rank and every kept singular value is
-    strictly positive.
+    The eigendecomposition of AᵀA (d x d, when d <= t) or AAᵀ (t x t),
+    both summed exactly by `_dots`, gives the right or left singular
+    vectors and the squared singular values.  When d > t one product gives
+    the right side, V = Aᵀ U / s; when d <= t the left side U = A V / s is
+    left to `LsiSpace.left_vectors`, since the cosine takes its query side
+    from QᵀA and V.  Eigenvalues resolve singular values only down to
+    about √eps times the largest, so a topic whose eigenvalue is within the
+    Gram matrix's own rounding, λ <= max(t, d) * eps * λ₁, is discarded:
+    the effective k never exceeds the numerical rank and every kept
+    singular value is strictly positive.
     """
     t, d = tdm.shape
     check_topics(k, min(t, d))
@@ -328,23 +355,23 @@ def truncated_svd(tdm: TermDocumentMatrix, k: int) -> LsiSpace:
     if not len(matrix.counts):
         raise DegenerateMatrixError("term-document matrix is all zeros")
     side = matrix if d <= t else matrix.transposed()  # sideᵀ side is the smaller Gram
-    eigenvalues, eigenvectors = np.linalg.eigh(_gram(side))
+    eigenvalues, eigenvectors = np.linalg.eigh(_dots(side, side))
     singular = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
     effective = min(k, int(np.sum(singular > _rank_tolerance(t, d, singular[0]))))
     s = singular[:effective]
     vectors = np.ascontiguousarray(eigenvectors[:, ::-1][:, :effective])
-    other = side.times(vectors) / s
-    u, v = (other, vectors) if d <= t else (vectors, other)
+    u, v = (None, vectors) if d <= t else (vectors, side.times(vectors) / s)
     # An all-zero column folds in to the origin, but the eigensolver can
     # leave rounding noise in its row of V; the empty document would then
     # get cosines of pure noise, up to 1.
     v[np.bincount(matrix.columns, minlength=d) == 0] = 0.0
     return LsiSpace(
         k=effective,
-        left_vectors=u,
         singular_values=s,
         doc_coords=v,
         doc_names=tdm.doc_names,
+        counts=matrix,
+        found_left=u,
     )
 
 
@@ -375,22 +402,28 @@ def _cosines(
 def cosine_similarity_matrix(space: LsiSpace, tqm: TermQueryMatrix) -> SimilarityMatrix:
     """Cosine of every query against every rank-k reconstructed document.
 
-    Rows are queries, columns are documents.  A zero query vector or a
-    document whose reconstruction is zero yields similarity 0.  A
-    document whose terms lie outside the k kept topics reconstructs to 0
-    up to rounding; its norm is within `truncated_svd`'s rank tolerance
-    and is taken as 0, since a cosine of that rounding noise can reach 1.
+    Rows are queries, columns are documents.  The numerators are
+    Qᵀ U S Vᵀ: when d <= t they are taken as (C V) Vᵀ from the exact
+    C = QᵀA, which equals it in exact arithmetic since U = A V / s, and
+    no t x k array is made; when d > t, U is at hand and Qᵀ U is taken
+    first.  A zero query vector or a document whose reconstruction is zero
+    yields similarity 0.  A document whose terms lie outside the k kept
+    topics reconstructs to 0 up to rounding; its norm is within
+    `truncated_svd`'s rank tolerance and is taken as 0, since a cosine of
+    that rounding noise can reach 1.
     """
     queries = tqm.nonzeros  # t x q
-    doc_scaled = space.doc_coords * space.singular_values  # d x k rows
-    projected = queries.transposed().times(space.left_vectors)  # q x k
+    t, d = space.counts.shape
+    v = space.doc_coords
+    doc_scaled = v * space.singular_values  # d x k rows
+    if d <= t:
+        numerators = (_dots(queries, space.counts) @ v) @ v.T
+    else:
+        numerators = queries.transposed().times(space.left_vectors) @ doc_scaled.T
     doc_norms = np.linalg.norm(doc_scaled, axis=1)
-    tolerance = _rank_tolerance(
-        len(space.left_vectors), len(space.doc_coords), space.singular_values[0]
-    )
-    doc_norms[doc_norms <= tolerance] = 0.0
+    doc_norms[doc_norms <= _rank_tolerance(t, d, space.singular_values[0])] = 0.0
     values = _cosines(
-        projected @ doc_scaled.T,  # q x d
+        numerators,  # q x d
         queries.column_norms(),  # true term-space norms
         doc_norms,
     )
@@ -411,9 +444,8 @@ def count_cosine_matrix(
     every value lies in [0, 1]; a zero query or document column gives 0.
     """
     docs, queries = tdm.nonzeros, tqm.nonzeros
-    dots = np.zeros((queries.shape[1], docs.shape[1]))
     values = _cosines(
-        _add_dots(docs, queries, dots),
+        _dots(queries, docs),
         queries.column_norms(),
         docs.column_norms(),
     )

@@ -177,6 +177,89 @@ def dense_gram(tdm_cells: np.ndarray) -> np.ndarray:
     return side.T @ side
 
 
+def two_sided_counts(rng, t: int, a: int, b: int):
+    """Seeded t x a and t x b counts whose rows are dense or sparse on each
+    side apart, so that a row can be common on one side only.
+
+    Counts are mostly small, with some up to 10⁵.  An all-zero term row is
+    planted on both sides, and an all-zero column on each side that has
+    more than one.
+    """
+    sides = []
+    for width in (a, b):
+        density = rng.uniform(0, 1, size=(t, 1)) ** 2
+        large = rng.rand(t, width) < 0.05
+        counts = np.where(
+            large,
+            rng.randint(1, 100_000, size=(t, width)),
+            rng.randint(1, 9, size=(t, width)),
+        )
+        cells = counts * (rng.rand(t, width) < density)
+        if width >= 2:
+            cells[:, rng.randint(width)] = 0
+        sides.append(cells)
+    if t >= 2:
+        empty = rng.randint(t)
+        for cells in sides:
+            cells[empty] = 0
+    return sides
+
+
+def dense_dots(left_cells: np.ndarray, right_cells: np.ndarray) -> np.ndarray:
+    """leftᵀ·right as one dense product of the counts: the oracle."""
+    return left_cells.astype(np.float64).T @ right_cells.astype(np.float64)
+
+
+def loop_nonzeros(bags: list[TermBag], vocab: Vocabulary):
+    """Rows, columns and counts of the bags' cells, collected one cell at a
+    time and sorted by row: the oracle of `build_tdm` and `build_tqm`."""
+    cells = [
+        (vocab.index[term], j, count)
+        for j, bag in enumerate(bags)
+        for term, count in bag.counts.items()
+        if term in vocab.index and count
+    ]
+    cells.sort(key=lambda cell: cell[0])  # stable: columns stay in order
+    rows, columns, counts = zip(*cells) if cells else ((), (), ())
+    return (
+        np.array(rows, dtype=np.intp),
+        np.array(columns, dtype=np.intp),
+        np.array(counts, dtype=np.int64),
+    )
+
+
+def left_vector_cosines(space, tdm: TermDocumentMatrix, tqm: TermQueryMatrix):
+    """Rank-k cosines through the term-topic vectors, Qᵀ(AV/s)·(Vs)ᵀ, with
+    dense products: the reference of `cosine_similarity_matrix`'s route."""
+    v, s = space.doc_coords, space.singular_values
+    queries = tqm.cells.astype(float)
+    u = tdm.cells.astype(float) @ v / s
+    doc_scaled = v * s
+    doc_norms = np.linalg.norm(doc_scaled, axis=1)
+    t, d = tdm.shape
+    doc_norms[doc_norms <= np.sqrt(max(t, d) * np.finfo(float).eps) * s[0]] = 0
+    numerators = (queries.T @ u) @ doc_scaled.T
+    denominators = np.outer(np.linalg.norm(queries, axis=0), doc_norms)
+    cosines = np.divide(
+        numerators, denominators, out=np.zeros_like(numerators), where=denominators > 0
+    )
+    return np.clip(cosines, -1.0, 1.0)
+
+
+def summed_left_vectors(space) -> np.ndarray:
+    """A V / s, each term's cells summed one at a time in column order, as
+    `_Nonzeros.times` sums them: the oracle of `LsiSpace.left_vectors`."""
+    nonzeros = space.counts
+    v = space.doc_coords
+    u = np.zeros((nonzeros.shape[0], space.k))
+    for row, column, count in zip(
+        nonzeros.rows.tolist(), nonzeros.columns.tolist(), nonzeros.counts.tolist()
+    ):
+        for c in range(space.k):
+            u[row, c] += count * v[column, c]
+    return u / space.singular_values
+
+
 def per_cell_csv(names: tuple[str, ...], terms: tuple[str, ...], cells) -> str:
     """A count matrix written one dense cell at a time: the oracle."""
     buffer = io.StringIO()
@@ -279,6 +362,24 @@ class TestCountMatrices:
         tqm = build_tqm(bags({"q": {"a": 2, "nowhere": 9}}), vocab)
         assert tqm.cells.shape == (1, 1)
         assert tqm.cells[0, 0] == 2
+
+    def test_cells_equal_the_cell_loop(self):
+        rng = np.random.RandomState(20)
+        words = [f"w{i}" for i in range(30)]
+        vocab = build_vocabulary(bags({"known": {w: 1 for w in words[:20]}}))
+        for trial in range(40):
+            doc_bags = [
+                TermBag(f"b{j}", {w: rng.randint(0, 4) for w in rng.choice(words, 8)})
+                for j in range(rng.randint(1, 9))
+            ]
+            if trial % 3 == 0:
+                doc_bags.insert(rng.randint(len(doc_bags)), TermBag("empty", {}))
+            nonzeros = build_tdm(doc_bags, vocab).nonzeros
+            rows, columns, counts = loop_nonzeros(doc_bags, vocab)
+            assert nonzeros.shape == (len(vocab), len(doc_bags))
+            assert_bitwise(nonzeros.rows, rows)
+            assert_bitwise(nonzeros.columns, columns)
+            assert_bitwise(nonzeros.counts, counts)
 
     def test_no_vocabulary_overlap_gives_zero_column(self):
         doc_bags = bags({"d": {"a": 1}})
@@ -490,6 +591,38 @@ class TestSimilarityMatrix:
         values = cosine_similarity_matrix(truncated_svd(tdm, 2), tqm).values
         assert (values[:, [2, 4]] == 0).all()
 
+    @pytest.mark.parametrize(
+        "t, d", [(12, 4), (30, 9), (7, 7), (6, 1), (4, 12), (9, 30), (1, 6)]
+    )
+    def test_equals_the_left_vector_route_at_every_k(self, t, d):
+        rng = np.random.RandomState(700 * t + d)
+        for trial in range(30):
+            pair = random_counts(rng, t, d, rng.randint(1, 5), trial)
+            if pair is None:
+                continue
+            tdm, tqm = pair
+            for k in range(1, min(t, d) + 1):
+                space = truncated_svd(tdm, k)
+                values = cosine_similarity_matrix(space, tqm).values
+                expected = left_vector_cosines(space, tdm, tqm)
+                assert np.abs(values - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("t, d", [(12, 4), (7, 7), (30, 9), (4, 12)])
+    def test_left_vectors_are_made_on_first_read(self, t, d):
+        rng = np.random.RandomState(800 * t + d)
+        for trial in range(20):
+            pair = random_counts(rng, t, d, rng.randint(1, 5), trial)
+            if pair is None:
+                continue
+            tdm, tqm = pair
+            space = truncated_svd(tdm, rng.randint(1, min(t, d) + 1))
+            cosine_similarity_matrix(space, tqm)
+            if d <= t:
+                assert "left_vectors" not in vars(space)
+                assert_bitwise(space.left_vectors, summed_left_vectors(space))
+            else:  # the eigenvectors of AAᵀ
+                assert space.left_vectors is space.found_left
+
     def test_ds_style_binarization_shape(self):
         _, tdm, tqm = matrices_for(DS_STYLE_DOCS, DS_STYLE_QUERIES)
         space = truncated_svd(tdm, min(tdm.shape))
@@ -557,7 +690,25 @@ class TestAgainstDenseProducts:
         for _ in range(25):
             tdm, _ = mixed_counts(rng, t, d, 1)
             side = tdm.nonzeros if d <= t else tdm.nonzeros.transposed()
-            assert_bitwise(lsi._gram(side), dense_gram(tdm.cells))
+            assert_bitwise(lsi._dots(side, side), dense_gram(tdm.cells))
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    @pytest.mark.parametrize("t, d", MIXED_SHAPES)
+    def test_dots(self, t, d, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(lsi, "_CHUNK", chunk)  # chunks split term rows
+        rng = np.random.RandomState(600 * t + d)
+        one_sided = 0
+        for _ in range(10):
+            left, right = two_sided_counts(rng, t, d, rng.randint(1, 20))
+            left_heavy = (left > 0).sum(axis=1) > left.shape[1] / 8
+            right_heavy = (right > 0).sum(axis=1) > right.shape[1] / 8
+            one_sided += (left_heavy != right_heavy).sum()
+            a, b = synthetic(left).nonzeros, synthetic(right).nonzeros
+            assert_bitwise(lsi._dots(a, b), dense_dots(left, right))
+            assert_bitwise(lsi._dots(b, a), dense_dots(right, left))
+            assert_bitwise(lsi._dots(a, a), dense_dots(left, left))
+        assert one_sided > 0 or t == 1
 
     @pytest.mark.parametrize("t, d", MIXED_SHAPES)
     def test_count_matrix_csv(self, t, d):
@@ -591,6 +742,41 @@ class TestMemory:
             tracemalloc.stop()
         assert full_rank_peak < quarter_dense
         assert topics_peak < quarter_dense
+
+
+    @pytest.mark.parametrize("width", [2_000, 1_000])
+    def test_dots_holds_one_product_and_one_chunk(self, width, monkeypatch):
+        """`_dots` holds its a x b result, the index arrays of the cells and
+        one chunk: a second a x b array would break the bound."""
+        monkeypatch.setattr(lsi, "_CHUNK", 1 << 12)
+        rng = np.random.default_rng(6)
+        t, common = 20_000, 3  # rows 0..2 are in every column: the dense block
+
+        def columns_of(count: int, rare: int) -> lsi._Nonzeros:
+            rows = np.concatenate(
+                [
+                    np.r_[:common, rng.choice(t - common, rare, replace=False) + common]
+                    for _ in range(count)
+                ]
+            )
+            columns = np.repeat(np.arange(count), common + rare)
+            order = np.lexsort((columns, rows))
+            counts = rng.integers(1, 9, size=len(rows))
+            return lsi._Nonzeros((t, count), rows[order], columns[order], counts[order])
+
+        docs = columns_of(2_000, 30)
+        left = docs if width == docs.shape[1] else columns_of(width, 10)
+        product = 8 * width * docs.shape[1]
+        cells = len(left.counts) + len(docs.counts)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            dots = lsi._dots(left, docs)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert dots.shape == (width, docs.shape[1]) and dots.min() >= common
+        assert peak < product + 64 * cells + 128 * lsi._CHUNK < 2 * product
 
 
 class TestLazyImport:
